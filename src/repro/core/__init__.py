@@ -8,7 +8,10 @@
   accelerator operating point (Figure 5a);
 * :class:`~repro.core.system.HeterogeneousSystem` — the user-facing
   facade: functionally executes OpenMP ``target`` offloads through the
-  wire protocol into the PULP model and reports time/energy/speedup.
+  wire protocol into the PULP model and reports time/energy/speedup;
+* :mod:`repro.core.pricing` — the same pricing as staged, memoized
+  steps (verify, characterize, operating point, price), shared by the
+  design-space exploration and the serving/capacity service books.
 """
 
 from repro.core.envelope import EnvelopePoint, PowerEnvelopeSolver

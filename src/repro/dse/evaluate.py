@@ -2,11 +2,16 @@
 
 :func:`evaluate_config` is a pure module-level function over a canonical
 knob dict, so it is picklable and can run inside
-``ProcessPoolExecutor`` workers; each worker builds its own
-:class:`~repro.core.system.HeterogeneousSystem` from the knobs.  The
-evaluation is deterministic — the same configuration always produces a
-bit-identical record — which is what makes content-addressed caching
-(:mod:`repro.dse.cache`) sound.
+``ProcessPoolExecutor`` workers.  It prices the configuration through
+the staged pipeline of :mod:`repro.core.pricing`: the functional check
+and the cluster characterization run once per kernel (and cluster size)
+per process, the envelope solve once per operating point, and only the
+offload timing per configuration.  The record equals the one a fresh
+:meth:`~repro.core.system.HeterogeneousSystem.offload` of
+:func:`build_system` would give, bit for bit — that slow path is the
+reference oracle of the tests.  The evaluation is deterministic — the
+same configuration always produces a bit-identical record — which is
+what makes content-addressed caching (:mod:`repro.dse.cache`) sound.
 
 ``MODEL_VERSION`` names the behaviour of the underlying models.  It is
 part of every record and every cache key: bump it whenever a model
@@ -19,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping
 
 from repro import __version__
+from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
 from repro.errors import ReproError
 from repro.kernels import kernel_by_name
@@ -68,8 +74,8 @@ def evaluate_config(knobs: Mapping[str, Any],
         "metrics": None,
     }
     try:
-        system = build_system(canonical)
-        result = system.offload(
+        result = pricing.offload(
+            build_system(canonical),
             kernel_by_name(canonical["kernel"]),
             host_frequency=mhz(canonical["host_mhz"]),
             iterations=canonical["iterations"],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -79,6 +79,19 @@ class Kernel(abc.ABC):
     @abc.abstractmethod
     def build_program(self) -> Program:
         """The loop-nest IR of the kernel."""
+
+    # -- identity -----------------------------------------------------------------------
+
+    def memo_key(self) -> Tuple:
+        """Value identity: the kernel class and its public parameters.
+
+        Private attributes are derived from the public ones at
+        construction; a subclass whose behaviour depends on other state
+        must override this.
+        """
+        params = tuple(sorted((key, value) for key, value in vars(self).items()
+                              if not key.startswith("_")))
+        return (type(self).__module__, type(self).__qualname__, params)
 
     # -- shared helpers -----------------------------------------------------------------
 

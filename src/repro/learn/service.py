@@ -138,9 +138,9 @@ class PredictedServiceBook(AnalyticServiceBook):
         knobs = self._decide(kernel_name) if tier == "fast" else None
         with use_telemetry(Telemetry(enabled=False)):
             if knobs is None:
-                return self._build_quiet(kernel_name, tier)
+                return self._price(kernel_name, tier)
             try:
-                return self._build_quiet(
+                return self._price(
                     kernel_name, tier,
                     budget=mw(knobs["budget_mw"]),
                     system=self._system_for(knobs["cluster_size"]),
@@ -154,7 +154,7 @@ class PredictedServiceBook(AnalyticServiceBook):
 
         get_telemetry().count("learn.infeasible", unit="decisions")
         with use_telemetry(Telemetry(enabled=False)):
-            return self._build_quiet(kernel_name, tier)
+            return self._price(kernel_name, tier)
 
 
 def _predicted_select(scheduler, now: float) -> int:

@@ -60,6 +60,11 @@ class ActivityProfile:
     name: str
     fractions: Mapping[PulpComponent, StateFractions] = field(default_factory=dict)
 
+    def __hash__(self) -> int:
+        # By value, consistent with the generated __eq__ (dict equality
+        # ignores order, and so does a frozenset of its items).
+        return hash((self.name, frozenset(self.fractions.items())))
+
     def chi(self, component: PulpComponent) -> StateFractions:
         """State fractions for *component* (idle if unspecified)."""
         return self.fractions.get(component, StateFractions())

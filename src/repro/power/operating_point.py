@@ -39,6 +39,7 @@ class OperatingPointTable:
             # Exactly interpolate the anchors by default: the paper's
             # polynomial model only fills in *between* measured points.
             fmax_degree = len(points) - 1
+        self.fmax_degree = fmax_degree
         self._fmax = PolynomialInterpolator(
             [p.voltage for p in points], [p.fmax for p in points], fmax_degree)
 

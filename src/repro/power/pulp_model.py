@@ -91,18 +91,26 @@ class PulpPowerModel:
         self.table = table
         self.densities = densities
 
+    def memo_key(self) -> Tuple:
+        """Value identity of the model: every anchor and density it reads."""
+        return (self.table.points, self.table.fmax_degree,
+                tuple(self.densities[component] for component in PulpComponent))
+
     # -- the paper's equation -------------------------------------------------
 
-    def dynamic_density(self, activity: ActivityProfile,
-                        voltage: float) -> float:
-        """Activity-weighted dynamic density (W/Hz) at *voltage*."""
-        scale = (voltage / V_NOMINAL) ** 2
+    def nominal_density(self, activity: ActivityProfile) -> float:
+        """Activity-weighted dynamic density (W/Hz) at ``V_NOMINAL``."""
         total = 0.0
         for component in PulpComponent:
             rho = self.densities[component]
             chi = activity.chi(component)
             total += chi.idle * rho.idle + chi.run * rho.run + chi.dma * rho.dma
-        return total * scale
+        return total
+
+    def dynamic_density(self, activity: ActivityProfile,
+                        voltage: float) -> float:
+        """Activity-weighted dynamic density (W/Hz) at *voltage*."""
+        return self.nominal_density(activity) * (voltage / V_NOMINAL) ** 2
 
     def dynamic_power(self, frequency: float, voltage: float,
                       activity: ActivityProfile) -> float:
@@ -127,8 +135,18 @@ class PulpPowerModel:
         """Total power running at *frequency* at the minimum voltage that
         sustains it (the FLL/divider pick the frequency, the regulator the
         voltage)."""
+        return self._locus_power(frequency, self.nominal_density(activity))
+
+    def _locus_power(self, frequency: float, nominal: float) -> float:
+        """:meth:`power_at_frequency` given the activity's nominal density.
+
+        The same operations as :meth:`total_power` at the locus voltage,
+        so a bisection can sum the density once rather than per probe.
+        """
         voltage = self.table.voltage_for(frequency)
-        return self.total_power(frequency, voltage, activity)
+        self._check_point(frequency, voltage)
+        return frequency * (nominal * (voltage / V_NOMINAL) ** 2) \
+            + self.leakage_power(voltage)
 
     def max_frequency_within(self, budget: float,
                              activity: ActivityProfile,
@@ -141,16 +159,17 @@ class PulpPowerModel:
         """
         if budget <= 0:
             return 0.0, self.table.v_min
+        nominal = self.nominal_density(activity)
         lo, hi = 0.0, self.table.f_max
         f_floor = min(mhz(1), hi)
-        if self.power_at_frequency(f_floor, activity) > budget:
+        if self._locus_power(f_floor, nominal) > budget:
             return 0.0, self.table.v_min
-        if self.power_at_frequency(hi, activity) <= budget:
+        if self._locus_power(hi, nominal) <= budget:
             return hi, self.table.voltage_for(hi)
         lo = f_floor
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
-            if self.power_at_frequency(mid, activity) <= budget:
+            if self._locus_power(mid, nominal) <= budget:
                 lo = mid
             else:
                 hi = mid

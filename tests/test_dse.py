@@ -1,9 +1,11 @@
 """Tests for the design-space exploration subsystem (``repro.dse``)."""
 
 import json
+import random
 
 import pytest
 
+from repro.core import pricing
 from repro.dse import (
     Configuration,
     ExplorationEngine,
@@ -16,7 +18,9 @@ from repro.dse import (
     sensitivity,
 )
 from repro.dse import evaluate as dse_evaluate
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+from repro.kernels import BENCHMARK_NAMES, kernel_by_name
+from repro.units import mhz
 
 
 def tiny_space(**overrides):
@@ -120,6 +124,86 @@ class TestEvaluate:
                                   "link_tying": "untied"})
         assert untied["metrics"]["efficiency"] \
             > tied["metrics"]["efficiency"]
+
+
+def _oracle_record(knobs):
+    """The record a fresh system's full offload gives: the reference the
+    staged, memoized pricing path must reproduce bit for bit."""
+    canonical = canonicalize(knobs)
+    record = {"config": canonical, "config_hash": config_hash(canonical),
+              "model_version": dse_evaluate.MODEL_VERSION,
+              "feasible": False, "error": None, "metrics": None}
+    try:
+        result = dse_evaluate.build_system(canonical).offload(
+            kernel_by_name(canonical["kernel"]),
+            host_frequency=mhz(canonical["host_mhz"]),
+            iterations=canonical["iterations"],
+            double_buffered=canonical["double_buffered"])
+    except ReproError as exc:
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        return record
+    record["feasible"] = True
+    record["metrics"] = result.metrics()
+    return record
+
+
+def _random_knobs(rng):
+    knobs = {"kernel": rng.choice(BENCHMARK_NAMES),
+             "host_mhz": rng.choice([2.0, 8.0, 16.0, 26.0]),
+             "budget_mw": rng.choice([5.0, 6.5, 10.0, 20.0]),
+             "spi_mode": rng.choice(["single", "quad"]),
+             "cluster_size": rng.choice([1, 2, 4]),
+             "iterations": rng.choice([1, 3, 16]),
+             "double_buffered": rng.choice([False, True])}
+    if rng.random() < 0.4:
+        knobs["link_tying"] = "untied"
+        knobs["untied_clock_mhz"] = rng.choice([24.0, 48.0])
+    return knobs
+
+
+class TestStagedPricingMatchesOracle:
+    """Seeded differential fuzz: staged pipeline vs full offload."""
+
+    def test_fuzz_records_bit_identical_in_shuffled_order(self):
+        rng = random.Random(1302)
+        configs = [_random_knobs(rng) for _ in range(40)]
+        configs += [
+            # No accelerator budget left: infeasible through the envelope.
+            {"kernel": "hog", "host_mhz": 16.0, "budget_mw": 5.0},
+            {"kernel": "svm (poly)", "host_mhz": 16.0, "budget_mw": 5.0,
+             "link_tying": "untied", "untied_clock_mhz": 48.0},
+            # More cores than the power model carries: a model error.
+            {"kernel": "cnn", "cluster_size": 8},
+        ]
+        drawn = configs[:40]
+        assert {c["cluster_size"] for c in drawn} == {1, 2, 4}
+        assert {c.get("untied_clock_mhz") for c in drawn} >= {24.0, 48.0}
+        assert {c["spi_mode"] for c in drawn} == {"single", "quad"}
+        assert {c["double_buffered"] for c in drawn} == {False, True}
+        expected = [_oracle_record(knobs) for knobs in configs]
+        assert any(not record["feasible"] for record in expected)
+        assert any(record["feasible"] for record in expected)
+        order = list(range(len(configs)))
+        rng.shuffle(order)
+        pricing.clear()
+        for index in order:
+            staged = evaluate_config(configs[index])
+            assert json.dumps(staged, sort_keys=True) \
+                == json.dumps(expected[index], sort_keys=True), configs[index]
+
+    def test_parallel_matches_serial_across_stage_keys(self):
+        space = ParameterSpace(
+            grid={"kernel": ["matmul", "cnn (approx)"],
+                  "cluster_size": [1, 4], "host_mhz": [8.0, 16.0],
+                  "budget_mw": [5.0, 10.0]},
+            points=[{"kernel": "svm (linear)", "link_tying": "untied",
+                     "untied_clock_mhz": 48.0, "iterations": 16,
+                     "double_buffered": True}])
+        pricing.clear()
+        serial = ExplorationEngine(jobs=1).run(space)
+        parallel = ExplorationEngine(jobs=2).run(space)
+        assert parallel.records == serial.records
+        assert serial.stats.infeasible > 0
 
 
 class TestCache:

@@ -1,15 +1,18 @@
 """Tests for the multi-accelerator serving runtime (``repro.serve``)."""
 
 import builtins
+import dataclasses
 import json
 
 import pytest
 
 from repro import errors
 from repro.cli import main
+from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
+from repro.kernels import BENCHMARK_NAMES, all_kernels
 from repro.serve import (
     AnalyticServiceBook,
     ClosedLoopWorkload,
@@ -23,10 +26,11 @@ from repro.serve.engine import (
     ServeEngine,
     default_power_budget,
 )
+from repro.serve.archetype import NodeArchetype
 from repro.serve.fleet import PowerTracker, ServiceBook
 from repro.serve.metrics import percentile
 from repro.serve.scheduler import Policy, Scheduler, SchedulerConfig
-from repro.serve.workload import Lcg
+from repro.serve.workload import DEFAULT_MIX, Lcg
 from repro.sim import Simulator
 
 
@@ -544,3 +548,111 @@ class TestRegressions:
         simulator.run()
         changes = 20  # ten rises, ten falls
         assert len(tracker.timeline) == 1 + changes
+
+
+#: Every ServiceProfile of the default mix x {fast, eco}, as the offload
+#: stack priced it before service books moved onto the staged pipeline
+#: (dataclasses.astuple order).
+PINNED_PROFILES = [
+    ('matmul', 'fast', 0.002902596121314089, 1.4427809182016891e-05,
+     0.0031215, 0.0013787423239632127, 1.5387423194013463e-05,
+     1.0277079057936657e-05, 0.007499951967177637, 173229654.3121338,
+     0.6746055618859828),
+    ('matmul', 'eco', 0.002920601192319305, 1.2230857408152903e-05,
+     0.0031215, 0.002152180123438293, 1.3053999506967987e-05,
+     8.509641564940485e-06, 0.003999963458851018, 110975402.83203125,
+     0.594382795970887),
+    ('svm (RBF)', 'fast', 0.003109030872440332, 1.5049563770503401e-05,
+     0.0021855, 0.0010072263983062512, 1.0473388898571523e-05,
+     7.50783611532202e-06, 0.007499970753692689, 163381059.64660645,
+     0.6627587336115539),
+    ('svm (RBF)', 'eco', 0.003128282946719087, 1.2895418176017063e-05,
+     0.0021855, 0.0015770383380299265, 8.982874845509088e-06,
+     6.235605030226412e-06, 0.003999997109554151, 104348583.22143555,
+     0.585000570397824),
+    ('cnn', 'fast', 0.012197287158946843, 5.860643071275405e-05,
+     0.0005715, 0.0044309656679416875, 2.694804118777139e-06,
+     3.302837618822285e-05, 0.007499990543683334, 162159833.90808105,
+     0.6612714496441185),
+    ('cnn', 'eco', 0.012216706087236243, 5.030759199923154e-05,
+     0.0005715, 0.0069404942261973536, 2.316741330872325e-06,
+     2.7442561315035674e-05, 0.003999977976302021, 103526439.66674805,
+     0.5838255058042705),
+]
+
+#: matmul at {fast, eco} on archetypes that each differ from the default
+#: node in one pricing input: the host MCU, the cluster size, the link.
+PINNED_ARCHETYPE_PROFILES = {
+    "apollo": [
+        ('matmul', 'fast', 0.002898775362160551, 1.0853277054587794e-05,
+         0.0031215, 0.0012146152538072027, 1.1477944067275759e-05,
+         1.0971484742647008e-05, 0.009082388981310722, 196637622.83325195,
+         0.7018736307509243),
+        ('matmul', 'eco', 0.002909820163328924, 8.693620047115356e-06,
+         0.0031215, 0.00168906307513664, 9.181326309414845e-06,
+         9.34539388704413e-06, 0.005582386263757863, 141403278.35083008,
+         0.6352876215241849),
+    ],
+    "x2": [
+        ('matmul', 'fast', 0.002895438750184728, 1.6469587454532726e-05,
+         0.0031215, 0.002128052732207759, 1.7655168897053942e-05,
+         1.586244895971531e-05, 0.0074999736349760145, 222946216.58325195,
+         0.7314746067859232),
+        ('matmul', 'eco', 0.0029090265952193255, 1.3272009077446471e-05,
+         0.0031215, 0.0032875194471194886, 1.4230466404216034e-05,
+         1.2998828493896072e-05, 0.003999992882167007, 144315893.17321777,
+         0.639019915368408),
+    ],
+    "single": [
+        ('matmul', 'fast', 0.011469096121314089, 5.3502312720644624e-05,
+         0.012352499999999999, 0.0013787423239632127, 5.749292044085553e-05,
+         1.0277079057936657e-05, 0.007499951967177637, 173229654.3121338,
+         0.6746055618859828),
+        ('matmul', 'eco', 0.011487101192319304, 4.487173557984304e-05,
+         0.012352499999999999, 0.002152180123438293, 4.8226817624387197e-05,
+         8.509641564940485e-06, 0.003999963458851018, 110975402.83203125,
+         0.594382795970887),
+    ],
+}
+
+_ARCHETYPES = (NodeArchetype(name="apollo", mcu="Ambiq Apollo"),
+               NodeArchetype(name="x2", cluster_size=2),
+               NodeArchetype(name="single", spi_mode="single"))
+
+
+def _prices(book, kernels=("matmul",)):
+    return [dataclasses.astuple(book.profile(kernel, tier))
+            for kernel in kernels for tier in ("fast", "eco")]
+
+
+class TestPricing:
+    def test_default_mix_profiles_pinned(self):
+        pricing.clear()
+        assert _prices(AnalyticServiceBook(), tuple(DEFAULT_MIX)) \
+            == PINNED_PROFILES
+
+    @pytest.mark.parametrize("default_first", [True, False])
+    def test_archetype_books_get_their_own_prices(self, default_first):
+        # Shared stage memos must never hand one system another's entry,
+        # whichever book warms them first.
+        pricing.clear()
+        if default_first:
+            assert _prices(AnalyticServiceBook()) == PINNED_PROFILES[:2]
+        for archetype in _ARCHETYPES:
+            assert _prices(archetype.build_book()) \
+                == PINNED_ARCHETYPE_PROFILES[archetype.name], archetype.name
+        assert _prices(AnalyticServiceBook()) == PINNED_PROFILES[:2]
+
+    def test_book_build_never_runs_kernel_compute(self, monkeypatch):
+        def forbidden(kernel, inputs):
+            raise AssertionError(f"{kernel.name}: compute while pricing")
+
+        for kernel_class in {type(kernel) for kernel in all_kernels()}:
+            monkeypatch.setattr(kernel_class, "compute", forbidden)
+        pricing.clear()
+        book = AnalyticServiceBook()
+        for index, kernel in enumerate(BENCHMARK_NAMES):
+            for tier in book.tiers():
+                assert book.profile(kernel, tier).unit_compute_time > 0
+            request = Request(request_id=index, kernel=kernel, arrival_s=0.0)
+            assert book.host_time(request) > 0
