@@ -16,7 +16,7 @@ suite      units        hot path
 ========== ============ ====================================================
 sim        cycles       DES cluster replay of a lowered kernel loop
 serve      requests     ``repro.serve`` Poisson run to drain
-dse_cold   configs      ``repro.dse`` exploration, empty result cache
+dse_cold   configs      ``repro.dse`` exploration, empty cache and memos
 dse_cached configs      same exploration served entirely from the cache
 faults     scenarios    ``repro.faults`` campaign on the resilient driver
 analysis   programs     ``repro.analysis`` lint + SPMD pass over builtins
@@ -202,12 +202,16 @@ class _DseSuite(BenchSuite):
 
 
 class DseColdSuite(_DseSuite):
-    """Exploration with an empty cache: pure evaluation throughput."""
+    """Exploration with an empty cache and empty pricing-stage memos:
+    pure evaluation throughput, every pass as cold as a fresh process."""
 
     name = "dse_cold"
     spec = {"grid": _DSE_GRID, "jobs": 1}
 
     def prepare(self, profiler: PhaseProfiler) -> Any:
+        from repro.core import pricing
+
+        pricing.clear()
         return tempfile.mkdtemp(prefix="repro-bench-dse-cold-")
 
     def execute(self, state: Any, profiler: PhaseProfiler) -> SuiteResult:

@@ -17,6 +17,7 @@ from repro.errors import OffloadError
 from repro.core.envelope import EnvelopePoint, PowerEnvelopeSolver
 from repro.core.offload import OffloadCostModel, OffloadTiming
 from repro.isa.or10n import Or10nTarget
+from repro.isa.program import Program
 from repro.kernels.base import Arrays, Kernel
 from repro.link.protocol import encode_frame, decode_frames
 from repro.link.spi import SpiLink, SpiMode
@@ -209,6 +210,29 @@ class OffloadResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class RoundTrip:
+    """The functional half of one offload: what crossed the link."""
+
+    program: Program
+    binary_bytes: int           #: 0 when the binary was already resident
+    include_binary: bool
+    input_bytes: int
+    output_bytes: int
+    outputs: Arrays
+    verified: bool
+
+
+def require_accelerator(point: EnvelopePoint) -> EnvelopePoint:
+    """*point*, or the :class:`OffloadError` of an offload whose host
+    leaves no accelerator power budget."""
+    if not point.accelerator_usable:
+        raise OffloadError(
+            f"no accelerator power budget left with the host at "
+            f"{point.host_frequency / 1e6:.0f} MHz")
+    return point
+
+
 class HeterogeneousSystem:
     """STM32-L476 + PULP over (Q)SPI: the paper's system."""
 
@@ -249,15 +273,13 @@ class HeterogeneousSystem:
 
     # -- the offload --------------------------------------------------------------
 
-    def offload(self, kernel: Kernel, seed: int = 0,
-                host_frequency: float = mhz(8), iterations: int = 1,
-                double_buffered: bool = False) -> OffloadResult:
-        """Offload *kernel* end to end and price it.
+    def round_trip(self, kernel: Kernel, seed: int = 0) -> RoundTrip:
+        """The functional half of :meth:`offload`.
 
-        The functional path marshals real bytes through the wire protocol
-        into the accelerator's L2, runs the kernel, reads results back
-        and verifies them against a direct computation.  The analytic
-        path prices the same sequence with the calibrated models.
+        Marshals real bytes through the wire protocol into the
+        accelerator's L2, runs the kernel, reads the results back and
+        verifies them against a direct computation.  The binary travels
+        only if it is not already resident, and stays resident after.
         """
         program = kernel.build_program()
         inputs = kernel.generate_inputs(seed)
@@ -275,7 +297,6 @@ class HeterogeneousSystem:
         ])
         region.place(self.soc.l2)
 
-        # ---- functional path: push frames through the protocol ----
         include_binary = self._resident_binary != binary.name
         pre_frames, post_frames = region.to_frames(include_binary=include_binary)
         self.soc.reset()
@@ -299,23 +320,36 @@ class HeterogeneousSystem:
         for frame in post_frames:
             decoded, = decode_frames(encode_frame(frame))
             read_back += self.soc.handle_frame(decoded)
-        verified = read_back == output_payload
+        return RoundTrip(
+            program=program,
+            binary_bytes=binary.image_bytes if include_binary else 0,
+            include_binary=include_binary,
+            input_bytes=len(input_payload),
+            output_bytes=len(output_payload),
+            outputs=outputs,
+            verified=read_back == output_payload)
 
-        # ---- analytic path: cycles, envelope, offload costs ----
-        execution = self.omp.execute(program)
+    def offload(self, kernel: Kernel, seed: int = 0,
+                host_frequency: float = mhz(8), iterations: int = 1,
+                double_buffered: bool = False) -> OffloadResult:
+        """Offload *kernel* end to end and price it.
+
+        The functional path (:meth:`round_trip`) pushes real bytes
+        through the protocol and verifies the results; the analytic
+        path prices the same sequence with the calibrated models.
+        """
+        trip = self.round_trip(kernel, seed)
+        execution = self.omp.execute(trip.program)
         activity = ActivityProfile.compute(
             cores_active=self.omp.threads,
             memory_intensity=execution.memory_intensity,
             name=kernel.name)
-        point = self.envelope.solve(host_frequency, activity)
-        if not point.accelerator_usable:
-            raise OffloadError(
-                f"no accelerator power budget left with the host at "
-                f"{host_frequency / 1e6:.0f} MHz")
+        point = require_accelerator(
+            self.envelope.solve(host_frequency, activity))
         timing = self.cost_model.offload_timing(
-            binary_bytes=binary.image_bytes if include_binary else 0,
-            input_bytes=len(input_payload),
-            output_bytes=len(output_payload),
+            binary_bytes=trip.binary_bytes,
+            input_bytes=trip.input_bytes,
+            output_bytes=trip.output_bytes,
             compute_cycles=execution.wall_cycles,
             pulp_frequency=point.pulp_frequency,
             pulp_voltage=point.pulp_voltage,
@@ -323,12 +357,12 @@ class HeterogeneousSystem:
             host_frequency=host_frequency,
             iterations=iterations,
             double_buffered=double_buffered,
-            include_binary=include_binary,
+            include_binary=trip.include_binary,
         )
         return OffloadResult(
             kernel_name=kernel.name,
-            outputs=outputs,
-            verified=verified,
+            outputs=trip.outputs,
+            verified=trip.verified,
             execution=execution,
             envelope=point,
             timing=timing,

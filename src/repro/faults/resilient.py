@@ -32,7 +32,8 @@ from typing import List, Optional
 from repro import errors
 from repro.core.driver import OffloadDriver, SessionState
 from repro.core.offload import OffloadTiming
-from repro.core.system import HeterogeneousSystem, OffloadResult
+from repro.core.system import (HeterogeneousSystem, OffloadResult,
+                               require_accelerator)
 from repro.errors import (
     DeadlockError,
     DegradedExecutionError,
@@ -216,11 +217,8 @@ class ResilientDriver(OffloadDriver):
             cores_active=system.omp.threads,
             memory_intensity=execution.memory_intensity,
             name=kernel.name)
-        point = system.envelope.solve(host_frequency, activity)
-        if not point.accelerator_usable:
-            raise OffloadError(
-                f"no accelerator power budget left with the host at "
-                f"{host_frequency / 1e6:.0f} MHz")
+        point = require_accelerator(
+            system.envelope.solve(host_frequency, activity))
         power_model = self.soc.power_model
         self._pulp_idle_power = power_model.total_power(
             point.pulp_frequency, point.pulp_voltage, ActivityProfile.idle())

@@ -58,8 +58,17 @@ class TestOffload:
         third = system.offload(MatmulKernel("char"))
         assert third.timing.binary_time > 0
 
+    def test_round_trip_ships_binary_only_when_not_resident(self, system):
+        kernel = MatmulKernel("char")
+        first = system.round_trip(kernel)
+        second = system.round_trip(kernel)
+        assert first.verified and second.verified
+        assert first.include_binary and first.binary_bytes > 0
+        assert not second.include_binary and second.binary_bytes == 0
+        assert second.input_bytes == first.input_bytes > 0
+
     def test_no_budget_at_32mhz(self, system):
-        with pytest.raises(OffloadError):
+        with pytest.raises(OffloadError, match="no accelerator power budget"):
             system.offload(MatmulKernel("char"), host_frequency=mhz(32))
 
     def test_double_buffered_faster_at_many_iterations(self, system):
