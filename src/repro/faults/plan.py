@@ -148,7 +148,10 @@ class FaultPlan:
 
     def has(self, kind: FaultKind) -> bool:
         """Whether the plan injects *kind*."""
-        return any(spec.kind is kind for spec in self.specs)
+        for spec in self.specs:
+            if spec.kind is kind:
+                return True
+        return False
 
     def describe(self) -> str:
         """Short human-readable summary (``clean`` for the empty plan)."""

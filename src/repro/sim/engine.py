@@ -13,22 +13,44 @@ composition primitives a scheduler loop needs:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import DeadlockError, Interrupt, SimulationError
 
 
-@dataclass(frozen=True)
 class Timeout:
-    """Yielded by a process to advance its local time."""
+    """Yielded by a process to advance its local time.
 
-    delay: float
+    Immutable, compared and hashed by ``delay`` (a process yields one
+    per step, so construction is kept to a slot store).
+    """
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise SimulationError(f"negative timeout: {self.delay}")
+    __slots__ = ("delay",)
+
+    def __init__(self, delay: float):
+        if delay < 0:
+            raise SimulationError(f"negative timeout: {delay}")
+        object.__setattr__(self, "delay", delay)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.delay,) == (other.delay,)
+
+    def __hash__(self) -> int:
+        return hash((self.delay,))
+
+    def __repr__(self) -> str:
+        return f"Timeout(delay={self.delay!r})"
 
 
 class Event:
@@ -54,12 +76,17 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for process, epoch in waiters:
-            self._simulator.schedule(0.0, process._resume_if, epoch, value)
-        subscribers, self._subscribers = self._subscribers, []
-        for callback in subscribers:
-            callback(value)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for process, epoch in waiters:
+                self._simulator.schedule(0.0, process._resume_if, epoch,
+                                         value)
+        subscribers = self._subscribers
+        if subscribers:
+            self._subscribers = []
+            for callback in subscribers:
+                callback(value)
 
     def add_waiter(self, process: "Process") -> None:
         """Register a process; wakes immediately if already triggered."""
@@ -160,9 +187,8 @@ class Process:
 
     def _resume_if(self, epoch: int, value: Any = None) -> None:
         """Resume only if the wait that scheduled this is still current."""
-        if epoch != self._epoch:
-            return
-        self.resume(value)
+        if epoch == self._epoch:
+            self._step(self._generator.send, value)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`~repro.errors.Interrupt` into the process.
@@ -184,6 +210,11 @@ class Process:
         self._step(self._generator.throw, Interrupt(cause))
 
     def _step(self, advance: Callable, argument: Any) -> None:
+        """Advance the generator by one command and act on the command.
+
+        The only place a generator advances: resumes and interrupt
+        deliveries both come through here.
+        """
         if self.finished:
             return
         self._epoch += 1
@@ -200,9 +231,6 @@ class Process:
             self.interrupted = True
             self.completion.trigger(None)
             return
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
         if isinstance(command, Timeout):
             self._simulator.schedule(command.delay, self._resume_if,
                                      self._epoch, None)
@@ -225,10 +253,9 @@ class Simulator:
         self._processes: List[Process] = []
         self._cancelled: set = set()
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
+    # A C-level getter: every model component reads the clock per event.
+    now = property(operator.attrgetter("_now"),
+                   doc="Current simulation time (read-only).")
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> int:
         """Run ``callback(*args)`` after *delay* time units.
@@ -237,10 +264,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        heapq.heappush(self._queue, (self._now + delay, self._sequence,
-                                     callback, args))
         handle = self._sequence
-        self._sequence += 1
+        heappush(self._queue, (self._now + delay, handle, callback, args))
+        self._sequence = handle + 1
         return handle
 
     def cancel(self, handle: int) -> None:
@@ -283,15 +309,16 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue (or stop at time *until*); returns the
         final simulation time."""
-        while self._queue:
-            time, _seq, callback, args = self._queue[0]
-            if until is not None and time > until:
+        queue = self._queue
+        cancelled = self._cancelled
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
-                return self._now
-            heapq.heappop(self._queue)
-            if _seq in self._cancelled:
+                return until
+            time, sequence, callback, args = heappop(queue)
+            if sequence in cancelled:
                 # Dropped without running and without touching the clock.
-                self._cancelled.discard(_seq)
+                cancelled.discard(sequence)
                 continue
             self._now = time
             callback(*args)

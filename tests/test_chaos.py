@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -246,6 +247,50 @@ class TestSloTracker:
         tracker = SloTracker(SloPolicy(min_samples=50))
         tracker.record_drop("matmul", 0.0)
         assert not tracker.alerts
+
+
+class TestSloAlertSequence:
+    """Pins the emitted alert stream, including the late-warn quirk.
+
+    ``SloTracker._check`` breaks after a page ("the page implies the
+    warn"), yet the warn key stays unset, so the next check of the same
+    objective still emits the warn.  The pinned 16-seed chaos sweep hits
+    this three times (seed 6, ``surge+brownout``, availability); fixing
+    it changes that sweep's pin.
+    """
+
+    def _drive(self):
+        tracker = SloTracker(SloPolicy(min_samples=20))
+        clock = iter(range(1, 100))
+
+        def served(latency):
+            tracker.record_completion("k", latency, 1.0, float(next(clock)))
+
+        for _ in range(20):
+            served(1.0)
+        tracker.record_drop("k", float(next(clock)))   # availability page
+        served(1.0)             # ... and its late warn
+        served(100.0)           # latency warn
+        served(100.0)           # latency page
+        return tracker, served
+
+    def test_page_then_late_warn_sequence(self):
+        tracker, _ = self._drive()
+        assert [alert.render() for alert in tracker.alerts] == [
+            "t=21.000000 page slo:k availability budget burn 47.62 >= 1",
+            "t=22.000000 warn slo:k availability budget burn 45.45 >= 0.5",
+            "t=23.000000 warn slo:k latency budget burn 0.91 >= 0.5",
+            "t=24.000000 page slo:k latency budget burn 1.74 >= 1",
+        ]
+
+    def test_quiet_once_every_key_alerted(self):
+        tracker, served = self._drive()
+        for latency in (100.0, 1.0, 100.0):
+            served(latency)
+        tracker.record_drop("k", 99.0)
+        assert len(tracker.alerts) == 4
+        assert tracker.latency_burn("k") > 1.0
+        assert tracker.availability_burn("k") > 1.0
 
 
 class TestHealthMonitor:
@@ -563,3 +608,21 @@ class TestChaosCli:
         card = payload["scenarios"][0]["scorecard"]
         assert card["breaker_trips"] == 0
         assert card["slo_worst_burn"] is None
+
+
+#: sha256 of ``ChaosCampaignResult.to_json()`` for the pinned campaign
+#: (``pinned_campaign_config(seed=s)`` under ``chaos_seed=s``).  Seed 6
+#: carries the SLO late-warn quirk (see ``TestSloAlertSequence``).
+GOLDEN_CAMPAIGNS = {
+    1: "ddfc4443b083ae0dd6e015547d91690fab196bc268d6448540be18f0290f7d9b",
+    6: "a28ec3ff7615c73db8432f9f2f5b61c18a40b89d8bb413e311c62ff7e5327395",
+}
+
+
+class TestChaosGoldens:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_CAMPAIGNS))
+    def test_pinned_campaign_digest(self, seed):
+        result = run_campaign(pinned_campaign_config(seed=seed),
+                              pinned_campaign_plans(), chaos_seed=seed)
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        assert digest == GOLDEN_CAMPAIGNS[seed], seed

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation engine."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import DeadlockError, Interrupt, SimulationError
@@ -423,3 +425,109 @@ class TestInterrupt:
         sim.add_process(attacker(process))
         sim.run_all()
         assert log == ["interrupted", 3.0]
+
+
+class TestTimeoutValue:
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError, match="negative timeout"):
+            Timeout(-1e-9)
+
+    def test_equality_hash_and_repr(self):
+        assert Timeout(1.5) == Timeout(1.5)
+        assert Timeout(1.5) != Timeout(2.0)
+        assert Timeout(1.0) != 1.0
+        assert hash(Timeout(1.5)) == hash(Timeout(1.5)) == hash((1.5,))
+        assert len({Timeout(0.0), Timeout(0.0), Timeout(2.0)}) == 2
+        assert repr(Timeout(1.5)) == "Timeout(delay=1.5)"
+
+    def test_immutable(self):
+        timeout = Timeout(1.0)
+        with pytest.raises(FrozenInstanceError):
+            timeout.delay = 2.0
+        with pytest.raises(FrozenInstanceError):
+            del timeout.delay
+        assert timeout.delay == 1.0
+
+
+class TestCancelUnderHorizon:
+    def test_cancelled_head_neither_runs_nor_advances_clock(self):
+        sim = Simulator()
+        log = []
+        sim.cancel(sim.schedule(1.0, log.append, "cancelled"))
+        assert sim.run(until=5.0) == 0.0
+        assert log == [] and sim.now == 0.0
+
+    def test_cancelled_head_before_live_entry(self):
+        sim = Simulator()
+        log = []
+        sim.cancel(sim.schedule(0.5, log.append, "cancelled"))
+        sim.schedule(1.0, log.append, "live")
+        sim.schedule(4.0, log.append, "later")
+        assert sim.run(until=2.0) == 2.0
+        assert log == ["live"]
+        assert sim.run() == 4.0
+        assert log == ["live", "later"]
+
+
+class TestStaleWake:
+    def test_event_wake_dropped_after_interrupt(self):
+        sim = Simulator()
+        event = sim.event("late")
+        received = []
+
+        def victim():
+            try:
+                yield event
+            except Interrupt:
+                received.append(("interrupted", sim.now))
+            value = yield Timeout(5.0)
+            received.append((value, sim.now))
+
+        process = sim.add_process(victim())
+        sim.schedule(1.0, process.interrupt)
+        # Fires while the victim waits on its timeout: the wake queued
+        # for the abandoned wait must not resume it early.
+        sim.schedule(2.0, event.trigger, "stale")
+        sim.run_all()
+        assert received == [("interrupted", 1.0), (None, 6.0)]
+
+
+class TestServeWake:
+    def test_two_fires_in_one_instant_resume_dispatcher_once(self):
+        from repro.serve import TraceWorkload
+        from repro.serve.engine import ServeConfig, ServeEngine
+        from repro.serve.fleet import ServiceBook
+
+        class Book(ServiceBook):
+            def active_power(self, kernel, tier):
+                return 0.0
+
+            def cold_cost(self, kernel, tier):
+                return 0.0, 0.0
+
+            def batch_service(self, batch, tier, droop=1.0):
+                return 1e-3 * len(batch), 0.0
+
+            def estimate(self, request):
+                return 1e-3
+
+            def host_time(self, request):
+                return 1e-2
+
+        engine = ServeEngine(ServeConfig(
+            workload=TraceWorkload([{"t": 0.5, "kernel": "matmul"}]),
+            nodes=1, book=Book()))
+        wakes = []
+        dispatch_ready = engine._dispatch_ready
+
+        def counted():
+            wakes.append(engine.simulator.now)
+            dispatch_ready()
+
+        engine._dispatch_ready = counted
+        engine.simulator.schedule(0.2, engine.kick)
+        engine.simulator.schedule(0.2, engine.kick)
+        report = engine.run()
+        assert report.completed == 1
+        # Start, the double kick, the arrival, the completion.
+        assert wakes == [0.0, 0.2, 0.5, 0.501]
