@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -33,6 +33,20 @@ DEFAULT_MIX: Dict[str, float] = {"matmul": 4.0, "svm (RBF)": 3.0, "cnn": 1.0}
 
 #: kernel -> expected warm service seconds (for relative deadlines).
 Estimator = Callable[[str, int], float]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float total, starting from 0.0.
+
+    The serving timeline and its reports are reproducible bit for bit.
+    Built-in ``sum()`` of floats compensates its rounding (Neumaier)
+    from Python 3.12 on, so it would round differently across the
+    supported interpreters; this is the 3.10/3.11 ``sum()`` everywhere.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class Lcg:
@@ -56,7 +70,7 @@ class Lcg:
     def weighted_choice(self, items: Sequence[str],
                         weights: Sequence[float]) -> str:
         """One item drawn with probability proportional to its weight."""
-        total = float(sum(weights))
+        total = ordered_sum(weights)
         if total <= 0:
             raise ConfigurationError("weights must sum to > 0")
         mark = self.uniform() * total
