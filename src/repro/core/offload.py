@@ -28,6 +28,9 @@ from repro.pulp.icache import SharedICache
 #: (clear .bss, set up the OpenMP team structures, install handlers).
 RUNTIME_INIT_CYCLES = 3000.0
 
+#: The accelerator's activity while it waits on a transfer.
+_IDLE = ActivityProfile.idle()
+
 
 @dataclass(frozen=True)
 class TransferCost:
@@ -117,7 +120,7 @@ class OffloadCostModel:
         if compute_cycles <= 0 or pulp_frequency <= 0:
             raise OffloadError("compute cycles and PULP frequency must be positive")
         pulp_idle = self.pulp_power.total_power(
-            pulp_frequency, pulp_voltage, ActivityProfile.idle())
+            pulp_frequency, pulp_voltage, _IDLE)
         pulp_active = self.pulp_power.total_power(
             pulp_frequency, pulp_voltage, activity)
 

@@ -14,17 +14,23 @@ once and looks the rest up:
   :func:`host_run` (kernel, host device) memoizes the host-only
   baseline lowering of ``HeterogeneousSystem.run_on_host`` alongside;
 * :func:`operating_point` (budget, link reserve, host device, power
-  model, host clock, activity) — ``PowerEnvelopeSolver.solve``;
+  model, host clock, activity fractions) — ``PowerEnvelopeSolver.solve``;
 * :func:`price` (link, tying, iterations, buffering) —
   ``OffloadCostModel.offload_timing``; cheap, so not memoized.
 
-Kernels key on :meth:`~repro.kernels.base.Kernel.memo_key` and power
-models on :meth:`~repro.power.pulp_model.PulpPowerModel.memo_key`, so
-two systems share an entry only when every input the stage reads is
-equal.  Every :class:`~repro.core.system.HeterogeneousSystem` runs the
-static OpenMP runtime on the OR10N target, so its thread count is all
+Kernels key on :meth:`~repro.kernels.base.Kernel.memo_key`, power
+models on :meth:`~repro.power.pulp_model.PulpPowerModel.memo_key` and
+activities on :attr:`~repro.power.activity.ActivityProfile.fractions_key`
+(not on their names), so two callers share an entry exactly when every
+input the stage reads is equal: kernels whose activities differ only in
+name share their envelope solves.  Every
+:class:`~repro.core.system.HeterogeneousSystem` runs the static OpenMP
+runtime on the OR10N target, so its thread count is all
 characterization reads of it; verification runs on a fresh default
 system, whose round trip reads nothing but the kernel.
+
+The paper's experiments (Table I, Figures 3, 4, 5a and 5b) and the DSE
+and serving layers all price through these stages.
 
 The memos live for the process: they start empty, are filled on
 demand and are never written to disk.  Stage results are shared between
@@ -48,6 +54,7 @@ from repro.core.envelope import EnvelopePoint, PowerEnvelopeSolver
 from repro.core.offload import OffloadCostModel, OffloadTiming
 from repro.core.system import (HeterogeneousSystem, HostRun, OffloadResult,
                                require_accelerator)
+from repro.isa.program import Program
 from repro.kernels.base import Arrays, Kernel
 from repro.mcu.stm32l476 import Stm32L476
 from repro.power.activity import ActivityProfile
@@ -69,6 +76,7 @@ class Characterization:
     """What an offload of one kernel costs, independent of clocks,
     budget, link and schedule."""
 
+    program: Program
     binary_bytes: int
     input_bytes: int
     output_bytes: int
@@ -124,6 +132,7 @@ def characterize(system: HeterogeneousSystem,
             memory_intensity=execution.memory_intensity,
             name=kernel.name)
         found = _CHARACTERIZED[key] = Characterization(
+            program=program,
             binary_bytes=binary.image_bytes,
             input_bytes=program.input_bytes,
             output_bytes=program.output_bytes,
@@ -150,7 +159,8 @@ def operating_point(solver: PowerEnvelopeSolver, host_frequency: float,
                     activity: ActivityProfile) -> EnvelopePoint:
     """The envelope's best accelerator point for *activity*."""
     key = (solver.budget, solver.link_reserve, solver.host_device,
-           solver.pulp_power.memo_key(), host_frequency, activity)
+           solver.pulp_power.memo_key(), host_frequency,
+           activity.fractions_key)
     found = _OPERATING_POINTS.get(key)
     if found is None:
         found = _OPERATING_POINTS[key] = solver.solve(host_frequency,

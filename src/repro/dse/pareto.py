@@ -22,6 +22,7 @@ import json
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.dse.space import KNOB_ORDER
+from repro.units import ordered_sum
 
 #: Objectives to maximize / minimize, as keys into ``record["metrics"]``.
 MAXIMIZE: Tuple[str, ...] = ("effective_speedup",)
@@ -89,7 +90,7 @@ def sensitivity(records: List[Mapping[str, Any]],
     feasible = [r for r in records if r.get("feasible")]
     if not feasible:
         return {}
-    overall_mean = (sum(r["metrics"][objective] for r in feasible)
+    overall_mean = (ordered_sum([r["metrics"][objective] for r in feasible])
                     / len(feasible))
     summary: Dict[str, Dict[str, Any]] = {}
     for knob in KNOB_ORDER:
@@ -106,7 +107,7 @@ def sensitivity(records: List[Mapping[str, Any]],
                    for group in groups.values() if len(group) >= 2]
         if not spreads:
             continue
-        mean_spread = sum(spreads) / len(spreads)
+        mean_spread = ordered_sum(spreads) / len(spreads)
         summary[knob] = {
             "values": len(values),
             "groups": len(spreads),

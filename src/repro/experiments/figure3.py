@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.core import pricing
+from repro.core.system import HeterogeneousSystem
 from repro.isa.baseline import BaselineRiscTarget
-from repro.isa.or10n import Or10nTarget
 from repro.kernels.matmul import MatmulKernel
 from repro.mcu.catalog import MCU_CATALOG
-from repro.power.activity import ActivityProfile
-from repro.power.pulp_model import PulpPowerModel
-from repro.runtime.omp import DeviceOpenMp
 from repro.units import format_watts
 
 
@@ -75,20 +73,17 @@ class Figure3Result:
 
 def run(threads: int = 4) -> Figure3Result:
     """Compute Figure 3's scatter."""
-    kernel = MatmulKernel("char")
-    program = kernel.build_program()
+    system = HeterogeneousSystem(threads=threads)
+    matmul = pricing.characterize(system, MatmulKernel("char"))
+    program = matmul.program
     risc_ops = BaselineRiscTarget().risc_ops(program)
     points: List[EfficiencyPoint] = []
 
     # PULP across its anchored operating points.
-    power_model = PulpPowerModel()
-    omp = DeviceOpenMp(Or10nTarget(), threads=threads)
-    execution = omp.execute(program)
-    activity = ActivityProfile.compute(
-        cores_active=threads, memory_intensity=execution.memory_intensity)
+    power_model = system.soc.power_model
     for op in power_model.anchored_points():
-        time = execution.wall_cycles / op.fmax
-        power = power_model.total_power(op.fmax, op.voltage, activity)
+        time = matmul.execution.wall_cycles / op.fmax
+        power = power_model.total_power(op.fmax, op.voltage, matmul.activity)
         points.append(EfficiencyPoint(
             device="PULP", kind="pulp", frequency=op.fmax,
             voltage=op.voltage, power=power,

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.isa.cortexm import CortexM3Target, CortexM4Target
-from repro.isa.or10n import Or10nTarget
+from repro.core import pricing
+from repro.core.system import HeterogeneousSystem
+from repro.isa.cortexm import CortexM3Target
 from repro.kernels.registry import all_kernels
-from repro.runtime.omp import DeviceOpenMp
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,27 @@ class Figure4Result:
 
 
 def run(threads: int = 4) -> Figure4Result:
-    """Compute both panels of Figure 4."""
-    or10n = Or10nTarget()
-    m4 = CortexM4Target()
+    """Compute both panels of Figure 4.
+
+    One OR10N core is the 1-thread characterization (one team member
+    runs every node, with no OpenMP construct); the STM32-L476's host
+    baseline is the Cortex-M4.
+    """
+    single = HeterogeneousSystem(threads=1)
+    team = HeterogeneousSystem(threads=threads)
     m3 = CortexM3Target()
-    omp = DeviceOpenMp(or10n, threads=threads)
     rows: List[Figure4Row] = []
     for kernel in all_kernels():
-        program = kernel.build_program()
-        execution = omp.execute(program)
+        core = pricing.characterize(single, kernel)
+        parallel = pricing.characterize(team, kernel).execution
         rows.append(Figure4Row(
             name=kernel.name,
-            or10n_cycles=or10n.lower(program).cycles,
-            m4_cycles=m4.lower(program).cycles,
-            m3_cycles=m3.lower(program).cycles,
-            parallel_speedup=omp.speedup_vs_single(program),
-            runtime_overhead=execution.overhead_fraction,
+            or10n_cycles=core.execution.wall_cycles,
+            m4_cycles=pricing.host_run(team, kernel).cycles,
+            m3_cycles=m3.lower(core.program).cycles,
+            parallel_speedup=(core.execution.wall_cycles
+                              / parallel.wall_cycles),
+            runtime_overhead=parallel.overhead_fraction,
         ))
     return Figure4Result(rows=rows, threads=threads)
 

@@ -19,20 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.envelope import (
-    FIGURE5A_HOST_FREQUENCIES,
-    PowerEnvelopeSolver,
-)
-from repro.core.offload import OffloadCostModel
+from repro.core import pricing
+from repro.core.envelope import FIGURE5A_HOST_FREQUENCIES
+from repro.core.system import HeterogeneousSystem
 from repro.isa.baseline import BaselineRiscTarget
-from repro.isa.cortexm import CortexM4Target
-from repro.isa.or10n import Or10nTarget
 from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels
 from repro.mcu.stm32l476 import Stm32L476
-from repro.power.activity import ActivityProfile
-from repro.pulp.binary import KernelBinary
-from repro.runtime.omp import DeviceOpenMp
 from repro.units import mhz
 
 BASELINE_FREQUENCY = Stm32L476.BASELINE_FREQUENCY
@@ -88,23 +81,18 @@ def run_figure5a(threads: int = 4,
                  host_frequencies: Sequence[float] = FIGURE5A_HOST_FREQUENCIES
                  ) -> Figure5aResult:
     """Compute Figure 5a."""
-    solver = PowerEnvelopeSolver()
-    or10n = Or10nTarget()
-    m4 = CortexM4Target()
+    system = HeterogeneousSystem(threads=threads)
     baseline = BaselineRiscTarget()
-    omp = DeviceOpenMp(or10n, threads=threads)
     cells: List[Figure5aCell] = []
     for kernel in all_kernels():
-        program = kernel.build_program()
-        risc_ops = baseline.risc_ops(program)
-        execution = omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=threads,
-            memory_intensity=execution.memory_intensity)
-        host_cycles = m4.lower(program).cycles
+        characterization = pricing.characterize(system, kernel)
+        execution = characterization.execution
+        risc_ops = baseline.risc_ops(characterization.program)
+        host_cycles = pricing.host_run(system, kernel).cycles
         host_time_baseline = host_cycles / BASELINE_FREQUENCY
         for host_frequency in host_frequencies:
-            point = solver.solve(host_frequency, activity)
+            point = pricing.operating_point(system.envelope, host_frequency,
+                                            characterization.activity)
             if point.accelerator_usable:
                 pulp_time = execution.wall_cycles / point.pulp_frequency
                 speedup = host_time_baseline / pulp_time
@@ -226,33 +214,19 @@ def run_figure5b(kernel: Optional[Kernel] = None, threads: int = 4,
     if kernel is None:
         from repro.kernels.cnn import CnnKernel
         kernel = CnnKernel()
-    program = kernel.build_program()
-    binary = KernelBinary.from_program(program)
-    solver = PowerEnvelopeSolver()
-    cost_model = OffloadCostModel()
-    omp = DeviceOpenMp(Or10nTarget(), threads=threads)
-    execution = omp.execute(program)
-    activity = ActivityProfile.compute(
-        cores_active=threads, memory_intensity=execution.memory_intensity)
+    system = HeterogeneousSystem(threads=threads)
+    characterization = pricing.characterize(system, kernel)
     points: List[Figure5bPoint] = []
     for host_frequency in host_frequencies:
-        point = solver.solve(host_frequency, activity)
+        point = pricing.operating_point(system.envelope, host_frequency,
+                                        characterization.activity)
         if not point.accelerator_usable:
             continue
         for double_buffered in (False, True):
             for iterations in iteration_counts:
-                timing = cost_model.offload_timing(
-                    binary_bytes=binary.image_bytes,
-                    input_bytes=program.input_bytes,
-                    output_bytes=program.output_bytes,
-                    compute_cycles=execution.wall_cycles,
-                    pulp_frequency=point.pulp_frequency,
-                    pulp_voltage=point.pulp_voltage,
-                    activity=activity,
-                    host_frequency=host_frequency,
-                    iterations=iterations,
-                    double_buffered=double_buffered,
-                )
+                timing = pricing.price(system.cost_model, characterization,
+                                       point, host_frequency, iterations,
+                                       double_buffered)
                 points.append(Figure5bPoint(
                     host_frequency=host_frequency,
                     iterations=iterations,

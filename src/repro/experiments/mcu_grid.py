@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.core import pricing
+from repro.core.system import HeterogeneousSystem
 from repro.isa.baseline import BaselineRiscTarget
-from repro.isa.or10n import Or10nTarget
 from repro.kernels.registry import all_kernels
 from repro.mcu.catalog import MCU_CATALOG
-from repro.power.activity import ActivityProfile
-from repro.power.pulp_model import PulpPowerModel
-from repro.runtime.omp import DeviceOpenMp
 
 
 @dataclass(frozen=True)
@@ -41,21 +39,19 @@ class GridRow:
 
 def run(threads: int = 4) -> List[GridRow]:
     """Compute the all-kernel efficiency grid."""
+    system = HeterogeneousSystem(threads=threads)
     baseline = BaselineRiscTarget()
-    power_model = PulpPowerModel()
-    omp = DeviceOpenMp(Or10nTarget(), threads=threads)
+    power_model = system.soc.power_model
     rows: List[GridRow] = []
     for kernel in all_kernels():
-        program = kernel.build_program()
+        characterization = pricing.characterize(system, kernel)
+        program = characterization.program
         risc_ops = baseline.risc_ops(program)
-        execution = omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=threads,
-            memory_intensity=execution.memory_intensity)
         pulp_best = 0.0
         for op in power_model.anchored_points():
-            time = execution.wall_cycles / op.fmax
-            power = power_model.total_power(op.fmax, op.voltage, activity)
+            time = characterization.execution.wall_cycles / op.fmax
+            power = power_model.total_power(op.fmax, op.voltage,
+                                            characterization.activity)
             pulp_best = max(pulp_best, risc_ops / time / 1e9 / power)
         mcu_best_name = ""
         mcu_best = 0.0

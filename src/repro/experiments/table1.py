@@ -9,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.core import pricing
+from repro.core.system import HeterogeneousSystem
 from repro.isa.baseline import BaselineRiscTarget
 from repro.kernels.registry import PAPER_TABLE1, all_kernels
-from repro.pulp.binary import KernelBinary
 from repro.units import format_bytes
 
 
@@ -39,20 +40,20 @@ class Table1Row:
 
 def run() -> List[Table1Row]:
     """Compute Table I."""
+    system = HeterogeneousSystem()
     baseline = BaselineRiscTarget()
     rows: List[Table1Row] = []
     for kernel in all_kernels():
-        program = kernel.build_program()
-        binary = KernelBinary.from_program(program)
+        sizes = pricing.characterize(system, kernel)
         paper_in, paper_out, paper_bin, paper_ops = PAPER_TABLE1[kernel.name]
         rows.append(Table1Row(
             name=kernel.name,
             description=kernel.description,
             field=kernel.field,
-            input_bytes=program.input_bytes,
-            output_bytes=program.output_bytes,
-            binary_bytes=binary.image_bytes,
-            risc_ops=baseline.risc_ops(program),
+            input_bytes=sizes.input_bytes,
+            output_bytes=sizes.output_bytes,
+            binary_bytes=sizes.binary_bytes,
+            risc_ops=baseline.risc_ops(sizes.program),
             paper_input_bytes=paper_in * 1024,
             paper_output_bytes=paper_out,
             paper_binary_bytes=paper_bin * 1024,

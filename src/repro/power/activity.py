@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Tuple
 
 from repro.errors import PowerModelError
@@ -68,6 +69,16 @@ class ActivityProfile:
     def chi(self, component: PulpComponent) -> StateFractions:
         """State fractions for *component* (idle if unspecified)."""
         return self.fractions.get(component, StateFractions())
+
+    @cached_property
+    def fractions_key(self) -> Tuple[StateFractions, ...]:
+        """Every component's :meth:`chi`, in :class:`PulpComponent` order.
+
+        This is all the power equation reads of a profile (the name is a
+        label), so two profiles with equal keys draw equal power.  It is
+        computed once per profile, for memo keys.
+        """
+        return tuple(self.chi(component) for component in PulpComponent)
 
     # -- canonical profiles (the paper's power-analysis input vectors) ------
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.errors import PowerModelError
+from repro.units import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,12 @@ class EnergyAccount:
     @property
     def total_time(self) -> float:
         """Sum of phase durations (phases are assumed sequential)."""
-        return sum(p.duration for p in self.phases)
+        return ordered_sum([p.duration for p in self.phases])
 
     @property
     def total_energy(self) -> float:
         """Total energy in joules."""
-        return sum(p.energy for p in self.phases)
+        return ordered_sum([p.energy for p in self.phases])
 
     @property
     def average_power(self) -> float:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from repro.errors import OperatingPointError
@@ -42,6 +44,13 @@ class OperatingPointTable:
         self.fmax_degree = fmax_degree
         self._fmax = PolynomialInterpolator(
             [p.voltage for p in points], [p.fmax for p in points], fmax_degree)
+
+    @cached_property
+    def _segments(self) -> Tuple[Tuple[float, ...], ...]:
+        """Per segment: upper voltage, lower voltage, span, log leakages."""
+        return tuple((high.voltage, low.voltage, high.voltage - low.voltage,
+                      math.log(low.leakage), math.log(high.leakage))
+                     for low, high in zip(self.points, self.points[1:]))
 
     @property
     def v_min(self) -> float:
@@ -86,16 +95,12 @@ class OperatingPointTable:
 
     def leakage_at(self, voltage: float) -> float:
         """Leakage power at *voltage*, log-linearly interpolated."""
-        import math
-
         if voltage < self.v_min - 1e-9 or voltage > self.v_max + 1e-9:
             raise OperatingPointError(
                 f"voltage {voltage} outside [{self.v_min}, {self.v_max}]")
         voltage = min(max(voltage, self.v_min), self.v_max)
-        for low, high in zip(self.points, self.points[1:]):
-            if voltage <= high.voltage + 1e-12:
-                span = high.voltage - low.voltage
-                t = (voltage - low.voltage) / span
-                return math.exp((1 - t) * math.log(low.leakage)
-                                + t * math.log(high.leakage))
+        for high, low, span, log_low, log_high in self._segments:
+            if voltage <= high + 1e-12:
+                t = (voltage - low) / span
+                return math.exp((1 - t) * log_low + t * log_high)
         return self.points[-1].leakage

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import RuntimeModelError
 from repro.isa.program import Loop, Program
+from repro.isa.report import LoweredReport
 from repro.isa.target import Target
 from repro.obs.telemetry import CYCLES, get_telemetry
 from repro.pulp.timing import ContentionModel, chunk_trips
 from repro.runtime.overheads import OmpOverheads
+from repro.units import ordered_sum
 
 
 class Schedule(enum.Enum):
@@ -156,9 +158,16 @@ class DeviceOpenMp:
     def _parallel_region(self, loop: Loop) -> "DeviceOpenMp._Region":
         overhead = self.overheads.region_fixed_cost(self.threads, loop.reduction)
         if self.schedule is Schedule.STATIC:
-            chunks = chunk_trips(loop.trips, self.threads)
-            reports = [self.target.lower_nodes([loop.with_trips(c)])
-                       for c in chunks if c > 0]
+            # Chunks take at most two lengths; equal chunks lower alike.
+            lowered: Dict[int, LoweredReport] = {}
+            reports = []
+            for chunk in chunk_trips(loop.trips, self.threads):
+                if chunk > 0:
+                    report = lowered.get(chunk)
+                    if report is None:
+                        report = lowered[chunk] = self.target.lower_nodes(
+                            [loop.with_trips(chunk)])
+                    reports.append(report)
             per_thread = [r.cycles for r in reports]
         else:
             # Dynamic: unit chunks, self-balancing; cost a dequeue per chunk.
@@ -178,7 +187,7 @@ class DeviceOpenMp:
             return self._Region(wall=overhead, work=0.0,
                                 overhead=overhead, accesses=0.0)
         if self.schedule is Schedule.STATIC:
-            accesses = sum(r.memory_accesses for r in reports)
+            accesses = ordered_sum([r.memory_accesses for r in reports])
             busiest = max(per_thread)
         else:
             accesses = reports[0].memory_accesses * loop.trips

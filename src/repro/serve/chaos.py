@@ -50,7 +50,8 @@ from repro.serve.fleet import AnalyticServiceBook
 from repro.serve.metrics import ServeReport
 from repro.serve.resilience import AlertEvent, ResilienceConfig
 from repro.serve.scheduler import Policy, SchedulerConfig
-from repro.serve.workload import PoissonWorkload, SurgedWorkload, ordered_sum
+from repro.serve.workload import PoissonWorkload, SurgedWorkload
+from repro.units import ordered_sum
 
 #: ``repro chaos`` exit codes (0 is the implicit healthy code).
 CHAOS_EXIT_SLO = 3

@@ -50,8 +50,9 @@ from repro.serve.fleet import (
 from repro.serve.metrics import RequestRecord, ServeReport
 from repro.serve.resilience import ResilienceConfig, ResilienceRuntime
 from repro.serve.scheduler import Scheduler, SchedulerConfig, policy_name
-from repro.serve.workload import Request, Workload, ordered_sum
+from repro.serve.workload import Request, Workload
 from repro.sim.engine import Event, Simulator, Timeout
+from repro.units import ordered_sum
 
 
 #: Report order of request records: completion time, then request id.

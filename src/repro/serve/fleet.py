@@ -45,9 +45,9 @@ from repro.faults.plan import FaultPlan
 from repro.faults.resilient import RetryPolicy
 from repro.kernels import kernel_by_name
 from repro.power.activity import ActivityProfile
-from repro.serve.workload import Request, ordered_sum
+from repro.serve.workload import Request
 from repro.sim.engine import Simulator, Timeout
-from repro.units import mhz, mw
+from repro.units import mhz, mw, ordered_sum
 
 import enum
 

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import get_telemetry
-from repro.serve.workload import Request, ordered_sum
+from repro.serve.workload import Request
+from repro.units import ordered_sum
 
 
 def percentile(values: Sequence[float], q: float) -> float:

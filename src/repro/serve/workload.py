@@ -24,29 +24,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.units import ordered_sum
 
 #: Default kernel mix of generated workloads (name -> weight).
 DEFAULT_MIX: Dict[str, float] = {"matmul": 4.0, "svm (RBF)": 3.0, "cnn": 1.0}
 
 #: kernel -> expected warm service seconds (for relative deadlines).
 Estimator = Callable[[str, int], float]
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """Plain left-to-right float total, starting from 0.0.
-
-    The serving timeline and its reports are reproducible bit for bit.
-    Built-in ``sum()`` of floats compensates its rounding (Neumaier)
-    from Python 3.12 on, so it would round differently across the
-    supported interpreters; this is the 3.10/3.11 ``sum()`` everywhere.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 class Lcg:

@@ -9,6 +9,7 @@ say ``mhz(32)`` instead of ``32e6`` and so that reports can render
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -84,6 +85,20 @@ def uw_per_mhz(value: float) -> float:
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float total, starting from 0.0.
+
+    Pricing and serving totals are reproducible bit for bit.  Built-in
+    ``sum()`` of floats compensates its rounding (Neumaier) from Python
+    3.12 on, so it would round differently across the supported
+    interpreters; this is the 3.10/3.11 ``sum()`` everywhere.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def gops(ops: float, seconds: float) -> float:

@@ -1,10 +1,12 @@
 """Tests for the tracked benchmark suite (src/repro/bench)."""
 
 import copy
+import itertools
 import json
 
 import pytest
 
+from repro.bench import runner as bench_runner
 from repro.bench import (
     BenchOptions,
     BenchRunner,
@@ -207,7 +209,14 @@ class TestBenchCli:
         assert payload["report"]["suites"]["analysis"]
         assert payload["path"].endswith(f"BENCH_{FIRST_INDEX}.json")
 
-    def test_check_passes_against_own_rerun(self, tmp_path, capsys):
+    def test_check_passes_against_own_rerun(self, tmp_path, capsys,
+                                            monkeypatch):
+        # Both runs read a stub clock on which every timed pass lasts
+        # 0.25 s, so this checks the comparison and exit-code path rather
+        # than the host's speed between two single-repetition runs.
+        ticks = itertools.count()
+        monkeypatch.setattr(bench_runner, "monotonic",
+                            lambda: next(ticks) * 0.25)
         assert self._run(tmp_path) == 0
         assert self._run(tmp_path, "--check") == 0
         assert "verdict: OK" in capsys.readouterr().out

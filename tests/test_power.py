@@ -1,6 +1,9 @@
 """Tests for the power models: interpolation, operating points, the
 paper's activity-weighted equation, and energy accounting."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -338,7 +341,225 @@ class TestFastSolveIsExact:
                         (budget_mw, host_frequency, activity.name)
 
 
+# -- the certified fast paths against their bisection twins --------------------
+
+
+def _inverse_targets(interp, seed, uniform, ties):
+    """Targets inside the invertible range: uniform draws, both range
+    ends (and just inside them), grid values of the bisection (ties) and
+    their float neighbours."""
+    rng = random.Random(seed)
+    lo, hi = interp(interp.x_min), interp(interp.x_max)
+    targets = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)]
+    targets += [rng.uniform(lo, hi) for _ in range(uniform)]
+    cell = (interp.x_max - interp.x_min) / 2 ** 29
+    for _ in range(ties):
+        value = interp(interp.x_min + rng.randrange(1, 2 ** 29) * cell)
+        targets += [value, math.nextafter(value, -math.inf),
+                    math.nextafter(value, math.inf)]
+    return [min(max(y, lo), hi) for y in targets]
+
+
+def _shifted_interpolator():
+    """PULP3's f_max fit over 0.6-1.0 V: a range whose bisection
+    midpoints round, so it cannot be certified."""
+    points = PULP3_TABLE.points[1:]
+    return PolynomialInterpolator([p.voltage for p in points],
+                                  [p.fmax for p in points], len(points) - 1)
+
+
+class TestCertifiedInverse:
+    def test_pulp_table_is_certified_on_the_bisection_grid(self):
+        certificate = PULP3_TABLE._fmax.certify()
+        assert certificate is not None
+        assert certificate.cell == 2.0 ** -30
+        assert certificate.last == 2 ** 29 - 1
+
+    def test_equals_bisection_on_20000_targets(self):
+        interp = PULP3_TABLE._fmax
+        targets = _inverse_targets(interp, seed=15, uniform=11_000,
+                                   ties=3_000)
+        assert len(targets) >= 20_000
+        mismatches = [y for y in targets
+                      if interp.inverse(y) != interp.bisect(y)]
+        assert mismatches == []
+
+    def test_equals_polyval_reference(self):
+        interp = PULP3_TABLE._fmax
+        for y in _inverse_targets(interp, seed=16, uniform=300, ties=100):
+            assert interp.inverse(y) == _ref_inverse(interp, y), y
+
+    def test_answers_without_the_bisection(self, monkeypatch):
+        interp = OperatingPointTable(PULP3_TABLE.points)._fmax
+        reference = interp.bisect
+        fallbacks = []
+
+        def counted(y, tolerance=1e-9):
+            fallbacks.append(y)
+            return reference(y, tolerance)
+
+        monkeypatch.setattr(interp, "bisect", counted)
+        rng = random.Random(17)
+        lo, hi = interp(interp.x_min), interp(interp.x_max)
+        for _ in range(5_000):
+            interp.inverse(rng.uniform(lo, hi))
+        assert len(fallbacks) <= 50
+
+    def test_uncertified_fits_fall_back_to_the_bisection(self):
+        shifted = _shifted_interpolator()
+        # f = x**3 has no slope at 0: Horner cannot be shown increasing.
+        cubic = PolynomialInterpolator([0.0, 0.25, 0.5, 1.0],
+                                       [0.0, 1 / 64, 1 / 8, 1.0], degree=3)
+        for interp in (shifted, cubic):
+            assert interp.certify() is None
+            for y in _inverse_targets(interp, seed=18, uniform=1_500,
+                                      ties=200):
+                assert interp.inverse(y) == interp.bisect(y), y
+
+    def test_other_tolerances_keep_the_bisection_result(self):
+        interp = OperatingPointTable(PULP3_TABLE.points)._fmax
+        for tolerance in (1e-3, 1e-6, 2.0 ** -40, 0.0):
+            for y in _inverse_targets(interp, seed=19, uniform=200, ties=0):
+                assert interp.inverse(y, tolerance) \
+                    == interp.bisect(y, tolerance), (tolerance, y)
+        assert interp.certify(0.0) is None
+
+
+class _BisectingModel(PulpPowerModel):
+    """The reference twin: every frequency search bisects."""
+
+    def _search_frequency(self, *args):
+        return None
+
+
+def _budget_pairs(model, seed, per_activity):
+    """(budget, activity) pairs: uniform budgets from below the leakage
+    floor to above f_max's power, plus the locus power at grid
+    frequencies of the bisection (ties) and their float neighbours."""
+    rng = random.Random(seed)
+    lo, hi = mhz(1), model.table.f_max
+    cell = (hi - lo) / 2 ** 19
+    activities = _profiles() + [
+        pricing.characterize(HeterogeneousSystem(threads=threads),
+                             kernel).activity
+        for kernel in all_kernels() for threads in (1, 2)]
+    pairs = []
+    for activity in activities:
+        for _ in range(per_activity):
+            pairs.append((mw(rng.uniform(0.3, 16.0)), activity))
+        for _ in range(per_activity // 2):
+            power = model.power_at_frequency(
+                lo + rng.randrange(0, 2 ** 19 + 1) * cell, activity)
+            pairs += [(power, activity),
+                      (math.nextafter(power, 0.0), activity),
+                      (math.nextafter(power, 1.0), activity)]
+    return pairs
+
+
+class TestFrequencySearch:
+    def test_equals_bisection_on_2000_pairs(self):
+        model, reference = PulpPowerModel(), _BisectingModel()
+        pairs = _budget_pairs(model, seed=20, per_activity=26)
+        assert len(pairs) >= 2_000
+        for budget, activity in pairs:
+            assert model.max_frequency_within(budget, activity) \
+                == reference.max_frequency_within(budget, activity), \
+                (budget, activity.name)
+
+    def test_equals_polyval_reference(self):
+        model = PulpPowerModel()
+        for budget, activity in _budget_pairs(model, seed=21,
+                                              per_activity=2)[::3]:
+            assert model.max_frequency_within(budget, activity) \
+                == _ref_max_frequency_within(model, budget, activity), \
+                (budget, activity.name)
+
+    def test_answers_without_the_bisection(self, monkeypatch):
+        model = PulpPowerModel()
+        fallbacks = []
+        reference = model._bisect_frequency
+
+        def counted(*args):
+            fallbacks.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(model, "_bisect_frequency", counted)
+        for budget, activity in _budget_pairs(model, seed=22,
+                                              per_activity=6):
+            model.max_frequency_within(budget, activity)
+        assert fallbacks == []
+
+    def test_uncertified_searches_fall_back_to_the_bisection(self):
+        model, reference = PulpPowerModel(), _BisectingModel()
+        pairs = _budget_pairs(model, seed=23, per_activity=2)
+        # A grid too fine to stay exact below 2**52 quanta.
+        assert model._frequency_grid(mhz(1), model.table.f_max, 0.5) is None
+        for budget, activity in pairs[::4]:
+            assert model.max_frequency_within(budget, activity, 0.5) \
+                == reference.max_frequency_within(budget, activity, 0.5)
+        # A leakage bump at 0.6 V voids the monotonicity argument: the
+        # locus power of an idle cluster rises, falls and rises again.
+        bumped = OperatingPointTable([
+            OperatingPoint(p.voltage, p.fmax, mw(leakage))
+            for p, leakage in zip(PULP3_TABLE.points,
+                                  (1.0, 3.0, 1.0, 1.0, 2.0, 3.5))])
+        model, reference = PulpPowerModel(bumped), _BisectingModel(bumped)
+        assert model._locus_error(1e-11) == math.inf
+        rng = random.Random(25)
+        for _ in range(300):
+            budget = mw(rng.uniform(1.0, 8.0))
+            assert model.max_frequency_within(budget, ActivityProfile.idle()) \
+                == reference.max_frequency_within(budget,
+                                                  ActivityProfile.idle())
+
+    def test_envelope_solve_equals_bisection_on_2000_pairs(self):
+        activities = _profiles()
+        rng = random.Random(24)
+        count = 0
+        for budget_mw in [rng.uniform(3.0, 20.0) for _ in range(20)] \
+                + [5.0, 6.5, 10.0]:
+            solver = PowerEnvelopeSolver(budget=mw(budget_mw))
+            twin = PowerEnvelopeSolver(budget=mw(budget_mw),
+                                       pulp_power=_BisectingModel())
+            for host_frequency in (mhz(1), mhz(4), mhz(8), mhz(16),
+                                   mhz(26), mhz(32), mhz(48)):
+                for activity in activities:
+                    assert solver.solve(host_frequency, activity) \
+                        == twin.solve(host_frequency, activity), \
+                        (budget_mw, host_frequency, activity.name)
+                    count += 1
+        assert count >= 2_000
+
+    def test_envelope_solve_at_grid_locus_budgets(self):
+        # Budgets that leave a residual at (or an ulp from) the locus
+        # power of one of the bisection's grid frequencies.
+        model, twin_model = PulpPowerModel(), _BisectingModel()
+        host = PowerEnvelopeSolver().host_device
+        rng = random.Random(26)
+        cell = (model.table.f_max - mhz(1)) / 2 ** 19
+        for activity in _profiles():
+            for _ in range(20):
+                frequency = mhz(1) + rng.randrange(1, 2 ** 19) * cell
+                host_frequency = rng.choice((mhz(2), mhz(8), mhz(16)))
+                budget = model.power_at_frequency(frequency, activity) \
+                    + host.active_power(host_frequency) + mw(0.05)
+                solver = PowerEnvelopeSolver(budget=budget)
+                twin = PowerEnvelopeSolver(budget=budget,
+                                           pulp_power=twin_model)
+                assert solver.solve(host_frequency, activity) \
+                    == twin.solve(host_frequency, activity), \
+                    (budget, activity.name)
+
+
 class TestEnergyAccount:
+    def test_totals_add_left_to_right(self):
+        # A compensated sum() (CPython 3.12+) would give exactly 1.0.
+        account = EnergyAccount()
+        for _ in range(10):
+            account.add("step", 0.1, 1.0)
+        assert account.total_time == 0.9999999999999999
+        assert account.total_energy == 0.9999999999999999
+
     def test_accumulation(self):
         account = EnergyAccount()
         account.add("compute", 2.0, 0.005)

@@ -1,0 +1,100 @@
+"""Tests for the staged pricing pipeline's memo keys and its callers."""
+
+import dataclasses
+
+import pytest
+
+from repro.core import pricing
+from repro.core.envelope import PowerEnvelopeSolver
+from repro.core.system import HeterogeneousSystem
+from repro.experiments import report
+from repro.kernels import kernel_by_name
+from repro.power.activity import ActivityProfile, PulpComponent
+from repro.power.operating_point import OperatingPointTable
+from repro.power.pulp_model import PULP3_TABLE, PulpPowerModel
+from repro.runtime.omp import DeviceOpenMp
+from repro.units import mhz, mw
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    pricing.clear()
+    yield
+    pricing.clear()
+
+
+def _solve(solver, host_mhz, activity):
+    return pricing.operating_point(solver, mhz(host_mhz), activity)
+
+
+class TestOperatingPointKey:
+    def test_activities_differing_only_in_name_share_one_entry(self):
+        solver = PowerEnvelopeSolver()
+        first = _solve(solver, 8, ActivityProfile.compute(4, 0.5, name="a"))
+        second = _solve(solver, 8, ActivityProfile.compute(4, 0.5, name="b"))
+        assert second is first
+        assert len(pricing._OPERATING_POINTS) == 1
+
+    def test_explicit_idle_fractions_equal_missing_ones(self):
+        solver = PowerEnvelopeSolver()
+        implicit = ActivityProfile.matmul()
+        explicit = ActivityProfile("explicit", {
+            component: implicit.chi(component) for component in PulpComponent})
+        assert explicit.fractions != implicit.fractions
+        assert _solve(solver, 8, explicit) is _solve(solver, 8, implicit)
+
+    @pytest.mark.parametrize("change", ["budget", "host_clock", "fractions",
+                                        "power_model"])
+    def test_each_input_of_the_solve_splits_the_entry(self, change):
+        solver = PowerEnvelopeSolver()
+        activity = ActivityProfile.compute(4, 0.5)
+        host_mhz = 8
+        _solve(solver, host_mhz, activity)
+        if change == "budget":
+            solver = PowerEnvelopeSolver(budget=mw(6.5))
+        elif change == "host_clock":
+            host_mhz = 16
+        elif change == "fractions":
+            activity = ActivityProfile.compute(4, 0.6)
+        else:
+            leakier = OperatingPointTable([
+                dataclasses.replace(point, leakage=point.leakage * 1.1)
+                for point in PULP3_TABLE.points])
+            solver = PowerEnvelopeSolver(pulp_power=PulpPowerModel(leakier))
+        point = _solve(solver, host_mhz, activity)
+        assert len(pricing._OPERATING_POINTS) == 2
+        assert point == solver.solve(mhz(host_mhz), activity)
+
+    def test_shared_kernels_share_their_solves(self):
+        system = HeterogeneousSystem()
+        names = ("matmul (short)", "matmul (fixed)", "svm (linear)",
+                 "svm (poly)", "cnn", "cnn (approx)")
+        points = {pricing.operating_point(
+            system.envelope, mhz(8),
+            pricing.characterize(system, kernel_by_name(name)).activity)
+            for name in names}
+        assert len(points) == 1
+        assert len(pricing._OPERATING_POINTS) == 1
+
+
+class TestPaperReproductionPricing:
+    def test_report_prices_through_the_stages(self, monkeypatch):
+        calls = {"solve": 0, "execute": 0}
+        solve = PowerEnvelopeSolver.solve
+        execute = DeviceOpenMp.execute
+
+        def counted_solve(self, *args):
+            calls["solve"] += 1
+            return solve(self, *args)
+
+        def counted_execute(self, *args):
+            calls["execute"] += 1
+            return execute(self, *args)
+
+        monkeypatch.setattr(PowerEnvelopeSolver, "solve", counted_solve)
+        monkeypatch.setattr(DeviceOpenMp, "execute", counted_execute)
+        text = report.build_report()
+        assert "**17/17 anchors reproduced.**" in text
+        # Five distinct activity fractions x eight host clocks; Figure
+        # 5b's host clocks are a subset.  Ten kernels x {1, 4} threads.
+        assert calls == {"solve": 40, "execute": 20}

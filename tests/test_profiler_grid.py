@@ -1,5 +1,9 @@
 """Tests for the ISS profiler and the all-kernel MCU efficiency grid."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -100,3 +104,11 @@ class TestMcuGrid:
     def test_render(self, rows):
         text = render(rows)
         assert "gap" in text and "hog" in text
+
+    def test_rows_pinned(self, rows):
+        # sha256 of the rows as sorted JSON, captured before the grid
+        # priced through repro.core.pricing.
+        payload = json.dumps([dataclasses.asdict(row) for row in rows],
+                             sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "89b3d0a45c488c9c5fe9d1ffd049bd85435ced5faae61488667adea72f3670b6")

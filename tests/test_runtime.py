@@ -1,10 +1,16 @@
 """Tests for the OpenMP runtime models (device and host side)."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import OffloadError, RuntimeModelError
+from repro.isa.or10n import Or10nTarget
 from repro.isa.program import Block, Loop, Program
 from repro.isa.vop import OpKind, alu
+from repro.kernels import all_kernels
 from repro.pulp.binary import KernelBinary
 from repro.pulp.l2 import L2Memory
 from repro.link.protocol import Command
@@ -104,6 +110,47 @@ class TestDeviceOpenMp:
         speedup = omp.speedup_vs_single(program)
         # Half the work is serial: Amdahl caps the speedup near 8/5.
         assert 1.4 < speedup < 1.7
+
+
+#: sha256 of every builtin kernel's ``execute`` at 1-8 threads under both
+#: schedules (``dataclasses.asdict`` of each execution, as sorted JSON),
+#: captured before equal static chunks shared one lowering.
+EXECUTIONS_DIGEST = \
+    "764bde6195f0292e34b3948a21cb669b12aa3ec3007f3ed0dd667a04b9d0dcd7"
+
+
+class TestExecutionPinned:
+    def test_builtin_kernels_at_every_team_size_and_schedule(self):
+        rows = []
+        for kernel in all_kernels():
+            program = kernel.build_program()
+            for schedule in Schedule:
+                for threads in range(1, 9):
+                    execution = DeviceOpenMp(
+                        Or10nTarget(), threads=threads,
+                        schedule=schedule).execute(program)
+                    rows.append([kernel.name, schedule.value, threads,
+                                 dataclasses.asdict(execution)])
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == EXECUTIONS_DIGEST
+
+    def test_static_chunks_of_one_length_lower_once(self, monkeypatch):
+        target = Or10nTarget()
+        lowered = []
+        lower_nodes = target.lower_nodes
+
+        def counted(nodes):
+            lowered.append(nodes[0].trips)
+            return lower_nodes(nodes)
+
+        monkeypatch.setattr(target, "lower_nodes", counted)
+        # 10 trips on 4 threads: chunks 3, 3, 2, 2.
+        DeviceOpenMp(target, 4).execute(_work_program(trips=10))
+        assert sorted(lowered) == [2, 3]
+        lowered.clear()
+        DeviceOpenMp(target, 8).execute(_work_program(trips=64))
+        assert lowered == [8]
 
 
 class TestTargetRegion:

@@ -32,8 +32,9 @@ from repro.serve.fleet import PowerTracker, ServiceBook
 from repro.serve.metrics import percentile
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.scheduler import Policy, Scheduler, SchedulerConfig
-from repro.serve.workload import DEFAULT_MIX, Lcg, ordered_sum
+from repro.serve.workload import DEFAULT_MIX, Lcg
 from repro.sim import Simulator
+from repro.units import ordered_sum
 
 
 @pytest.fixture(scope="module")
