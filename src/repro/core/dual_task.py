@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import BudgetError, ConfigurationError
+from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
 from repro.kernels.base import Kernel
 from repro.power.activity import ActivityProfile
@@ -78,7 +79,8 @@ class DualTaskModel:
         points: List[DualTaskPoint] = []
         for host_frequency in host_frequencies:
             utilization = task.utilization(host_frequency)
-            point = self.system.envelope.solve(host_frequency, activity)
+            point = pricing.operating_point(self.system.envelope,
+                                            host_frequency, activity)
             feasible = utilization < 1.0 and point.accelerator_usable
             speedup = 0.0
             if point.accelerator_usable:

@@ -30,7 +30,9 @@ characterization reads of it; verification runs on a fresh default
 system, whose round trip reads nothing but the kernel.
 
 The paper's experiments (Table I, Figures 3, 4, 5a and 5b) and the DSE
-and serving layers all price through these stages.
+and serving layers all price through these stages; the dual-task,
+sensor and fault-tolerant offload models take their envelope points
+from :func:`operating_point`.
 
 The memos live for the process: they start empty, are filled on
 demand and are never written to disk.  Stage results are shared between

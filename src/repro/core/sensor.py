@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError, OffloadError
+from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
 from repro.kernels.base import Kernel
 from repro.power.activity import ActivityProfile
@@ -103,7 +104,8 @@ class SensorPipeline:
         activity = ActivityProfile.compute(
             cores_active=self.system.omp.threads,
             memory_intensity=execution.memory_intensity)
-        point = self.system.envelope.solve(host_frequency, activity)
+        point = pricing.operating_point(self.system.envelope,
+                                        host_frequency, activity)
         if not point.accelerator_usable:
             raise OffloadError("no accelerator budget at this host clock")
         compute_time = execution.wall_cycles / point.pulp_frequency

@@ -18,7 +18,6 @@ knob is worth an architect's attention.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.dse.space import KNOB_ORDER
@@ -92,16 +91,19 @@ def sensitivity(records: List[Mapping[str, Any]],
         return {}
     overall_mean = (ordered_sum([r["metrics"][objective] for r in feasible])
                     / len(feasible))
+    # (knob, type, value) tells 1, 1.0 and True apart, as JSON text does.
+    keyed = [{knob: (knob, type(value), value)
+              for knob, value in sorted(r["config"].items())}
+             for r in feasible]
     summary: Dict[str, Dict[str, Any]] = {}
     for knob in KNOB_ORDER:
-        values = {json.dumps(r["config"][knob]) for r in feasible}
+        values = {items[knob] for items in keyed}
         if len(values) < 2:
             continue
-        groups: Dict[str, Dict[str, float]] = {}
-        for record in feasible:
-            rest = {k: v for k, v in record["config"].items() if k != knob}
-            key = json.dumps(rest, sort_keys=True)
-            groups.setdefault(key, {})[json.dumps(record["config"][knob])] \
+        groups: Dict[Tuple, Dict[Tuple, float]] = {}
+        for record, items in zip(feasible, keyed):
+            rest = tuple(item for name, item in items.items() if name != knob)
+            groups.setdefault(rest, {})[items[knob]] \
                 = record["metrics"][objective]
         spreads = [max(group.values()) - min(group.values())
                    for group in groups.values() if len(group) >= 2]

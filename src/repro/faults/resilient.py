@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro import errors
+from repro.core import pricing
 from repro.core.driver import OffloadDriver, SessionState
 from repro.core.offload import OffloadTiming
 from repro.core.system import (HeterogeneousSystem, OffloadResult,
@@ -217,8 +218,8 @@ class ResilientDriver(OffloadDriver):
             cores_active=system.omp.threads,
             memory_intensity=execution.memory_intensity,
             name=kernel.name)
-        point = require_accelerator(
-            system.envelope.solve(host_frequency, activity))
+        point = require_accelerator(pricing.operating_point(
+            system.envelope, host_frequency, activity))
         power_model = self.soc.power_model
         self._pulp_idle_power = power_model.total_power(
             point.pulp_frequency, point.pulp_voltage, ActivityProfile.idle())

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.isa.program import Block, Loop, Program
 from repro.isa.vop import DType, OpKind, addr, alu, load, store
@@ -129,37 +130,64 @@ class CnnKernel(Kernel):
             return hardtanh_q15(x)
         return tanh_q15(x)
 
-    def _forward(self, inputs: Arrays, activation) -> np.ndarray:
-        image = inputs["image"].astype(np.int64)
-        # conv1 + activation
-        conv1 = np.stack([
-            (_conv2d_valid(image, inputs["w1"][m].astype(np.int64)) >> 15)
-            + inputs["b1"][m]
-            for m in range(CONV1_MAPS)])
-        act1 = activation(conv1)
-        pool1 = _avg_pool(act1)
-        # conv2 over the sparse connection table
+    def _conv1(self, image: np.ndarray, w1: np.ndarray) -> np.ndarray:
+        """conv1 accumulators of all maps: one contraction over every
+        5x5 window of the image (exact int64 sums)."""
+        windows = sliding_window_view(image, (KERNEL_SIZE, KERNEL_SIZE))
+        return np.einsum("yxij,mij->myx", windows, w1.astype(np.int64))
+
+    def _conv2(self, pool1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """conv2 accumulators of all maps in one contraction; weights
+        the connection table drops are masked to zero, so they add
+        exact zeros."""
+        windows = sliding_window_view(pool1, (KERNEL_SIZE, KERNEL_SIZE),
+                                      axis=(1, 2))
+        weights = w2.astype(np.int64) * self._connections[:, :, None, None]
+        return np.einsum("cyxij,ocij->oyx", windows, weights)
+
+    def _conv1_per_map(self, image: np.ndarray,
+                       w1: np.ndarray) -> np.ndarray:
+        """Reference twin of :meth:`_conv1`, one output map at a time."""
+        return np.stack([_conv2d_valid(image, w1[m].astype(np.int64))
+                         for m in range(CONV1_MAPS)])
+
+    def _conv2_per_map(self, pool1: np.ndarray,
+                       w2: np.ndarray) -> np.ndarray:
+        """Reference twin of :meth:`_conv2`: one output map at a time,
+        visiting only the connected input maps."""
         conv2 = np.zeros((CONV2_MAPS, _CONV2_OUT, _CONV2_OUT), dtype=np.int64)
         for out_map in range(CONV2_MAPS):
-            acc = np.zeros((_CONV2_OUT, _CONV2_OUT), dtype=np.int64)
             for in_map in range(CONV1_MAPS):
                 if not self._connections[out_map, in_map]:
                     continue
-                acc += _conv2d_valid(pool1[in_map],
-                                     inputs["w2"][out_map, in_map].astype(np.int64))
-            conv2[out_map] = (acc >> 15) + inputs["b2"][out_map]
+                conv2[out_map] += _conv2d_valid(
+                    pool1[in_map], w2[out_map, in_map].astype(np.int64))
+        return conv2
+
+    def _classify(self, inputs: Arrays, conv1, conv2) -> Arrays:
+        """The forward pass with the given conv1/conv2 accumulators."""
+        self._check_shape(inputs["image"], (IMAGE, IMAGE), "image")
+        activation = self._activation
+        image = inputs["image"].astype(np.int64)
+        # conv1 + activation
+        act1 = activation((conv1(image, inputs["w1"]) >> 15)
+                          + inputs["b1"][:, None, None])
+        pool1 = _avg_pool(act1)
+        # conv2 over the sparse connection table
+        maps = (conv2(pool1, inputs["w2"]) >> 15) + inputs["b2"][:, None, None]
         if self.approximate:
-            conv2 = self._perforate(conv2)
-        act2 = activation(conv2)
+            maps = self._perforate(maps)
+        act2 = activation(maps)
         pool2 = _avg_pool(act2)
         # fully connected layers
         flat = pool2.reshape(-1)
         hidden = ((inputs["w3"].astype(np.int64) @ flat) >> 15) \
             + inputs["b3"].astype(np.int64)
         hidden = activation(hidden)
-        scores = ((inputs["w4"].astype(np.int64) @ hidden) >> 15) \
-            + inputs["b4"].astype(np.int64)
-        return (scores << 1).astype(np.int64)  # Q16.16
+        scores = (((inputs["w4"].astype(np.int64) @ hidden) >> 15)
+                  + inputs["b4"].astype(np.int64)) << 1  # Q16.16
+        return {"scores": scores.astype(np.int32),
+                "label": np.array([int(np.argmax(scores))], dtype=np.int32)}
 
     def _perforate(self, conv2: np.ndarray) -> np.ndarray:
         """Fill skipped pixels from their left neighbour (first column
@@ -179,10 +207,13 @@ class CnnKernel(Kernel):
         return result
 
     def compute(self, inputs: Arrays) -> Arrays:
-        self._check_shape(inputs["image"], (IMAGE, IMAGE), "image")
-        scores = self._forward(inputs, self._activation)
-        return {"scores": scores.astype(np.int32),
-                "label": np.array([int(np.argmax(scores))], dtype=np.int32)}
+        return self._classify(inputs, self._conv1, self._conv2)
+
+    def compute_per_map(self, inputs: Arrays) -> Arrays:
+        """Reference twin of :meth:`compute` with per-map convolutions.
+        The tests hold the two equal bit for bit."""
+        return self._classify(inputs, self._conv1_per_map,
+                              self._conv2_per_map)
 
     def reference(self, inputs: Arrays) -> Arrays:
         """Float forward pass with the exact (non-LUT) activations."""

@@ -141,21 +141,23 @@ def cordic_vectoring(x: np.ndarray, y: np.ndarray,
     ``(magnitude, angle_q16)`` where magnitude is in the input scale
     (gain-corrected) and the angle is radians in Q16.16, in [-pi, pi].
     """
-    if iterations < 1 or iterations > CORDIC_ITERATIONS:
-        raise FixedPointError(f"unsupported iteration count {iterations}")
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    angle = np.zeros_like(x)
-    half_pi_q16 = int(round(math.pi / 2 * Q16_ONE))
-    # Pre-rotate into the right half plane.
-    negative_x = x < 0
-    y_positive = y >= 0
-    new_x = np.where(negative_x, np.where(y_positive, y, -y), x)
-    new_y = np.where(negative_x, np.where(y_positive, -x, x), y)
-    angle = np.where(negative_x,
-                     np.where(y_positive, half_pi_q16, -half_pi_q16),
-                     0)
-    x, y = new_x, new_y
+    x, y, angle = _cordic_prerotate(x, y, iterations)
+    for i in range(iterations):
+        # +1 rotates clockwise (y >= 0), -1 counter-clockwise.
+        sign = (y >= 0).astype(np.int64) * 2 - 1
+        x, y = x + sign * (y >> i), y - sign * (x >> i)
+        angle = angle + sign * _CORDIC_ANGLES_Q16[i]
+    magnitude = (x * CORDIC_INV_GAIN_Q15) >> 15
+    return magnitude, angle
+
+
+def cordic_vectoring_select(x: np.ndarray, y: np.ndarray,
+                            iterations: int = CORDIC_ITERATIONS
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference twin of :func:`cordic_vectoring`: each iteration picks
+    both rotations' results with ``np.where`` instead of multiplying by
+    the rotation sign.  The tests hold the two equal bit for bit."""
+    x, y, angle = _cordic_prerotate(x, y, iterations)
     for i in range(iterations):
         shift_x = x >> i
         shift_y = y >> i
@@ -169,9 +171,37 @@ def cordic_vectoring(x: np.ndarray, y: np.ndarray,
     return magnitude, angle
 
 
+def _cordic_prerotate(x: np.ndarray, y: np.ndarray, iterations: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate, then rotate into the right half plane by +-pi/2."""
+    if iterations < 1 or iterations > CORDIC_ITERATIONS:
+        raise FixedPointError(f"unsupported iteration count {iterations}")
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    half_pi_q16 = int(round(math.pi / 2 * Q16_ONE))
+    negative_x = x < 0
+    y_positive = y >= 0
+    new_x = np.where(negative_x, np.where(y_positive, y, -y), x)
+    new_y = np.where(negative_x, np.where(y_positive, -x, x), y)
+    angle = np.where(negative_x,
+                     np.where(y_positive, half_pi_q16, -half_pi_q16),
+                     0)
+    return new_x, new_y, angle
+
+
 # ---------------------------------------------------------------------------
 # Reciprocal square root (Q16.16) via Newton iterations
 # ---------------------------------------------------------------------------
+
+_POWERS_OF_TWO = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+
+
+def bit_length(values: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each non-negative int64 value: the count of
+    powers of two not above it.  Exact over the whole int64 range,
+    unlike ``np.frexp``, whose float64 conversion rounds above 2**53."""
+    return np.searchsorted(_POWERS_OF_TWO, values, side="right")
+
 
 def rsqrt_q16(values: np.ndarray, iterations: int = 4) -> np.ndarray:
     """``1/sqrt(v)`` for positive Q16.16 inputs, Q16.16 output.
@@ -187,8 +217,7 @@ def rsqrt_q16(values: np.ndarray, iterations: int = 4) -> np.ndarray:
     # rsqrt(v) ~ 2^(-(bits-17)/2).  The odd-exponent correction by
     # 1/sqrt(2) keeps the seed within ~29 % of the true value, safely
     # inside the Newton convergence basin (v*y^2 < 3).
-    bits = np.frompyfunc(int.bit_length, 1, 1)(v.astype(object)).astype(np.int64)
-    shift = bits - 17
+    shift = bit_length(v) - 17
     half = np.floor_divide(shift, 2)
     y = np.where(half >= 0,
                  Q16_ONE >> np.clip(half, 0, 31),

@@ -30,6 +30,7 @@ import math
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import KernelError
 from repro.isa.program import Block, Loop, Program
@@ -121,19 +122,89 @@ class HogKernel(Kernel):
         return magnitude, angle
 
     @staticmethod
-    def _spatial_weights_q16(side: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate bilinear weights towards the low cell (Q16.16).
+    def _cell_weights_q16() -> np.ndarray:
+        """Bilinear weight (Q16.16) of each block pixel towards each of
+        the block's cells, ``[2 * cell_y + cell_x, pixel_y, pixel_x]``.
 
         Cell centers sit at 3.5 and 11.5 pixels inside the 16-pixel
         block; weight ramps linearly between them and clamps outside
         (Dalal-Triggs per-block trilinear interpolation).
         """
-        position_q16 = (np.arange(side, dtype=np.int64) << 16) + (1 << 15)
+        position_q16 = (np.arange(2 * CELL, dtype=np.int64) << 16) + (1 << 15)
         low_center = (7 << 16) >> 1          # 3.5 in Q16.16
         t = (position_q16 - low_center) >> 3  # divide by the 8-pixel pitch
         w_high = np.clip(t, 0, Q16_ONE)
-        w_low = Q16_ONE - w_high
-        return w_low, w_high
+        towards = (Q16_ONE - w_high, w_high)  # the low and the high cell
+        return np.stack([(towards[cell_y][:, None]
+                          * towards[cell_x][None, :]) >> 16
+                         for cell_y in range(2) for cell_x in range(2)])
+
+    @staticmethod
+    def _orientation_q16(angle: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """Lower orientation bin and the Q16.16 fraction towards the next
+        bin, per pixel (unsigned orientations: angles fold into [0, pi))."""
+        folded = np.where(angle < 0, angle + _PI_Q16, angle)
+        folded = np.where(folded >= _PI_Q16, folded - _PI_Q16, folded)
+        # t = angle * BINS / pi in Q16.16.
+        t = (folded * BINS << 16) // _PI_Q16
+        return (t >> 16) % BINS, t & (Q16_ONE - 1)
+
+    def _block_histograms(self, magnitude: np.ndarray, angle: np.ndarray
+                          ) -> np.ndarray:
+        """The 2x2x9 histograms of all 15x15 blocks, ``[by, bx, cell, bin]``.
+
+        Each plane is viewed, without a copy, as its overlapping 16x16
+        blocks; every row of 15 blocks is then scatter-added at once, so
+        no temporary grows past 4 cells x 15 blocks x 256 pixels.  The
+        sums are exact int64: at most 256 pixels of at most 2**24.5.
+        """
+        side = 2 * CELL
+
+        def blocks(plane: np.ndarray) -> np.ndarray:
+            return sliding_window_view(plane, (side, side))[::CELL, ::CELL]
+
+        bin_low, frac = self._orientation_q16(angle)
+        bin_low, frac, magnitude = blocks(bin_low), blocks(frac), \
+            blocks(magnitude)
+        spatial = self._cell_weights_q16()[:, None]      # [cell, 1, y, x]
+        # Offset of bin 0 of each cell of each block in a row of blocks.
+        offsets = (np.arange(4).reshape(4, 1, 1, 1) * BINS
+                   + np.arange(BLOCKS).reshape(BLOCKS, 1, 1) * (4 * BINS))
+        histograms = np.zeros((BLOCKS, BLOCKS * 4 * BINS), dtype=np.int64)
+        for block_y in range(BLOCKS):
+            weighted = (magnitude[block_y] * self._window) >> 15
+            fraction = frac[block_y]
+            low = bin_low[block_y]
+            for bins, contribution in (
+                    (low, (weighted * (Q16_ONE - fraction)) >> 16),
+                    ((low + 1) % BINS, (weighted * fraction) >> 16)):
+                np.add.at(histograms[block_y], (bins + offsets).ravel(),
+                          ((contribution * spatial) >> 16).ravel())
+        return histograms.reshape(BLOCKS, BLOCKS, 4, BINS)
+
+    def compute(self, inputs: Arrays) -> Arrays:
+        magnitude, angle = self._gradients(self._image(inputs))
+        histograms = self._block_histograms(magnitude, angle)
+        energy = ((histograms * histograms) >> 16).sum(axis=(2, 3)) \
+            + EPSILON_Q16
+        norm = rsqrt_q16(energy)[:, :, None, None]
+        normalized = np.minimum((histograms * norm) >> 16, CLIP_Q16)
+        # descriptor[cy, cx, slot, bin]; slot = cell position in block.
+        descriptor = np.zeros((CELLS, CELLS, 4, BINS), dtype=np.int64)
+        filled = np.zeros((CELLS, CELLS, 4), dtype=bool)
+        for slot in range(4):
+            # Block (by, bx) holds cell (by + slot // 2, bx + slot % 2);
+            # the cell's position inside the block indexes the
+            # descriptor slot (top-left block -> slot 3, etc).
+            rows = slice(slot // 2, slot // 2 + BLOCKS)
+            cols = slice(slot % 2, slot % 2 + BLOCKS)
+            descriptor[rows, cols, 3 - slot] = normalized[:, :, slot]
+            filled[rows, cols, 3 - slot] = True
+        self._fill_boundary(descriptor, filled)
+        return {"descriptor": descriptor.astype(np.int32)}
+
+    # -- per-block reference twin ------------------------------------------------
 
     def _block_histogram(self, magnitude: np.ndarray, angle: np.ndarray,
                          block_y: int, block_x: int) -> np.ndarray:
@@ -144,38 +215,23 @@ class HogKernel(Kernel):
         side = 2 * CELL
         mag = magnitude[y0:y0 + side, x0:x0 + side]
         ang = angle[y0:y0 + side, x0:x0 + side]
-        # Fold angle into [0, pi) (unsigned orientations).
-        folded = np.where(ang < 0, ang + _PI_Q16, ang)
-        folded = np.where(folded >= _PI_Q16, folded - _PI_Q16, folded)
-        # t = angle * BINS / pi in Q16.16.
-        t = (folded * BINS << 16) // _PI_Q16
-        bin_low = (t >> 16) % BINS
-        frac = t & (Q16_ONE - 1)
+        bin_low, frac = self._orientation_q16(ang)
         weighted = (mag * self._window) >> 15
-        orientation_parts = (
-            (bin_low, (weighted * (Q16_ONE - frac)) >> 16),
-            ((bin_low + 1) % BINS, (weighted * frac) >> 16),
-        )
-        w_low, w_high = self._spatial_weights_q16(side)
-        wy = np.stack([w_low, w_high])   # [cell_y, pixel_y]
-        wx = np.stack([w_low, w_high])
+        spatial = self._cell_weights_q16()
         histogram = np.zeros((4, BINS), dtype=np.int64)
-        for bins, contribution in orientation_parts:
-            for cell_y in range(2):
-                for cell_x in range(2):
-                    spatial = (wy[cell_y][:, None] * wx[cell_x][None, :]) >> 16
-                    value = (contribution * spatial) >> 16
-                    np.add.at(histogram[2 * cell_y + cell_x],
-                              bins.ravel(), value.ravel())
+        for bins, contribution in (
+                (bin_low, (weighted * (Q16_ONE - frac)) >> 16),
+                ((bin_low + 1) % BINS, (weighted * frac) >> 16)):
+            for cell in range(4):
+                value = (contribution * spatial[cell]) >> 16
+                np.add.at(histogram[cell], bins.ravel(), value.ravel())
         return histogram
 
-    def compute(self, inputs: Arrays) -> Arrays:
-        image = inputs["image"]
-        self._check_shape(image, (IMAGE, IMAGE), "image")
-        if image.dtype != np.uint8:
-            raise KernelError("hog expects a uint8 image")
-        magnitude, angle = self._gradients(image)
-        # descriptor[cy, cx, slot, bin]; slot = cell position in block.
+    def compute_per_block(self, inputs: Arrays) -> Arrays:
+        """Reference twin of :meth:`compute`: histogram and normalize one
+        block at a time, the device's loop order.  The tests hold the
+        two equal bit for bit."""
+        magnitude, angle = self._gradients(self._image(inputs))
         descriptor = np.zeros((CELLS, CELLS, 4, BINS), dtype=np.int64)
         filled = np.zeros((CELLS, CELLS, 4), dtype=bool)
         for block_y in range(BLOCKS):
@@ -188,12 +244,18 @@ class HogKernel(Kernel):
                 for slot in range(4):
                     cy = block_y + slot // 2
                     cx = block_x + slot % 2
-                    # The cell's position inside this block indexes the
-                    # descriptor slot (top-left block -> slot 3, etc).
                     descriptor[cy, cx, 3 - slot] = normalized[slot]
                     filled[cy, cx, 3 - slot] = True
         self._fill_boundary(descriptor, filled)
         return {"descriptor": descriptor.astype(np.int32)}
+
+    def _image(self, inputs: Arrays) -> np.ndarray:
+        """The input image, checked to be 128x128 uint8."""
+        image = inputs["image"]
+        self._check_shape(image, (IMAGE, IMAGE), "image")
+        if image.dtype != np.uint8:
+            raise KernelError("hog expects a uint8 image")
+        return image
 
     @staticmethod
     def _fill_boundary(descriptor: np.ndarray, filled: np.ndarray) -> None:

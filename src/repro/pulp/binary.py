@@ -70,13 +70,13 @@ class KernelBinary:
 
     def to_bytes(self) -> bytes:
         """A deterministic stand-in image of ``image_bytes`` length."""
-        seed = hashlib.sha256(self.name.encode("utf-8")).digest()
-        chunks = []
-        remaining = self.image_bytes
-        counter = 0
-        while remaining > 0:
-            block = hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
-            chunks.append(block[:min(32, remaining)])
-            remaining -= 32
-            counter += 1
-        return b"".join(chunks)
+        # Block i is sha256(seed + i as 4 little-endian bytes); the seed
+        # is hashed once and each block continues a copy of that state.
+        seeded = hashlib.sha256(
+            hashlib.sha256(self.name.encode("utf-8")).digest())
+        blocks = []
+        for counter in range((self.image_bytes + 31) // 32):
+            block = seeded.copy()
+            block.update(counter.to_bytes(4, "little"))
+            blocks.append(block.digest())
+        return b"".join(blocks)[:self.image_bytes]

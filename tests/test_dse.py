@@ -206,6 +206,37 @@ class TestStagedPricingMatchesOracle:
         assert serial.stats.infeasible > 0
 
 
+class TestSharedSystems:
+    """Evaluation prices on one system per hardware tuple."""
+
+    def test_one_system_per_hardware_tuple(self, monkeypatch):
+        monkeypatch.setattr(dse_evaluate, "_SYSTEMS", {})
+        space = ParameterSpace(
+            grid={"kernel": ["matmul", "svm (linear)"],
+                  "host_mhz": [8.0, 16.0], "iterations": [1, 16],
+                  "budget_mw": [5.0, 10.0]})
+        configs = [c.as_dict() for c in space.expand()]
+        records = [evaluate_config(knobs) for knobs in configs]
+        assert len(dse_evaluate._SYSTEMS) == 2
+        assert records == [_oracle_record(knobs) for knobs in configs]
+
+    def test_build_system_reads_only_the_shared_key(self):
+        canonical = canonicalize({"link_tying": "untied",
+                                  "untied_clock_mhz": 48.0,
+                                  "spi_mode": "single", "cluster_size": 2,
+                                  "budget_mw": 6.5})
+        hardware = {knob: canonical[knob]
+                    for knob in dse_evaluate._SYSTEM_KNOBS}
+        system = dse_evaluate.build_system(hardware)
+        assert system.omp.threads == 2
+        assert system.envelope.budget == pytest.approx(6.5e-3)
+
+    def test_build_system_stays_fresh(self):
+        canonical = canonicalize({})
+        assert dse_evaluate.build_system(canonical) \
+            is not dse_evaluate.build_system(canonical)
+
+
 class TestCache:
     def test_put_get_roundtrip_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -336,6 +367,60 @@ class TestPareto:
         assert summary["host_mhz"]["mean_spread"] \
             > summary["budget_mw"]["mean_spread"]
         assert summary["host_mhz"]["values"] == 2
+
+    def test_sensitivity_groups_like_json_text(self):
+        # 8, 8.0 and True are one value to ==, three to JSON text.
+        records = [
+            _record("a", 2.0, 1e-5, 0.01, host_mhz=2, budget_mw=5),
+            _record("b", 9.0, 1e-5, 0.01, host_mhz=8, budget_mw=5),
+            _record("c", 2.5, 1e-5, 0.01, host_mhz=2, budget_mw=10),
+            _record("d", 7.0, 1e-5, 0.01, host_mhz=8, budget_mw=10),
+            _record("e", 3.0, 1e-5, 0.01, host_mhz=4, budget_mw=10,
+                    iterations=4),
+            _record("f", 5.0, 1e-5, 0.01, host_mhz=8, budget_mw=10,
+                    iterations=4),
+        ]
+        records[1]["config"]["host_mhz"] = 8
+        records[3]["config"]["budget_mw"] = 10
+        records[5]["config"]["iterations"] = 4.0
+        records[4]["config"]["double_buffered"] = 0
+        records.append(dict(records[0], config=dict(
+            records[0]["config"], cluster_size=True)))
+        assert sensitivity(records) == _json_keyed_sensitivity(records)
+        assert sensitivity(records)["host_mhz"]["values"] == 4
+
+
+def _json_keyed_sensitivity(records, objective="effective_speedup"):
+    """The sensitivity summary with groups keyed on JSON text: the
+    reference the typed tuple keys must reproduce."""
+    from repro.dse.space import KNOB_ORDER
+    from repro.units import ordered_sum
+
+    feasible = [r for r in records if r.get("feasible")]
+    overall_mean = (ordered_sum([r["metrics"][objective] for r in feasible])
+                    / len(feasible))
+    summary = {}
+    for knob in KNOB_ORDER:
+        values = {json.dumps(r["config"][knob]) for r in feasible}
+        if len(values) < 2:
+            continue
+        groups = {}
+        for record in feasible:
+            rest = {k: v for k, v in record["config"].items() if k != knob}
+            key = json.dumps(rest, sort_keys=True)
+            groups.setdefault(key, {})[json.dumps(record["config"][knob])] \
+                = record["metrics"][objective]
+        spreads = [max(group.values()) - min(group.values())
+                   for group in groups.values() if len(group) >= 2]
+        if not spreads:
+            continue
+        mean_spread = ordered_sum(spreads) / len(spreads)
+        summary[knob] = {
+            "values": len(values), "groups": len(spreads),
+            "mean_spread": mean_spread, "max_spread": max(spreads),
+            "relative_effect": (mean_spread / overall_mean
+                                if overall_mean else 0.0)}
+    return summary
 
 
 class TestToRows:

@@ -12,7 +12,9 @@ from repro.kernels.fixmath import (
     CORDIC_ITERATIONS,
     Q15_ONE,
     Q16_ONE,
+    bit_length,
     cordic_vectoring,
+    cordic_vectoring_select,
     cube_q15,
     exp_neg_q,
     hardtanh_q15,
@@ -107,11 +109,56 @@ class TestCordic:
         assert abs(ang[0]) / Q16_ONE == pytest.approx(math.pi, abs=1e-2)
 
     def test_invalid_iterations(self):
-        with pytest.raises(FixedPointError):
-            cordic_vectoring(np.array([1]), np.array([1]), iterations=0)
-        with pytest.raises(FixedPointError):
-            cordic_vectoring(np.array([1]), np.array([1]),
-                             iterations=CORDIC_ITERATIONS + 1)
+        for vectoring in (cordic_vectoring, cordic_vectoring_select):
+            with pytest.raises(FixedPointError):
+                vectoring(np.array([1]), np.array([1]), iterations=0)
+            with pytest.raises(FixedPointError):
+                vectoring(np.array([1]), np.array([1]),
+                          iterations=CORDIC_ITERATIONS + 1)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 17, CORDIC_ITERATIONS])
+    def test_sign_multiply_matches_select_twin(self, iterations):
+        rng = np.random.default_rng(iterations)
+        # HOG's Q16.16 gradients, every axis and diagonal, and wide words.
+        gradients = rng.integers(-255, 256, (2, 20_000)) << 16
+        axes = np.array([(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]).T
+        wide = rng.integers(-(1 << 40), 1 << 40, (2, 5_000))
+        x, y = np.concatenate([gradients, axes * (255 << 16), wide], axis=1)
+        fast = cordic_vectoring(x, y, iterations)
+        twin = cordic_vectoring_select(x, y, iterations)
+        for got, expected in zip(fast, twin):
+            assert got.dtype == expected.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    def test_sign_multiply_matches_select_twin_on_planes(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.integers(-255, 256, (2, 128, 128)) << 16
+        for got, expected in zip(cordic_vectoring(x, y),
+                                 cordic_vectoring_select(x, y)):
+            assert got.shape == (128, 128)
+            assert np.array_equal(got, expected)
+
+
+class TestBitLength:
+    def test_matches_int_bit_length(self):
+        rng = np.random.default_rng(3)
+        powers = [1 << k for k in range(63)]
+        edges = powers + [p - 1 for p in powers] + [p + 1 for p in powers]
+        values = np.concatenate([
+            np.array(edges + [np.iinfo(np.int64).max], dtype=np.int64),
+            rng.integers(0, 1 << 20, 50_000),
+            # Log-uniform magnitudes cover every bit length.
+            (2.0 ** rng.uniform(0, 62.9, 50_000)).astype(np.int64),
+        ])
+        assert values.size >= 100_000
+        expected = [int(v).bit_length() for v in values.tolist()]
+        assert bit_length(values).tolist() == expected
+
+    def test_exact_above_float_precision(self):
+        # float64 rounds 2**53 + 1 .. 2**63 - 1 onto powers of two.
+        for k in range(53, 63):
+            value = np.array([(1 << k) - 1, 1 << k], dtype=np.int64)
+            assert bit_length(value).tolist() == [k, k + 1]
 
 
 class TestRsqrt:

@@ -5,9 +5,12 @@ import dataclasses
 import pytest
 
 from repro.core import pricing
+from repro.core.dual_task import DualTaskModel, HostTask
 from repro.core.envelope import PowerEnvelopeSolver
+from repro.core.sensor import SensorPath, SensorPipeline
 from repro.core.system import HeterogeneousSystem
 from repro.experiments import report
+from repro.faults import FaultPlan, ResilientDriver
 from repro.kernels import kernel_by_name
 from repro.power.activity import ActivityProfile, PulpComponent
 from repro.power.operating_point import OperatingPointTable
@@ -75,6 +78,46 @@ class TestOperatingPointKey:
             for name in names}
         assert len(points) == 1
         assert len(pricing._OPERATING_POINTS) == 1
+
+
+class TestEnvelopeCallers:
+    """The dual-task, sensor and resilient models solve the envelope
+    through the shared operating-point stage."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = PowerEnvelopeSolver.solve
+
+        def counted_solve(self, host_frequency, activity):
+            calls.append(host_frequency)
+            return solve(self, host_frequency, activity)
+
+        monkeypatch.setattr(PowerEnvelopeSolver, "solve", counted_solve)
+        return calls
+
+    def test_dual_task_solves_each_clock_once(self, solves):
+        kernel = kernel_by_name("svm (linear)")
+        task = HostTask("sampler", cycles_per_period=1000, period=0.01)
+        first = DualTaskModel().evaluate(kernel, task)
+        assert len(solves) == len(first) == 5
+        assert DualTaskModel().evaluate(kernel, task) == first
+        assert len(solves) == 5
+
+    def test_sensor_pipeline_shares_its_solve(self, solves):
+        kernel = kernel_by_name("cnn")
+        path = SensorPath.DIRECT
+        first = SensorPipeline().evaluate(kernel, path, host_frequency=mhz(4))
+        assert SensorPipeline().evaluate(kernel, path,
+                                         host_frequency=mhz(4)) == first
+        assert solves == [mhz(4)]
+
+    def test_resilient_offload_shares_the_staged_point(self, solves):
+        kernel = kernel_by_name("matmul")
+        staged = pricing.offload(HeterogeneousSystem(), kernel)
+        result = ResilientDriver(FaultPlan.clean(), seed=1).offload(kernel)
+        assert solves == [mhz(8)]
+        assert result.envelope is staged.envelope
 
 
 class TestPaperReproductionPricing:
