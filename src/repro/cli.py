@@ -34,6 +34,11 @@ Usage::
     python -m repro capacity sweep --nodes 4 --rates 50:700:50
     python -m repro all
 
+Every command is declared here, in :func:`build_parser`, together with
+its handler.  A handler imports its subsystem when it runs, so a command
+pays start-up only for what it uses.  A :class:`~repro.errors.ReproError`
+escaping a handler exits 1 with one ``command: message`` line.
+
 Every experiment subcommand accepts ``--json`` for a machine-readable
 dump of the same results.  ``trace`` runs one offload under the unified
 telemetry hub plus a DES replay of the cluster and writes a Chrome
@@ -90,53 +95,71 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import time
 from typing import List, Optional
 
 from repro.core.system import HeterogeneousSystem
-from repro.experiments import figure3, figure4, figure5, table1
+from repro.errors import ReproError
 from repro.kernels import BENCHMARK_NAMES, kernel_by_name
 from repro.units import mhz
 
+#: ``faults`` exit codes: degraded (host fallback happened) vs failed
+#: (a scenario produced no result at all) are distinct and non-zero so
+#: CI can gate on either.
+FAULTS_EXIT_DEGRADED = 3
+FAULTS_EXIT_FAILED = 4
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False)
+#: ``serve`` exit code when the miss rate breaches ``--miss-threshold``.
+SERVE_EXIT_MISSES = 3
 
+#: ``learn eval`` exit code when the primary model's mean energy regret
+#: exceeds ``--max-regret``.
+LEARN_EXIT_REGRET = 3
 
-def _cmd_table1(args) -> str:
-    rows = table1.run()
-    if getattr(args, "json", False):
-        return _json_dump(table1.to_json_dict(rows))
-    return table1.render(rows)
+#: ``capacity`` exit code when a validation or verification tolerance
+#: is breached.
+CAPACITY_EXIT_TOLERANCE = 3
 
-
-def _cmd_figure3(args) -> str:
-    result = figure3.run()
-    if getattr(args, "json", False):
-        return _json_dump(figure3.to_json_dict(result))
-    return figure3.render(result)
-
-
-def _cmd_figure4(args) -> str:
-    result = figure4.run()
-    if getattr(args, "json", False):
-        return _json_dump(figure4.to_json_dict(result))
-    return figure4.render(result)
+#: ``bench`` exit code when ``--check`` / ``--compare`` find a
+#: beyond-threshold throughput regression.
+BENCH_EXIT_REGRESSION = 5
 
 
-def _cmd_figure5a(args) -> str:
-    result = figure5.run_figure5a()
-    if getattr(args, "json", False):
-        return _json_dump(figure5.figure5a_to_json_dict(result))
-    return figure5.render_figure5a(result)
+def _json_dump(payload, sort_keys: bool = False) -> str:
+    return json.dumps(payload, indent=2, sort_keys=sort_keys)
 
 
-def _cmd_figure5b(args) -> str:
-    kernel = kernel_by_name(args.kernel) if args.kernel else None
-    result = figure5.run_figure5b(kernel)
-    if getattr(args, "json", False):
-        return _json_dump(figure5.figure5b_to_json_dict(result))
-    return figure5.render_figure5b(result)
+# -- the paper's experiments ---------------------------------------------------
+
+def _cmd_experiment(args) -> str:
+    """One paper experiment, as text or ``--json``; ``all`` renders
+    every one in paper order."""
+    from repro.experiments import figure3, figure4, figure5, table1
+
+    # command -> (title, run, to_json_dict, render)
+    experiments = {
+        "table1": ("Table I", table1.run, table1.to_json_dict,
+                   table1.render),
+        "figure3": ("Figure 3", figure3.run, figure3.to_json_dict,
+                    figure3.render),
+        "figure4": ("Figure 4", figure4.run, figure4.to_json_dict,
+                    figure4.render),
+        "figure5a": ("Figure 5a", figure5.run_figure5a,
+                     figure5.figure5a_to_json_dict, figure5.render_figure5a),
+        "figure5b": ("Figure 5b", figure5.run_figure5b,
+                     figure5.figure5b_to_json_dict, figure5.render_figure5b),
+    }
+    if args.command == "all":
+        return "\n\n".join(f"{'=' * 12} {title} {'=' * 12}\n{render()}"
+                           for title, _, _, render in experiments.values())
+    _, run, to_json_dict, render = experiments[args.command]
+    kernel = getattr(args, "kernel", None)
+    result = run(kernel_by_name(kernel)) if kernel else run()
+    if args.json:
+        return _json_dump(to_json_dict(result))
+    return render(result)
 
 
 def _cmd_offload(args) -> str:
@@ -145,9 +168,14 @@ def _cmd_offload(args) -> str:
     result = system.offload(kernel, host_frequency=mhz(args.host_mhz),
                             iterations=args.iterations,
                             double_buffered=args.double_buffer)
-    if getattr(args, "json", False):
+    if args.json:
         return _json_dump(result.to_json_dict())
     return result.report()
+
+
+def _cmd_report(_args) -> str:
+    from repro.experiments.report import build_report
+    return build_report()
 
 
 # -- telemetry commands ---------------------------------------------------------
@@ -241,15 +269,12 @@ def _cmd_metrics(args) -> str:
         "verified": result.verified,
         "model_energy_j": result.timing.energy.total_energy,
     })
-    if getattr(args, "json", False):
+    if args.json:
         return _json_dump(snapshot)
     return render_metrics(snapshot)
 
 
-def _cmd_report(_args) -> str:
-    from repro.experiments.report import build_report
-    return build_report()
-
+# -- static analysis -----------------------------------------------------------
 
 def _parse_entry_regs(text: str):
     registers = set()
@@ -315,36 +340,17 @@ def _spmd_findings(instructions, lines, args):
 
 
 def _cmd_lint(args) -> str:
-    from repro.analysis.concurrency import analyze_spmd
-    from repro.analysis.dataflow import ALL_REGISTERS
-    from repro.analysis.linter import lint_instructions, lint_source
+    from repro.analysis.linter import lint_builtin_programs, lint_source
     from repro.errors import IsaError
     from repro.isa.validate import Severity
-    from repro.machine.parallel import PARALLEL_PROGRAMS
-    from repro.machine.programs import BUILTIN_PROGRAMS
 
     if args.cores < 0:
         raise SystemExit("lint: --cores must be >= 0")
     entry_regs = _parse_entry_regs(args.entry_regs or "")
     reports = []
     if args.all_builtin:
-        for program in BUILTIN_PROGRAMS.values():
-            reports.append(lint_source(
-                program.source, name=program.name,
-                entry_regs=program.entry_regs,
-                exit_live=program.exit_live if program.exit_live is not None
-                else ALL_REGISTERS))
-        for parallel in PARALLEL_PROGRAMS.values():
-            cores = args.cores if args.cores >= 2 else 4
-            report = lint_instructions(
-                parallel.unit.instructions, name=parallel.name,
-                lines=parallel.unit.lines, entry_regs=parallel.entry_regs)
-            spmd = analyze_spmd(
-                parallel.unit.instructions, cores=cores,
-                presets=parallel.presets(cores), lines=parallel.unit.lines,
-                dma_out=parallel.dma_out)
-            report.findings.extend(spmd.findings)
-            reports.append(report)
+        reports.extend(lint_builtin_programs(
+            cores=args.cores if args.cores >= 2 else 4))
     if not args.all_builtin and not args.files:
         raise SystemExit("lint: give one or more .s files or --all-builtin")
     for path in args.files:
@@ -393,13 +399,6 @@ def _cmd_lint(args) -> str:
 
 # -- fault campaigns ------------------------------------------------------------
 
-#: ``faults`` exit codes: degraded (host fallback happened) vs failed
-#: (a scenario produced no result at all) are distinct and non-zero so
-#: CI can gate on either.
-FAULTS_EXIT_DEGRADED = 3
-FAULTS_EXIT_FAILED = 4
-
-
 def _cmd_faults(args) -> str:
     from repro.faults import CampaignRunner, build_campaign
 
@@ -421,15 +420,12 @@ def _cmd_faults(args) -> str:
         args._exit_code = FAULTS_EXIT_FAILED
     elif result.degraded:
         args._exit_code = FAULTS_EXIT_DEGRADED
-    if getattr(args, "json", False):
+    if args.json:
         return _json_dump(result.to_json_dict())
     return result.render()
 
 
 # -- serving --------------------------------------------------------------------
-
-#: ``serve`` exit code when the miss rate breaches ``--miss-threshold``.
-SERVE_EXIT_MISSES = 3
 
 #: The ``--faults on`` per-node plans, cycled across the fleet: a clean
 #: node, a transiently hanging one, one that dies (three consecutive
@@ -495,8 +491,6 @@ def _serve_book_and_policy(args):
             f"serve: --scheduler {args.scheduler} needs --model "
             "<trained model JSON> (train one with: python -m repro "
             "learn train)")
-    from repro.errors import ReproError
-
     try:
         fitted = learn_service.predictor_from_file(args.model)
         book = learn_service.PredictedServiceBook(
@@ -551,7 +545,7 @@ def _cmd_serve(args) -> str:
         report = ServeEngine(config).run()
     if report.miss_rate > args.miss_threshold:
         args._exit_code = SERVE_EXIT_MISSES
-    if getattr(args, "json", False):
+    if args.json:
         return report.to_json()
     return report.render()
 
@@ -560,26 +554,22 @@ def _cmd_serve(args) -> str:
 
 def _chaos_plans(args):
     """The fleet plans a ``chaos`` invocation runs (None = pinned)."""
-    import json
-
     from repro.faults.plan import FleetPlan
 
     if args.empty:
-        return [FleetPlan.empty()], False
-    if args.plan:
-        try:
-            with open(args.plan, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"chaos: cannot read --plan {args.plan}: {exc}")
-        plans = payload if isinstance(payload, list) else [payload]
-        from repro.errors import ReproError
-
-        try:
-            return [FleetPlan.from_dict(plan) for plan in plans], False
-        except ReproError as exc:
-            raise SystemExit(f"chaos: bad --plan {args.plan}: {exc}")
-    return None, True
+        return [FleetPlan.empty()]
+    if not args.plan:
+        return None
+    try:
+        with open(args.plan, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"chaos: cannot read --plan {args.plan}: {exc}")
+    plans = payload if isinstance(payload, list) else [payload]
+    try:
+        return [FleetPlan.from_dict(plan) for plan in plans]
+    except ReproError as exc:
+        raise SystemExit(f"chaos: bad --plan {args.plan}: {exc}")
 
 
 def _cmd_chaos(args) -> str:
@@ -592,8 +582,8 @@ def _cmd_chaos(args) -> str:
     )
     from repro.serve.resilience import ResilienceConfig
 
-    plans, pinned = _chaos_plans(args)
-    if pinned:
+    plans = _chaos_plans(args)
+    if plans is None:
         config = pinned_campaign_config(nodes=args.nodes, seed=args.seed)
         plans = pinned_campaign_plans()
         armed = args.resilience != "off"
@@ -602,17 +592,14 @@ def _cmd_chaos(args) -> str:
         armed = args.resilience == "on" or (
             args.resilience == "auto"
             and any(plan.events for plan in plans))
-        if armed:
-            config = dataclasses.replace(
-                config, resilience=ResilienceConfig())
-    if not armed:
-        config = dataclasses.replace(config, resilience=None)
-    if armed and args.slo_factor is not None:
-        resilience = config.resilience
-        config = dataclasses.replace(config, resilience=dataclasses.replace(
-            resilience,
-            slo=dataclasses.replace(resilience.slo,
-                                    latency_factor=args.slo_factor)))
+    resilience = None
+    if armed:
+        resilience = config.resilience or ResilienceConfig()
+        if args.slo_factor is not None:
+            slo = dataclasses.replace(resilience.slo,
+                                      latency_factor=args.slo_factor)
+            resilience = dataclasses.replace(resilience, slo=slo)
+    config = dataclasses.replace(config, resilience=resilience)
     result = run_campaign(config, plans, chaos_seed=args.chaos_seed,
                           collapse_threshold=args.collapse_threshold)
     if args.serve_json:
@@ -631,15 +618,16 @@ def _cmd_chaos(args) -> str:
 
 # -- design-space exploration ---------------------------------------------------
 
-def _parse_values(text: str, parse):
+def _parse_values(text: str, parse, what: str):
+    """Comma-separated *text* through *parse*; *what* prefixes errors."""
     values = []
     for token in filter(None, (t.strip() for t in text.split(","))):
         try:
             values.append(parse(token))
         except ValueError:
-            raise SystemExit(f"dse: bad value {token!r}")
+            raise SystemExit(f"{what}: bad value {token!r}")
     if not values:
-        raise SystemExit(f"dse: empty value list {text!r}")
+        raise SystemExit(f"{what}: empty value list {text!r}")
     return values
 
 
@@ -680,7 +668,7 @@ def _dse_space(args):
         for dest, knob, parse in _DSE_KNOB_OPTIONS:
             text = getattr(args, dest)
             if text is not None:
-                grid[knob] = _parse_values(text, parse)
+                grid[knob] = _parse_values(text, parse, "dse")
         if not grid:
             raise SystemExit("dse: give --spec or at least one knob option "
                              "(e.g. --host-mhz 2,4,8)")
@@ -698,26 +686,16 @@ def _cmd_dse(args) -> str:
         render,
         to_json_dict,
     )
-    from repro.errors import ConfigurationError
 
     space = _dse_space(args)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        engine = ExplorationEngine(cache=cache, jobs=args.jobs)
-        result = engine.run(space)
-    except ConfigurationError as exc:
-        raise SystemExit(f"dse: {exc}")
-    if getattr(args, "json", False):
+    result = ExplorationEngine(cache=cache, jobs=args.jobs).run(space)
+    if args.json:
         return _json_dump(to_json_dict(result))
     return render(result)
 
 
 # -- benchmarks ------------------------------------------------------------------
-
-#: ``bench`` exit code when ``--check`` / ``--compare`` find a
-#: beyond-threshold throughput regression.
-BENCH_EXIT_REGRESSION = 5
-
 
 def _cmd_bench(args) -> str:
     from repro.bench import (
@@ -733,57 +711,52 @@ def _cmd_bench(args) -> str:
         render_report,
         write_report,
     )
-    from repro.errors import BenchmarkError
 
-    try:
-        if args.compare:
-            old_path, new_path = args.compare
-            comparison = compare(load_report(old_path),
-                                 load_report(new_path),
+    if args.compare:
+        old_path, new_path = args.compare
+        comparison = compare(load_report(old_path), load_report(new_path),
+                             threshold=args.threshold)
+        if not comparison.ok:
+            args._exit_code = BENCH_EXIT_REGRESSION
+        if args.json:
+            return _json_dump(comparison.to_json_dict())
+        return render_comparison(comparison, old_label=old_path,
+                                 new_label=new_path)
+    repeats = args.repeats if args.repeats is not None else (
+        QUICK_REPEATS if args.quick else DEFAULT_REPEATS)
+    suites = None
+    if args.suites:
+        suites = [name for name in
+                  (token.strip() for token in args.suites.split(","))
+                  if name]
+    # Resolve the baseline before writing, so a fresh entry never
+    # becomes its own baseline.
+    baseline_path = args.baseline or latest_bench(args.out_dir)
+    runner = BenchRunner(BenchOptions(
+        repeats=repeats, quick=args.quick, suites=suites,
+        profile_path=args.profile, flame_path=args.flame))
+    doc = runner.run(index=next_index(args.out_dir))
+    lines = [render_report(doc)]
+    path = None
+    if not args.no_write:
+        path = write_report(doc, args.out_dir)
+        lines.append(f"wrote {path}")
+    lines.extend(f"wrote {artifact}" for artifact in runner.artifacts)
+    comparison = None
+    if args.check:
+        if baseline_path is None:
+            lines.append("check: no baseline BENCH_*.json in "
+                         f"{args.out_dir} — nothing to gate against")
+        else:
+            comparison = compare(load_report(baseline_path), doc,
                                  threshold=args.threshold)
+            lines.append("")
+            lines.append(render_comparison(
+                comparison, old_label=baseline_path,
+                new_label=f"BENCH_{doc['bench_index']}"))
             if not comparison.ok:
                 args._exit_code = BENCH_EXIT_REGRESSION
-            if getattr(args, "json", False):
-                return _json_dump(comparison.to_json_dict())
-            return render_comparison(comparison, old_label=old_path,
-                                     new_label=new_path)
-        repeats = args.repeats if args.repeats is not None else (
-            QUICK_REPEATS if args.quick else DEFAULT_REPEATS)
-        suites = None
-        if args.suites:
-            suites = [name for name in
-                      (token.strip() for token in args.suites.split(","))
-                      if name]
-        # Resolve the baseline before writing, so a fresh entry never
-        # becomes its own baseline.
-        baseline_path = args.baseline or latest_bench(args.out_dir)
-        runner = BenchRunner(BenchOptions(
-            repeats=repeats, quick=args.quick, suites=suites,
-            profile_path=args.profile, flame_path=args.flame))
-        doc = runner.run(index=next_index(args.out_dir))
-        lines = [render_report(doc)]
-        path = None
-        if not args.no_write:
-            path = write_report(doc, args.out_dir)
-            lines.append(f"wrote {path}")
-        lines.extend(f"wrote {artifact}" for artifact in runner.artifacts)
-        comparison = None
-        if args.check:
-            if baseline_path is None:
-                lines.append("check: no baseline BENCH_*.json in "
-                             f"{args.out_dir} — nothing to gate against")
-            else:
-                comparison = compare(load_report(baseline_path), doc,
-                                     threshold=args.threshold)
-                lines.append("")
-                lines.append(render_comparison(
-                    comparison, old_label=baseline_path,
-                    new_label=f"BENCH_{doc['bench_index']}"))
-                if not comparison.ok:
-                    args._exit_code = BENCH_EXIT_REGRESSION
-    except BenchmarkError as exc:
-        raise SystemExit(f"bench: {exc}")
-    if getattr(args, "json", False):
+    if args.json:
         payload = {"report": doc, "path": path,
                    "artifacts": runner.artifacts}
         if args.check:
@@ -796,42 +769,234 @@ def _cmd_bench(args) -> str:
 
 # -- learned configuration prediction --------------------------------------------
 
-def _cmd_learn(args) -> str:
-    from repro.learn.cli import cmd_learn
+def _load_dataset(path):
+    from repro.learn.dataset import load_dataset
 
-    return cmd_learn(args)
-
-
-def _cmd_capacity(args) -> str:
-    from repro.capacity.cli import cmd_capacity
-
-    return cmd_capacity(args)
+    try:
+        return load_dataset(path)
+    except (OSError, ReproError) as exc:
+        raise SystemExit(f"learn: cannot load dataset {path}: {exc}")
 
 
-def _cmd_all(args) -> str:
-    sections = [
-        ("Table I", _cmd_table1(args)),
-        ("Figure 3", _cmd_figure3(args)),
-        ("Figure 4", _cmd_figure4(args)),
-        ("Figure 5a", _cmd_figure5a(args)),
-        ("Figure 5b", figure5.render_figure5b()),
-    ]
-    blocks = []
-    for title, body in sections:
-        blocks.append(f"{'=' * 12} {title} {'=' * 12}\n{body}")
-    return "\n\n".join(blocks)
+def _cmd_learn_dataset(args) -> str:
+    from repro.dse import ResultCache
+    from repro.learn.dataset import build_dataset, save_dataset
 
+    programs = None
+    if args.programs:
+        programs = [name for name in
+                    (token.strip() for token in args.programs.split(","))
+                    if name]
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    dataset = build_dataset(programs=programs, tiny=args.tiny,
+                            cache=cache, jobs=args.jobs)
+    save_dataset(dataset, args.out)
+    if args.json:
+        return _json_dump({
+            "out": args.out,
+            "rows": len(dataset.rows),
+            "labels": list(dataset.labels),
+            "feature_names": len(dataset.feature_names),
+            "digest": dataset.digest,
+            "tiny": args.tiny,
+        }, sort_keys=True)
+    return (f"wrote {args.out}: {len(dataset.rows)} rows, "
+            f"{len(dataset.labels)} classes, "
+            f"{len(dataset.feature_names)} features "
+            f"(digest {dataset.digest[:12]}...)")
+
+
+def _cmd_learn_train(args) -> str:
+    from repro.learn.models import save_model, train_model
+
+    dataset = _load_dataset(args.dataset)
+    fitted = train_model(dataset, kind=args.model)
+    save_model(fitted, args.out)
+    importances = sorted(fitted.importances().items(),
+                         key=lambda kv: (-kv[1], kv[0]))[:5]
+    if args.json:
+        return _json_dump({
+            "out": args.out,
+            "kind": fitted.kind,
+            "labels": list(fitted.labels),
+            "dataset_digest": fitted.dataset_digest,
+            "importances": dict(importances),
+        }, sort_keys=True)
+    lines = [f"wrote {args.out}: {fitted.kind} over "
+             f"{len(dataset.rows)} rows, {len(fitted.labels)} classes"]
+    for name, value in importances:
+        if value > 0:
+            lines.append(f"  {name:40s} {value:6.1%}")
+    return "\n".join(lines)
+
+
+def _cmd_learn_eval(args) -> str:
+    from repro.learn.eval import DEFAULT_KINDS, evaluate
+
+    dataset = _load_dataset(args.dataset)
+    kinds = DEFAULT_KINDS
+    if args.kinds:
+        kinds = tuple(name for name in
+                      (token.strip() for token in args.kinds.split(","))
+                      if name)
+    report = evaluate(dataset, kinds=kinds, topk=args.topk)
+    primary = report.models[kinds[0]]
+    regret = primary._mean("energy")
+    if regret > args.max_regret:
+        args._exit_code = LEARN_EXIT_REGRET
+    if args.json:
+        payload = report.to_dict()
+        payload["max_regret"] = args.max_regret
+        payload["primary"] = kinds[0]
+        payload["primary_mean_energy_regret"] = regret
+        return _json_dump(payload, sort_keys=True)
+    lines = [report.render(), "",
+             f"gate: {kinds[0]} mean energy regret {regret:.1%} "
+             f"vs ceiling {args.max_regret:.1%} -> "
+             + ("FAIL" if regret > args.max_regret else "ok")]
+    return "\n".join(lines)
+
+
+def _cmd_learn_predict(args) -> str:
+    from repro.learn.dataset import corpus_features, label_knobs
+    from repro.learn.models import load_model
+
+    try:
+        fitted = load_model(args.model)
+    except (OSError, ReproError) as exc:
+        raise SystemExit(f"learn: cannot load model {args.model}: {exc}")
+    features = corpus_features(args.program, args.iterations)
+    ranked = fitted.ranked(features)[:args.topk]
+    if args.json:
+        return _json_dump({
+            "program": args.program,
+            "iterations": args.iterations,
+            "kind": fitted.kind,
+            "ranked": [{"label": label, "confidence": confidence,
+                        **label_knobs(label)}
+                       for label, confidence in ranked],
+        }, sort_keys=True)
+    lines = [f"{args.program} x{args.iterations} ({fitted.kind}):"]
+    for label, confidence in ranked:
+        lines.append(f"  {label:14s} {confidence:6.1%}")
+    return "\n".join(lines)
+
+
+# -- capacity planning ---------------------------------------------------------
+
+def _cmd_capacity_plan(args) -> str:
+    from repro.capacity.composition import CompositionSpace
+    from repro.capacity.planner import FleetPlanner
+    from repro.capacity.report import plan_json_dict, render_plan
+    from repro.units import mw
+
+    budget = mw(args.power_budget) if args.power_budget is not None \
+        else None
+    space = CompositionSpace(
+        min_nodes=args.min_nodes, max_nodes=args.max_nodes,
+        max_per_archetype=args.max_per_archetype, power_budget_w=budget)
+    planner = FleetPlanner(space, arrival_rate=args.arrival_rate,
+                           requests=args.requests,
+                           max_batch=args.max_batch,
+                           headroom=args.headroom)
+    result = planner.plan()
+    if not args.no_verify:
+        planner.verify_frontier(result, seed=args.verify_seed,
+                                requests=args.verify_requests,
+                                tolerance=args.tolerance)
+        if not result.verified_ok:
+            args._exit_code = CAPACITY_EXIT_TOLERANCE
+    if args.json:
+        return _json_dump(plan_json_dict(result), sort_keys=True)
+    return render_plan(result, verbose=args.verbose)
+
+
+def _cmd_capacity_validate(args) -> str:
+    from repro.capacity.report import render_validation
+    from repro.capacity.validation import TOLERANCE, run_validation
+
+    tolerance = args.tolerance if args.tolerance is not None else TOLERANCE
+    report = run_validation(tolerance=tolerance)
+    if not report["passed"]:
+        args._exit_code = CAPACITY_EXIT_TOLERANCE
+    if args.json:
+        return _json_dump(report, sort_keys=True)
+    return render_validation(report)
+
+
+def _parse_rates(spec: str):
+    """``--rates``: ``lo:hi:step`` or comma-separated requests/s."""
+    if ":" not in spec:
+        return _parse_values(spec, float, "capacity --rates")
+    try:
+        lo, hi, step = (float(part) for part in spec.split(":"))
+        if step <= 0 or hi < lo:
+            raise ValueError(spec)
+    except ValueError:
+        raise SystemExit(f"capacity: bad --rates {spec!r} (want lo:hi:step)")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return [lo + index * step for index in range(count)]
+
+
+def _cmd_capacity_sweep(args) -> str:
+    from repro.capacity.model import CapacityInputs, CapacityModel
+    from repro.capacity.report import render_sweep
+    from repro.serve import AnalyticServiceBook
+    from repro.serve.engine import default_power_budget
+
+    rates = _parse_rates(args.rates)
+    book = AnalyticServiceBook()
+    model = CapacityModel(book)
+    budget = None
+    if args.power_fraction is not None:
+        budget = default_power_budget(book, args.nodes,
+                                      args.power_fraction)
+    points = []
+    saturation = None
+    started = time.perf_counter()
+    for rate in rates:
+        prediction = model.predict(CapacityInputs(
+            arrival_rate=rate, requests=args.requests, nodes=args.nodes,
+            max_batch=args.max_batch, power_budget_w=budget))
+        row = prediction.to_json_dict()
+        row["arrival_rate"] = rate
+        points.append(row)
+        if saturation is None and not prediction.stable:
+            previous = rates[max(0, len(points) - 2)]
+            saturation = [previous, rate]
+    wall_ms = (time.perf_counter() - started) * 1e3
+    payload = {
+        "nodes": args.nodes,
+        "max_batch": args.max_batch,
+        "requests": args.requests,
+        "power_fraction": args.power_fraction,
+        "points": points,
+        "saturation_rate": saturation,
+    }
+    if args.json:
+        return _json_dump(payload, sort_keys=True)
+    return render_sweep({**payload, "wall_ms": wall_ms})
+
+
+# -- the parser ----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser."""
+    """The CLI argument parser; each command carries its ``handler``."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the DATE 2016 heterogeneous-accelerator "
                     "paper's evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def experiment(name: str, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
+    def command(name: str, help_text: str, handler,
+                subparsers=sub) -> argparse.ArgumentParser:
+        sp = subparsers.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    def experiment(name: str, help_text: str,
+                   handler=_cmd_experiment) -> argparse.ArgumentParser:
+        sp = command(name, help_text, handler)
         sp.add_argument("--json", action="store_true",
                         help="machine-readable JSON instead of text")
         return sp
@@ -844,13 +1009,15 @@ def build_parser() -> argparse.ArgumentParser:
                      "Figure 5b: efficiency vs iterations/offload")
     f5b.add_argument("--kernel", choices=BENCHMARK_NAMES, default=None,
                      help="benchmark to sweep (default: cnn)")
-    off = experiment("offload", "run one offload and report it")
+    off = experiment("offload", "run one offload and report it",
+                     _cmd_offload)
     off.add_argument("--kernel", choices=BENCHMARK_NAMES, default="matmul")
     off.add_argument("--host-mhz", type=float, default=8.0)
     off.add_argument("--iterations", type=int, default=1)
     off.add_argument("--double-buffer", action="store_true")
-    trace = sub.add_parser(
-        "trace", help="offload under telemetry; export a Perfetto trace")
+    trace = command(
+        "trace", "offload under telemetry; export a Perfetto trace",
+        _cmd_trace)
     trace.add_argument("kernel", nargs="?", choices=BENCHMARK_NAMES,
                        default="matmul", help="benchmark to trace")
     trace.add_argument("--out", default="trace.json",
@@ -863,8 +1030,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--host-mhz", type=float, default=8.0)
     trace.add_argument("--iterations", type=int, default=4)
     trace.add_argument("--double-buffer", action="store_true")
-    metrics = sub.add_parser(
-        "metrics", help="telemetry counters/lanes/phases of one offload")
+    metrics = command(
+        "metrics", "telemetry counters/lanes/phases of one offload",
+        _cmd_metrics)
     metrics.add_argument("--kernel", choices=BENCHMARK_NAMES,
                          default="matmul")
     metrics.add_argument("--json", action="store_true",
@@ -872,8 +1040,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--host-mhz", type=float, default=8.0)
     metrics.add_argument("--iterations", type=int, default=4)
     metrics.add_argument("--double-buffer", action="store_true")
-    lint = sub.add_parser(
-        "lint", help="static CFG/dataflow analysis of OR10N-mini assembly")
+    lint = command(
+        "lint", "static CFG/dataflow analysis of OR10N-mini assembly",
+        _cmd_lint)
     lint.add_argument("files", nargs="*",
                       help="assembly source files to analyze")
     lint.add_argument("--all-builtin", action="store_true",
@@ -897,9 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="TCDM banks for the OR014 conflict model")
     lint.add_argument("--strict", action="store_true",
                       help="fail on warnings too, not only errors")
-    faults = sub.add_parser(
-        "faults", help="seeded fault-injection campaign on the resilient "
-                       "offload runtime")
+    faults = command(
+        "faults", "seeded fault-injection campaign on the resilient "
+                  "offload runtime", _cmd_faults)
     faults.add_argument("--scenarios", type=int, default=11,
                         help="number of seeded scenarios (cycles through "
                              "the fault taxonomy)")
@@ -918,9 +1087,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write a Chrome trace of the campaign")
     faults.add_argument("--json", action="store_true",
                         help="machine-readable JSON instead of the matrix")
-    dse = sub.add_parser(
-        "dse", help="design-space exploration: parallel, cached sweeps "
-                    "with Pareto analysis")
+    dse = command(
+        "dse", "design-space exploration: parallel, cached sweeps "
+               "with Pareto analysis", _cmd_dse)
     dse.add_argument("--spec", default=None, metavar="PATH",
                      help="JSON parameter-space spec "
                           '({"grid": {...}, "points": [...]})')
@@ -949,6 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="persistent result cache directory")
     dse.add_argument("--json", action="store_true",
                      help="machine-readable JSON instead of tables")
+
     def serve_spec(sp: argparse.ArgumentParser) -> None:
         # The shared serving-run specification: `serve` runs it as-is,
         # `chaos` layers fleet fault plans and resilience on top.
@@ -1006,9 +1176,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay a JSON request trace instead of a "
                              "generator")
 
-    serve = sub.add_parser(
-        "serve", help="multi-accelerator serving simulation: workload -> "
-                      "scheduler -> node fleet")
+    serve = command(
+        "serve", "multi-accelerator serving simulation: workload -> "
+                 "scheduler -> node fleet", _cmd_serve)
     serve_spec(serve)
     serve.add_argument("--miss-threshold", type=float, default=0.05,
                        help="miss-rate ceiling before exiting "
@@ -1017,10 +1187,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a Chrome trace of the run")
     serve.add_argument("--json", action="store_true",
                        help="machine-readable JSON instead of the summary")
-    chaos = sub.add_parser(
-        "chaos", help="fleet fault campaigns over the serving runtime: "
-                      "crash storms, brownouts, flapping, surges -> "
-                      "resilience scorecard")
+    chaos = command(
+        "chaos", "fleet fault campaigns over the serving runtime: "
+                 "crash storms, brownouts, flapping, surges -> "
+                 "resilience scorecard", _cmd_chaos)
     serve_spec(chaos)
     chaos.add_argument("--plan", default=None, metavar="PATH",
                        help="JSON fleet plan (object or list of objects) "
@@ -1050,9 +1220,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true",
                        help="machine-readable campaign JSON instead of "
                             "the scorecard table")
-    bench = sub.add_parser(
-        "bench", help="tracked performance benchmarks: write the next "
-                      "BENCH_<n>.json, gate on regressions")
+    bench = command(
+        "bench", "tracked performance benchmarks: write the next "
+                 "BENCH_<n>.json, gate on regressions", _cmd_bench)
     bench.add_argument("--quick", action="store_true",
                        help="median-of-3 instead of median-of-5 (same "
                             "pinned workloads, so results stay comparable)")
@@ -1089,44 +1259,144 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-phase totals")
     bench.add_argument("--json", action="store_true",
                        help="machine-readable JSON instead of tables")
-    from repro.capacity.cli import add_capacity_parser
-    from repro.learn.cli import add_learn_parser
 
-    add_learn_parser(sub)
-    add_capacity_parser(sub)
-    sub.add_parser("all", help="everything, in paper order")
-    sub.add_parser("report",
-                   help="markdown reproduction report with anchor checks")
+    learn = sub.add_parser(
+        "learn", help="learned configuration prediction: labeled "
+                      "datasets, seeded models, regret vs the DSE oracle")
+    learn_sub = learn.add_subparsers(dest="learn_command", required=True)
+    dataset = command(
+        "dataset", "sweep the corpus through the DSE engine and "
+                   "write the labeled dataset", _cmd_learn_dataset,
+        learn_sub)
+    dataset.add_argument("--out", default="learn_dataset.json",
+                         metavar="PATH", help="dataset output path")
+    dataset.add_argument("--tiny", action="store_true",
+                         help="reduced candidate grid (CI smoke scale)")
+    dataset.add_argument("--programs", default=None,
+                         help="comma-separated corpus subset "
+                              "(default: the whole corpus)")
+    dataset.add_argument("--jobs", type=int, default=1,
+                         help="DSE worker processes")
+    dataset.add_argument("--cache-dir", default=None, metavar="DIR",
+                         help="persistent DSE result cache directory")
+    dataset.add_argument("--json", action="store_true",
+                         help="machine-readable JSON summary")
+    train = command(
+        "train", "fit one model on a dataset and write its JSON",
+        _cmd_learn_train, learn_sub)
+    train.add_argument("--dataset", required=True, metavar="PATH")
+    train.add_argument("--out", default="learn_model.json", metavar="PATH",
+                       help="model output path")
+    train.add_argument("--model", choices=("tree", "ridge", "dummy"),
+                       default="tree", help="model kind")
+    train.add_argument("--json", action="store_true",
+                       help="machine-readable JSON summary")
+    evaluate = command(
+        "eval", "leave-one-kernel-out regret report vs the oracle",
+        _cmd_learn_eval, learn_sub)
+    evaluate.add_argument("--dataset", required=True, metavar="PATH")
+    evaluate.add_argument("--topk", type=int, default=3,
+                          help="top-k window for the accuracy columns")
+    evaluate.add_argument("--kinds", default=None,
+                          help="comma-separated model kinds (first one "
+                               "is the gated primary; default "
+                               "tree,ridge,dummy)")
+    evaluate.add_argument("--max-regret", type=float, default=0.15,
+                          help="mean-energy-regret ceiling before "
+                               f"exiting {LEARN_EXIT_REGRET}")
+    evaluate.add_argument("--json", action="store_true",
+                          help="machine-readable JSON report")
+    predict = command(
+        "predict", "rank candidate configurations for one corpus "
+                   "program + iteration context", _cmd_learn_predict,
+        learn_sub)
+    predict.add_argument("--model", required=True, metavar="PATH")
+    predict.add_argument("--program", required=True,
+                         help="corpus program name (see repro.learn.CORPUS)")
+    predict.add_argument("--iterations", type=int, default=1,
+                         help="offload iteration context")
+    predict.add_argument("--topk", type=int, default=3,
+                         help="ranked labels to show")
+    predict.add_argument("--json", action="store_true",
+                         help="machine-readable JSON ranking")
+
+    capacity = sub.add_parser(
+        "capacity", help="analytic capacity model: fleet-composition "
+                         "planning, DES cross-validation, rate sweeps")
+    capacity_sub = capacity.add_subparsers(dest="capacity_command",
+                                           required=True)
+    plan = command(
+        "plan", "search archetype compositions under a power "
+                "budget; Pareto frontier, DES-verified",
+        _cmd_capacity_plan, capacity_sub)
+    plan.add_argument("--arrival-rate", type=float, default=300.0,
+                      help="workload arrival rate (requests/s)")
+    plan.add_argument("--power-budget", type=float, default=None,
+                      metavar="MW", help="fleet provisioned-power budget "
+                                         "in milliwatts (default: "
+                                         "unbounded)")
+    plan.add_argument("--min-nodes", type=int, default=1)
+    plan.add_argument("--max-nodes", type=int, default=6,
+                      help="total fleet size ceiling")
+    plan.add_argument("--max-per-archetype", type=int, default=4)
+    plan.add_argument("--requests", type=int, default=2000,
+                      help="run length the analytic model prices")
+    plan.add_argument("--max-batch", type=int, default=8)
+    plan.add_argument("--headroom", type=float, default=0.85,
+                      help="per-class utilization ceiling for "
+                           "feasibility")
+    plan.add_argument("--no-verify", action="store_true",
+                      help="skip the DES re-verification of the frontier")
+    plan.add_argument("--verify-requests", type=int, default=600,
+                      help="request count of the verification DES runs")
+    plan.add_argument("--verify-seed", type=int, default=7)
+    plan.add_argument("--tolerance", type=float, default=0.15,
+                      help="verification error bound before exiting "
+                           f"{CAPACITY_EXIT_TOLERANCE}")
+    plan.add_argument("--verbose", action="store_true",
+                      help="histogram the infeasibility reasons")
+    plan.add_argument("--json", action="store_true",
+                      help="deterministic machine-readable payload")
+    validate = command(
+        "validate", "pinned analytic-vs-DES grid; the CI "
+                    "calibration gate", _cmd_capacity_validate,
+        capacity_sub)
+    validate.add_argument("--tolerance", type=float, default=None,
+                          help="gated relative-error bound (default: "
+                               "the pinned 10%%); breach exits "
+                               f"{CAPACITY_EXIT_TOLERANCE}")
+    validate.add_argument("--json", action="store_true",
+                          help="machine-readable JSON report")
+    sweep = command(
+        "sweep", "analytic arrival-rate sweep of a homogeneous "
+                 "fleet (no DES)", _cmd_capacity_sweep, capacity_sub)
+    sweep.add_argument("--rates", default="50:700:50",
+                       help="lo:hi:step or comma-separated rates "
+                            "(requests/s)")
+    sweep.add_argument("--nodes", type=int, default=4)
+    sweep.add_argument("--requests", type=int, default=2000)
+    sweep.add_argument("--max-batch", type=int, default=8)
+    sweep.add_argument("--power-fraction", type=float, default=None,
+                       help="power-cap the fleet at "
+                            "default_power_budget(book, nodes, FRACTION)")
+    sweep.add_argument("--json", action="store_true",
+                       help="deterministic machine-readable payload")
+
+    command("all", "everything, in paper order", _cmd_experiment)
+    command("report", "markdown reproduction report with anchor checks",
+            _cmd_report)
     return parser
-
-
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "figure3": _cmd_figure3,
-    "figure4": _cmd_figure4,
-    "figure5a": _cmd_figure5a,
-    "figure5b": _cmd_figure5b,
-    "offload": _cmd_offload,
-    "trace": _cmd_trace,
-    "metrics": _cmd_metrics,
-    "lint": _cmd_lint,
-    "faults": _cmd_faults,
-    "dse": _cmd_dse,
-    "serve": _cmd_serve,
-    "chaos": _cmd_chaos,
-    "bench": _cmd_bench,
-    "learn": _cmd_learn,
-    "capacity": _cmd_capacity,
-    "all": _cmd_all,
-    "report": _cmd_report,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        print(_COMMANDS[args.command](args))
+        print(args.handler(args))
+    except ReproError as exc:
+        # The one error boundary: a modelled failure is a one-line
+        # message and exit 1, never a traceback.
+        raise SystemExit(f"{args.command}: {exc}")
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         try:

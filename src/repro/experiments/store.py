@@ -53,7 +53,10 @@ def save_results(results: Any, path: PathLike,
 
 def load_results(path: PathLike) -> Dict[str, Any]:
     """Load a stored run: ``{"metadata": ..., "results": ...}``."""
-    document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    try:
+        document = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not JSON: {exc}")
     if not isinstance(document, dict) or "results" not in document:
         raise ConfigurationError(f"{path} is not a result store document")
     return document

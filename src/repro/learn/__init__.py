@@ -24,9 +24,9 @@ into a supervised-learning loop:
   :mod:`repro.serve`, routing each request through the trained model
   (with an analytic fallback under low confidence) and counting every
   decision on :mod:`repro.obs`;
-- ``python -m repro learn`` (:mod:`~repro.learn.cli`) — ``dataset`` /
-  ``train`` / ``eval`` / ``predict``, deterministic reruns, exit 3
-  when mean regret exceeds the threshold.
+- ``python -m repro learn`` (declared in :mod:`repro.cli`) —
+  ``dataset`` / ``train`` / ``eval`` / ``predict``, deterministic
+  reruns, exit 3 when mean regret exceeds the threshold.
 
 See ``docs/LEARNING.md`` for formats and methodology.
 """

@@ -9,8 +9,7 @@ that ``yield`` commands:
 
 * ``Timeout(delay)`` — resume after *delay* time units;
 * an :class:`Event` — resume when it is triggered;
-* :class:`AnyOf` / :class:`AllOf` — resume when the first / every
-  member event (or process) fires;
+* a :class:`Process` — resume when it finishes;
 * ``Resource.request()`` — resume when granted (release explicitly).
 
 Processes can also be interrupted (:meth:`Process.interrupt`), which
@@ -18,8 +17,7 @@ throws :class:`~repro.errors.Interrupt` into the generator and
 invalidates the wait it was blocked on.
 """
 
-from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from repro.sim.engine import Event, Process, Simulator, Timeout
 from repro.sim.resources import Resource
 
-__all__ = ["Simulator", "Process", "Event", "Timeout", "AnyOf", "AllOf",
-           "Resource"]
+__all__ = ["Simulator", "Process", "Event", "Timeout", "Resource"]

@@ -1,14 +1,9 @@
 """Core of the discrete-event engine: simulator, processes, events.
 
-Beyond the original one-shot :class:`Event`, the engine provides the
-composition primitives a scheduler loop needs:
-
-* :class:`AnyOf` — an event that fires when the *first* of its members
-  fires (wait-for-next-completion-or-arrival);
-* :class:`AllOf` — an event that fires when *every* member has fired
-  (barrier / join);
-* :meth:`Process.interrupt` — throw :class:`~repro.errors.Interrupt`
-  into a waiting process, invalidating whatever it was waiting on.
+A process waits on a :class:`Timeout`, a one-shot :class:`Event` or
+another :class:`Process`; :meth:`Process.interrupt` throws
+:class:`~repro.errors.Interrupt` into a waiting process, invalidating
+whatever it was waiting on.
 """
 
 from __future__ import annotations
@@ -16,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import FrozenInstanceError
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, Interrupt, SimulationError
 
@@ -57,9 +52,7 @@ class Event:
     """A one-shot event processes can wait on.
 
     Triggering wakes every waiter at the current simulation time and
-    delivers ``value`` as the result of their ``yield``.  Non-process
-    observers (the :class:`AnyOf`/:class:`AllOf` combinators) can attach
-    a callback with :meth:`subscribe`.
+    delivers ``value`` as the result of their ``yield``.
     """
 
     def __init__(self, simulator: "Simulator", name: str = ""):
@@ -68,7 +61,6 @@ class Event:
         self.triggered = False
         self.value: Any = None
         self._waiters: List[Tuple["Process", int]] = []
-        self._subscribers: List[Callable[[Any], None]] = []
 
     def trigger(self, value: Any = None) -> None:
         """Fire the event, waking all waiters."""
@@ -82,11 +74,6 @@ class Event:
             for process, epoch in waiters:
                 self._simulator.schedule(0.0, process._resume_if, epoch,
                                          value)
-        subscribers = self._subscribers
-        if subscribers:
-            self._subscribers = []
-            for callback in subscribers:
-                callback(value)
 
     def add_waiter(self, process: "Process") -> None:
         """Register a process; wakes immediately if already triggered."""
@@ -95,70 +82,6 @@ class Event:
                                      process._epoch, self.value)
         else:
             self._waiters.append((process, process._epoch))
-
-    def subscribe(self, callback: Callable[[Any], None]) -> None:
-        """Invoke *callback(value)* on trigger (immediately if fired)."""
-        if self.triggered:
-            callback(self.value)
-        else:
-            self._subscribers.append(callback)
-
-
-def _member_event(member: Any) -> Event:
-    """The waitable event behind a combinator member."""
-    if isinstance(member, Process):
-        return member.completion
-    if isinstance(member, Event):
-        return member
-    raise SimulationError(
-        f"combinator member must be an Event or Process, got {member!r}")
-
-
-class AnyOf(Event):
-    """Fires when the first member fires; value is ``(member, value)``.
-
-    Members may be :class:`Event` or :class:`Process` instances (a
-    process stands for its completion).  Later member triggers are
-    ignored — the combinator is one-shot like any event.
-    """
-
-    def __init__(self, simulator: "Simulator", members: Sequence[Any],
-                 name: str = "any-of"):
-        super().__init__(simulator, name)
-        if not members:
-            raise SimulationError("AnyOf needs at least one member")
-        self.members = tuple(members)
-        for member in self.members:
-            _member_event(member).subscribe(
-                lambda value, member=member: self._on_member(member, value))
-
-    def _on_member(self, member: Any, value: Any) -> None:
-        if not self.triggered:
-            self.trigger((member, value))
-
-
-class AllOf(Event):
-    """Fires when every member has fired; value lists member values in
-    member order."""
-
-    def __init__(self, simulator: "Simulator", members: Sequence[Any],
-                 name: str = "all-of"):
-        super().__init__(simulator, name)
-        self.members = tuple(members)
-        self._values: List[Any] = [None] * len(self.members)
-        self._remaining = len(self.members)
-        if self._remaining == 0:
-            self.trigger([])
-            return
-        for index, member in enumerate(self.members):
-            _member_event(member).subscribe(
-                lambda value, index=index: self._on_member(index, value))
-
-    def _on_member(self, index: int, value: Any) -> None:
-        self._values[index] = value
-        self._remaining -= 1
-        if self._remaining == 0 and not self.triggered:
-            self.trigger(list(self._values))
 
 
 class Process:
@@ -283,21 +206,6 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         """Create a fresh event."""
         return Event(self, name)
-
-    def any_of(self, members: Sequence[Any], name: str = "any-of") -> AnyOf:
-        """An event firing when the first of *members* fires."""
-        return AnyOf(self, members, name)
-
-    def all_of(self, members: Sequence[Any], name: str = "all-of") -> AllOf:
-        """An event firing when all of *members* have fired."""
-        return AllOf(self, members, name)
-
-    def timeout_event(self, delay: float, value: Any = None,
-                      name: str = "timeout") -> Event:
-        """An event that triggers *delay* time units from now."""
-        event = self.event(name)
-        self.schedule(delay, event.trigger, value)
-        return event
 
     def add_process(self, generator: Generator, name: str = "") -> Process:
         """Register and start a process at the current time."""

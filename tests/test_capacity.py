@@ -371,6 +371,16 @@ class TestCapacityCli:
         payload = json.loads(first)
         assert len(payload["points"]) == 2
 
+    def test_bad_rates_are_clean_errors(self):
+        for rates, message in (("50,abc", "capacity --rates: bad value"),
+                               ("", "capacity --rates: empty value list"),
+                               (" , ", "capacity --rates: empty value list"),
+                               ("a:b:c", "capacity: bad --rates"),
+                               ("100:50:10", "capacity: bad --rates"),
+                               ("50:700", "capacity: bad --rates")):
+            with pytest.raises(SystemExit, match=message):
+                main(["capacity", "sweep", "--rates", rates])
+
     def test_validate_gate_exit_codes(self, capsys):
         assert main(["capacity", "validate"]) == 0
         capsys.readouterr()

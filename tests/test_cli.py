@@ -1,13 +1,73 @@
 """Tests for the command-line interface."""
 
+import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
+def _parser_surface(parser, path=()):
+    """Every argument of every command path, as plain JSON-able rows.
+
+    Independent of the interpreter's help formatter, unlike ``--help``.
+    """
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            rows.append([list(path), action.option_strings, action.dest,
+                         action.required,
+                         [[choice.dest, choice.help]
+                          for choice in action._choices_actions]])
+            for name, subparser in action.choices.items():
+                rows.extend(_parser_surface(subparser, path + (name,)))
+            continue
+        choices = list(action.choices) if action.choices is not None \
+            else None
+        rows.append([list(path), action.option_strings, action.dest,
+                     repr(action.default), choices, action.nargs,
+                     action.required, action.help, action.metavar,
+                     getattr(action.type, "__name__", repr(action.type)),
+                     type(action).__name__])
+    return rows
+
+
+#: sha256 of the parser surface; a changed option, default, choice or
+#: help string of any command moves it.
+PARSER_SURFACE_DIGEST = (
+    "c7091a09dc1dcb0b7cefa7cdf324a5b5128e2fe0e32166b1d7877aee25e79e2d")
+
+
 class TestParser:
+    def test_parser_surface_is_pinned(self):
+        surface = json.dumps(_parser_surface(build_parser()))
+        digest = hashlib.sha256(surface.encode("utf-8")).hexdigest()
+        assert digest == PARSER_SURFACE_DIGEST
+
+    def test_building_the_parser_imports_no_subsystem(self):
+        # Handlers import their subsystem when they run, so declaring
+        # every command loads no repro package beyond `import repro`'s.
+        probe = (
+            "import sys, repro\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "repro.cli.build_parser()\n"
+            "packages = {'.'.join(name.split('.')[:2])\n"
+            "            for name in set(sys.modules) - before\n"
+            "            if name.startswith('repro.')}\n"
+            "print(' '.join(sorted(packages - before)))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        added = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, check=True)
+        assert added.stdout.split() == ["repro.cli"]
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -387,7 +387,7 @@ class TestLearnCli:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["primary"] == "tree"
-        from repro.learn.cli import LEARN_EXIT_REGRET
+        from repro.cli import LEARN_EXIT_REGRET
 
         assert main(["learn", "eval", "--dataset", str(dataset_path),
                      "--max-regret", "0.0"]) == LEARN_EXIT_REGRET
@@ -400,9 +400,24 @@ class TestLearnCli:
                      "--json"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_missing_dataset_is_clean_error(self):
+    def test_missing_dataset_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot load dataset"):
             main(["learn", "train", "--dataset", "/nonexistent.json"])
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not json")
+        for argv, message in (
+                (["learn", "train", "--dataset", str(garbage)],
+                 "learn: cannot load dataset"),
+                (["learn", "eval", "--dataset", str(garbage)],
+                 "learn: cannot load dataset"),
+                (["learn", "predict", "--model", str(garbage),
+                  "--program", "dwconv3_i8"], "learn: cannot load model"),
+                (["serve", "--scheduler", "predicted", "--model",
+                  str(garbage), "--requests", "40"],
+                 "serve: cannot use model")):
+            with pytest.raises(SystemExit,
+                               match=f"^{message} .*garbage.json is not JSON"):
+                main(argv)
 
     def test_serve_predicted_without_model_errors(self):
         with pytest.raises(SystemExit, match="needs --model"):

@@ -476,6 +476,15 @@ class TestServeCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["completed"] == 30
 
+    def test_bad_replay_trace_is_a_clean_error(self, tmp_path):
+        path = tmp_path / "requests.json"
+        for text, message in (("not json", "serve: cannot load trace"),
+                              ('{"t": 0}', "serve: trace .* is not a JSON"),
+                              ('[{"bogus": 1}]', "serve: bad trace row 0")):
+            path.write_text(text)
+            with pytest.raises(SystemExit, match=message):
+                main(["serve", "--replay", str(path)])
+
 
 class TestRegressions:
     def test_timeout_error_is_builtin_timeout(self):

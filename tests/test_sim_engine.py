@@ -227,112 +227,6 @@ class TestResource:
         assert order == [0, 1, 2, 3, 4]
 
 
-class TestAnyOf:
-    def test_fires_on_first_member(self):
-        sim = Simulator()
-        winners = []
-
-        def proc():
-            first = sim.timeout_event(2.0, value="slow")
-            second = sim.timeout_event(1.0, value="quick")
-            member, value = yield sim.any_of([first, second])
-            winners.append((member is second, value, sim.now))
-
-        sim.add_process(proc())
-        sim.run_all()
-        assert winners == [(True, "quick", 1.0)]
-
-    def test_accepts_processes_as_members(self):
-        sim = Simulator()
-        log = []
-
-        def worker(delay, tag):
-            yield Timeout(delay)
-            return tag
-
-        def waiter():
-            quick = sim.add_process(worker(1.0, "quick"))
-            slow = sim.add_process(worker(3.0, "slow"))
-            member, value = yield sim.any_of([quick, slow])
-            log.append((value, sim.now))
-
-        sim.add_process(waiter())
-        sim.run_all()
-        assert log == [("quick", 1.0)]
-
-    def test_already_triggered_member_fires_immediately(self):
-        sim = Simulator()
-        event = sim.event("done")
-        event.trigger("early")
-        log = []
-
-        def proc():
-            member, value = yield sim.any_of([event, sim.event("never")])
-            log.append((value, sim.now))
-
-        sim.add_process(proc())
-        sim.run_all()
-        assert log == [("early", 0.0)]
-
-    def test_later_members_do_not_retrigger(self):
-        sim = Simulator()
-        first = sim.timeout_event(1.0, value="a")
-        second = sim.timeout_event(2.0, value="b")
-        combo = sim.any_of([first, second])
-
-        def proc():
-            member, value = yield combo
-            return value
-
-        process = sim.add_process(proc())
-        sim.run_all()
-        assert process.result == "a"
-        assert second.triggered  # fired later, absorbed harmlessly
-
-    def test_empty_members_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().any_of([])
-
-
-class TestAllOf:
-    def test_barrier_waits_for_all(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            values = yield sim.all_of([sim.timeout_event(1.0, value="a"),
-                                       sim.timeout_event(3.0, value="b"),
-                                       sim.timeout_event(2.0, value="c")])
-            log.append((values, sim.now))
-
-        sim.add_process(proc())
-        sim.run_all()
-        assert log == [(["a", "b", "c"], 3.0)]
-
-    def test_values_in_member_order(self):
-        sim = Simulator()
-
-        def worker(delay, tag):
-            yield Timeout(delay)
-            return tag
-
-        def waiter():
-            fast = sim.add_process(worker(1.0, "fast"))
-            slow = sim.add_process(worker(2.0, "slow"))
-            values = yield sim.all_of([slow, fast])
-            return values
-
-        process = sim.add_process(waiter())
-        sim.run_all()
-        assert process.result == ["slow", "fast"]
-
-    def test_empty_members_triggers_immediately(self):
-        sim = Simulator()
-        combo = sim.all_of([])
-        assert combo.triggered
-        assert combo.value == []
-
-
 class TestInterrupt:
     def test_interrupt_delivers_cause(self):
         sim = Simulator()
