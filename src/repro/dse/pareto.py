@@ -61,25 +61,26 @@ def pareto_frontier(records: List[Mapping[str, Any]],
     ascending configuration hash — identical for serial, parallel and
     cached runs over the same space.  Ties collapse deterministically:
     of several points with identical objective vectors, the smallest
-    configuration hash represents the group (the scan below visits
-    records in hash order, so the first holder of a vector wins).
+    configuration hash represents the group.
+
+    One pass after a sort: each distinct vector keeps its first holder
+    in hash order, and the vectors are visited in descending
+    lexicographic order, where anything that dominates a vector comes
+    before it.  A dominated vector is therefore dominated by a frontier
+    point already found, so each is tested against the frontier alone.
     """
-    feasible = [r for r in records if r.get("feasible")]
-    vectors = {r["config_hash"]: objective_vector(r, maximize, minimize)
-               for r in feasible}
+    holders: Dict[Tuple[float, ...], Mapping[str, Any]] = {}
+    for record in sorted((r for r in records if r.get("feasible")),
+                         key=lambda r: r["config_hash"]):
+        holders.setdefault(objective_vector(record, maximize, minimize),
+                           record)
+    kept: List[Tuple[float, ...]] = []
     frontier = []
-    seen_vectors = set()
-    for record in sorted(feasible, key=lambda r: r["config_hash"]):
-        vector = vectors[record["config_hash"]]
-        if vector in seen_vectors:
+    for vector in sorted(holders, reverse=True):
+        if any(_dominates(other, vector) for other in kept):
             continue
-        if any(_dominates(vectors[other["config_hash"]], vector)
-               for other in feasible):
-            continue
-        seen_vectors.add(vector)
-        frontier.append(dict(record))
-    frontier.sort(key=lambda r: (
-        tuple(-v for v in vectors[r["config_hash"]]), r["config_hash"]))
+        kept.append(vector)
+        frontier.append(dict(holders[vector]))
     return frontier
 
 

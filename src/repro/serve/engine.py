@@ -1,23 +1,34 @@
 """The serving engine: workload -> scheduler -> fleet, as one DES run.
 
-Three kinds of processes share one :class:`~repro.sim.Simulator`:
+The engine's own actors are scheduled callbacks on one
+:class:`~repro.sim.Simulator`; only the nodes are generator processes:
 
-* the **arrival** process replays the workload's request stream into the
-  scheduler (closed-loop clients additionally re-issue after each
-  completion);
+* the **arrival stream** submits the workload's requests into the
+  scheduler, one scheduled call per future arrival (closed-loop clients
+  additionally re-issue after each completion, two scheduled calls per
+  follow-up);
 * the **dispatcher** drains the scheduler queue onto available nodes —
-  power-gated and tier-selected under a budget — and blocks on one
-  ``serve.wake`` event when there is nothing to do; arrivals,
-  completions and :meth:`ServeEngine.kick` all fire it, and fires that
-  land while a wake is already pending fold into that wake;
+  power-gated and tier-selected under a budget — and, when there is
+  nothing to do, goes idle until the next arrival, completion or
+  :meth:`ServeEngine.kick` schedules one dispatch step; fires that
+  land while a step is already scheduled fold into that step;
 * each **node** (plus the host-fallback backend) is its own process in
-  :mod:`repro.serve.fleet`.
+  :mod:`repro.serve.fleet`, because chaos crashes interrupt it
+  mid-ladder.
+
+Every callback is scheduled at the moment, and in the order, that a
+process resume would be, so the event stream (and every tie-break in it)
+is that of a process-based engine.  A dispatcher that is still waiting
+when the event queue runs dry is a lost wakeup: the engine raises
+:class:`~repro.errors.DeadlockError` naming ``serve.dispatcher``.
 
 A batch on a node that dies mid-ladder is requeued at the head of the
 queue (and re-served elsewhere, ultimately by the host when every
 accelerator is gone) — no request is ever silently lost; the engine
 asserts the conservation law ``arrivals == completed + dropped`` at
-drain.
+drain.  A power budget under which some kernel of the workload fits no
+node of a healthy idle fleet, at any tier the policy allows, could only
+defer it forever; the engine rejects it before simulating.
 
 With ``ServeConfig.resilience`` set, the fleet-scope robustness
 machinery of :mod:`repro.serve.resilience` is armed: circuit breakers
@@ -36,7 +47,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import RetryPolicy
 from repro.serve.archetype import FleetSpec
@@ -49,9 +60,14 @@ from repro.serve.fleet import (
 )
 from repro.serve.metrics import RequestRecord, ServeReport
 from repro.serve.resilience import ResilienceConfig, ResilienceRuntime
-from repro.serve.scheduler import Scheduler, SchedulerConfig, policy_name
+from repro.serve.scheduler import (
+    Policy,
+    Scheduler,
+    SchedulerConfig,
+    policy_name,
+)
 from repro.serve.workload import Request, Workload
-from repro.sim.engine import Event, Simulator, Timeout
+from repro.sim.engine import Simulator
 from repro.units import ordered_sum
 
 
@@ -151,8 +167,11 @@ class ServeEngine:
         #: (kernel, iterations) -> book estimate, filled on first use.
         self._estimates: Dict[Tuple[str, int], float] = {}
         self._requeues: Dict[int, int] = {}
-        self._wake: Optional[Event] = None
+        self._stream: List[Request] = []
         self._arrivals_open = True
+        #: Waiting for a fire: the next one schedules a dispatch step.
+        self._idle = False
+        self._drained = False
 
     # -- public ------------------------------------------------------------------
 
@@ -165,16 +184,24 @@ class ServeEngine:
         if self._total_expected == 0:
             raise ConfigurationError(
                 f"workload produced no requests: {workload.describe()}")
+        self._check_power_budget(stream)
+        self._stream = stream
+        simulator = self.simulator
         self.fleet.start()
         if self.res is not None:
             self.res.start(self)
             self.drain_hooks.append(
                 lambda: self.res.stop(self.simulator))
-        self.simulator.add_process(self._arrival_process(stream),
-                                   name="serve.arrivals")
-        self.simulator.add_process(self._dispatcher(),
-                                   name="serve.dispatcher")
-        self.simulator.run_all()
+        simulator.schedule(0.0, self._arrivals, 0)
+        simulator.schedule(0.0, self._dispatch_step)
+        simulator.run()
+        blocked = simulator.blocked()
+        if not self._drained:
+            blocked.append("serve.dispatcher")
+        if blocked:
+            # A lost wakeup: the queue ran dry with work still waiting.
+            raise DeadlockError(
+                f"simulation drained with blocked processes: {blocked}")
         # Conservation: nothing pending, nothing silently lost.
         completed = len(self.records)
         dropped = len(self.scheduler.dropped)
@@ -187,6 +214,51 @@ class ServeEngine:
                 f"request conservation violated: {self.submitted} arrived "
                 f"!= {completed} completed + {dropped} dropped")
         return self._report()
+
+    def _check_power_budget(self, stream: List[Request]) -> None:
+        """Reject a power budget that some kernel fits on no node.
+
+        The power gate never sees a lower fleet draw than the healthy
+        idle fleet at time 0, so a kernel of the workload that no node
+        can start there, at any tier the policy allows, would be
+        deferred forever.  Prices what the gate prices: the eco tier
+        only when the fast one fits nowhere.
+        """
+        scheduler = self.scheduler
+        budget = scheduler.config.power_budget_w
+        if budget is None:
+            return
+        workload = self.config.workload
+        kernels = {request.kernel for request in stream}
+        if workload.closed_loop:
+            # Follow-ups draw from the clients' mix, not just the wave.
+            kernels.update(kernel for kernel, weight
+                           in getattr(workload, "mix", {}).items()
+                           if weight > 0)
+        tiers = ("fast", "eco") if scheduler.config.policy \
+            is Policy.POWER_CAP else ("fast",)
+        idle_w = self.fleet.tracker.current_w
+        books = list({id(node.book): node.book
+                      for node in self.fleet.nodes}.values())
+
+        def starts(kernel):
+            """(node idle draw, active draw) per way to start *kernel*."""
+            for tier in tiers:
+                for book in books:
+                    if tier == "fast" or tier in book.tiers():
+                        yield book.idle_power, book.active_power(kernel, tier)
+
+        for kernel in sorted(kernels):
+            needs = []
+            for node_idle_w, active_w in starts(kernel):
+                if scheduler.power_allows(idle_w, node_idle_w, active_w):
+                    break
+                needs.append(idle_w - node_idle_w + active_w)
+            else:
+                raise ConfigurationError(
+                    f"power budget {budget * 1e3:.3f} mW cannot run "
+                    f"{kernel!r} on an idle fleet (needs "
+                    f"{min(needs) * 1e3:.3f} mW)")
 
     def kick(self) -> None:
         """External wake of the dispatcher.
@@ -207,21 +279,35 @@ class ServeEngine:
             estimate = self._estimates[key] = self.book.estimate(probe)
         return estimate
 
-    def _arrival_process(self, stream: List[Request]):
-        for request in stream:
-            delay = request.arrival_s - self.simulator.now
+    def _arrivals(self, index: int) -> None:
+        """Submit the stream from *index* up to the next future arrival.
+
+        A future arrival gets a timer; when it fires, :meth:`_arrive`
+        submits exactly the request it was set for.
+        """
+        stream = self._stream
+        now = self.simulator.now
+        for index in range(index, len(stream)):
+            request = stream[index]
+            delay = request.arrival_s - now
             if delay > 0:
-                yield Timeout(delay)
+                self.simulator.schedule(delay, self._arrive, index)
+                return
             self._submit(request)
         self._arrivals_open = False
         # Wake the dispatcher so an already-drained run can finish.
         self._fire()
 
-    def _reissue_process(self, request: Request):
+    def _arrive(self, index: int) -> None:
+        self._submit(self._stream[index])
+        self._arrivals(index + 1)
+
+    def _reissue(self, request: Request) -> None:
         delay = request.arrival_s - self.simulator.now
         if delay > 0:
-            yield Timeout(delay)
-        self._submit(request)
+            self.simulator.schedule(delay, self._submit, request)
+        else:
+            self._submit(request)
 
     def _submit(self, request: Request) -> None:
         self.submitted += 1
@@ -246,24 +332,15 @@ class ServeEngine:
                 follow.arrival_s += (self.res.config.backpressure_s
                                      * self.res.overload.level)
                 self.res.backpressure_events += 1
-            self.simulator.add_process(
-                self._reissue_process(follow),
-                name=f"serve.client{request.client}")
+            self.simulator.schedule(0.0, self._reissue, follow)
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _wake_event(self) -> Event:
-        """The event the dispatcher waits on (a fresh one per wait)."""
-        wake = self._wake
-        if wake is None or wake.triggered:
-            wake = self._wake = self.simulator.event("serve.wake")
-        return wake
-
     def _fire(self) -> None:
-        """Wake a waiting dispatcher: exactly one resume per wait."""
-        wake = self._wake
-        if wake is not None and not wake.triggered:
-            wake.trigger()
+        """Wake an idle dispatcher: one scheduled step per idle spell."""
+        if self._idle:
+            self._idle = False
+            self.simulator.schedule(0.0, self._dispatch_step)
 
     def _done(self) -> bool:
         return (not self._arrivals_open
@@ -271,28 +348,28 @@ class ServeEngine:
                 and not self.scheduler.queue
                 and self.in_flight == 0)
 
-    def _dispatcher(self):
-        while True:
-            self._dispatch_ready()
-            if self._done():
-                for hook in self.drain_hooks:
-                    # Cancel speculative timers (health probes, pending
-                    # chaos events) so they neither stall the drain nor
-                    # inflate the reported duration.
-                    hook()
-                self.fleet.shutdown()
-                return
-            yield self._wake_event()
+    def _dispatch_step(self) -> None:
+        """One dispatcher wake: dispatch, then drain or go idle."""
+        self._dispatch_ready()
+        if not self._done():
+            self._idle = True
+            return
+        for hook in self.drain_hooks:
+            # Cancel speculative timers (health probes, pending chaos
+            # events) so they neither stall the drain nor inflate the
+            # reported duration.
+            hook()
+        self.fleet.shutdown()
+        self._drained = True
 
-    def _route(self, candidates: List[Node],
-               kernel: Optional[str]) -> Node:
+    def _route(self, candidates: List[Node], kernel: str) -> Node:
         """Prefer the archetype the routing table names for *kernel*.
 
         Falls back to the first candidate (exactly the pre-routing
         pick) when there is no table, no entry, or no available node of
         the routed archetype — routing is a preference, never a stall.
         """
-        if kernel is not None and self.routing:
+        if self.routing:
             target = self.routing.get(kernel)
             if target is not None:
                 for node in candidates:
@@ -302,31 +379,31 @@ class ServeEngine:
 
     def _usable_nodes(self) -> List[Node]:
         """Dispatchable backends in fleet order (host only as fallback)."""
-        if self.res is None:
-            available = self.fleet.available_nodes()
-            if available:
-                return available
-            if not self.fleet.alive_nodes() and self.fleet.host.available:
-                return [self.fleet.host]
-            return []
+        nodes = self.fleet.nodes
+        available = [node for node in nodes if node.available]
+        res = self.res
+        if res is None:
+            if not available and self.fleet.host.available \
+                    and not any(node.alive for node in nodes):
+                return [self.fleet.host]    # the whole fleet is gone
+            return available
         now = self.simulator.now
-        usable = [node for node in self.fleet.available_nodes()
-                  if self.res.node_usable(node.name, now)]
+        usable = res.usable(available, now)
         if usable:
             return usable
         host = self.fleet.host
         if host.available:
             any_usable_alive = any(
-                self.res.node_usable(node.name, now)
-                for node in self.fleet.alive_nodes())
+                res.node_usable(node.name, now)
+                for node in nodes if node.alive)
             # Host fallback widens under resilience: not only when the
             # whole fleet is gone, but when every survivor is ejected or
             # breakered, and eagerly at the host-assist overload rung.
-            if not any_usable_alive or self.res.overload.level >= 2:
+            if not any_usable_alive or res.overload.level >= 2:
                 return [host]
         return []
 
-    def _pick_backend(self, kernel: Optional[str] = None) -> Optional[Node]:
+    def _pick_backend(self, kernel: str) -> Optional[Node]:
         candidates = self._usable_nodes()
         if not candidates:
             return None
@@ -372,17 +449,20 @@ class ServeEngine:
 
     def _dispatch_pooled(self) -> None:
         """Pooled dispatch: any free node takes the next batch."""
-        while self.scheduler.queue:
-            node = self._pick_backend()
-            if node is None:
+        scheduler = self.scheduler
+        now = self.simulator.now
+        while scheduler.queue:
+            candidates = self._usable_nodes()
+            if not candidates:
                 break
-            batch, late = self.scheduler.take_batch(self.simulator.now)
+            batch, late = scheduler.take_batch(now)
             for request in late:
                 # Late drops end a closed-loop chain unless the client
                 # gets to think again.
                 self._issue_next(request)
             if not batch:
                 continue    # the whole queue was past-deadline drops
+            node = candidates[0]
             tier = self._tier_for(node, batch)
             if tier is None:
                 self._defer(batch)
@@ -406,7 +486,8 @@ class ServeEngine:
             candidates = self._usable_nodes()
             if not candidates:
                 break
-            alive = {node.archetype for node in self.fleet.alive_nodes()}
+            alive = {node.archetype for node in self.fleet.nodes
+                     if node.alive}
             progressed = False
             for node in candidates:
                 allow = None
@@ -520,7 +601,7 @@ class ServeEngine:
         if not self.simulator.now \
                 > flight.expected_end + res.config.hedge_margin_s:
             return
-        node = self._pick_backend(kernel=flight.batch[0].kernel)
+        node = self._pick_backend(flight.batch[0].kernel)
         if node is None or node.name == flight.node_name:
             return
         hedge_batch = list(flight.batch)
@@ -564,27 +645,34 @@ class ServeEngine:
         batch = outcome.batch
         now = self.simulator.now
         self.in_flight -= len(batch)
+        start_s = outcome.start_s
+        end_s = outcome.end_s
+        node = outcome.node.name
+        tier = outcome.tier
         share = 1.0 / len(batch)
+        energy_j = outcome.energy_j * share
+        requeues = self._requeues
+        append = self.records.append
         for index, request in enumerate(batch):
             if res is not None:
                 res.slo.record_completion(
-                    request.kernel, outcome.end_s - request.arrival_s,
+                    request.kernel, end_s - request.arrival_s,
                     self._estimator(request.kernel, request.iterations), now)
                 res.completed += 1
-            self.records.append(RequestRecord(
+            append(RequestRecord(
                 request=request,
-                start_s=outcome.start_s,
-                end_s=outcome.end_s,
-                node=outcome.node.name,
-                tier=outcome.tier,
-                requeues=self._requeues.pop(request.request_id, 0),
+                start_s=start_s,
+                end_s=end_s,
+                node=node,
+                tier=tier,
+                requeues=requeues.pop(request.request_id, 0),
                 # Ladder stats land on the batch lead so report-level
                 # sums stay exact.
                 fault_attempts=outcome.fault_attempts if index == 0 else 0,
                 wasted_time_s=outcome.wasted_time_s if index == 0 else 0.0,
                 wasted_energy_j=(outcome.wasted_energy_j
                                  if index == 0 else 0.0),
-                energy_j=outcome.energy_j * share))
+                energy_j=energy_j))
             self._issue_next(request)
 
     def _on_outcome_resilient(self, outcome: ServiceOutcome) -> None:

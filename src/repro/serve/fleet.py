@@ -398,6 +398,7 @@ class Node:
         self.process = None
         self._mailbox: Optional[Tuple[List[Request], str]] = None
         self._wake = None
+        self._wake_name = f"{self.name}.wake"
         self._shutdown = False
         self._chaos_down = False
         if not is_host:
@@ -484,7 +485,7 @@ class Node:
                     return
                 if self._shutdown:
                     return
-                self._wake = self.simulator.event(f"{self.name}.wake")
+                self._wake = self.simulator.event(self._wake_name)
                 try:
                     yield self._wake
                 except Interrupt:
@@ -679,14 +680,6 @@ class Fleet:
         for node in self.nodes:
             node.shutdown()
         self.host.shutdown()
-
-    def available_nodes(self) -> List[Node]:
-        """Idle, alive accelerator nodes, lowest index first."""
-        return [node for node in self.nodes if node.available]
-
-    def alive_nodes(self) -> List[Node]:
-        """Accelerator nodes that can still take work."""
-        return [node for node in self.nodes if node.alive]
 
     @property
     def dead_nodes(self) -> int:

@@ -493,8 +493,34 @@ class ResilienceRuntime:
         return breaker
 
     def node_usable(self, name: str, now: float) -> bool:
-        """Breaker allows a dispatch and health has not ejected it."""
+        """Breaker allows a dispatch and health has not ejected it.
+
+        One node; :meth:`usable` is the same test over a whole scan.
+        """
         return self.health.usable(name) and self.breaker(name).allows(now)
+
+    def usable(self, nodes: List, now: float) -> List:
+        """The nodes of *nodes* a dispatch may go to at *now*, in order.
+
+        The engine's pick-node filter, one call per scan: health must
+        not have ejected the node and its breaker must allow a dispatch.
+        The breaker of every node health admits is consulted, in order,
+        because ``allows`` turns an open breaker whose cooldown is over
+        half-open.  Only a closed breaker (or none yet: the node has
+        never failed) answers without the call; it always allows.
+        """
+        ejected = self.health.ejected
+        breakers = self.breakers
+        usable = []
+        for node in nodes:
+            name = node.name
+            if ejected.get(name):
+                continue
+            breaker = breakers.get(name)
+            if breaker is None or breaker.state == "closed" \
+                    or breaker.allows(now):
+                usable.append(node)
+        return usable
 
     def record_failure(self, name: str, now: float) -> None:
         """Feed a died outcome to the node's breaker (+ alert on trip)."""

@@ -224,13 +224,17 @@ class Simulator:
                 self._now = until
                 return until
             time, sequence, callback, args = heappop(queue)
-            if sequence in cancelled:
+            if cancelled and sequence in cancelled:
                 # Dropped without running and without touching the clock.
                 cancelled.discard(sequence)
                 continue
             self._now = time
             callback(*args)
         return self._now
+
+    def blocked(self) -> List[str]:
+        """Names of the processes that have not finished, in start order."""
+        return [p.name for p in self._processes if not p.finished]
 
     def run_all(self) -> float:
         """Run to completion and verify every process finished.
@@ -239,7 +243,7 @@ class Simulator:
         while processes are still blocked (a lost wakeup in the model).
         """
         self.run()
-        stuck = [p.name for p in self._processes if not p.finished]
+        stuck = self.blocked()
         if stuck:
             raise DeadlockError(
                 f"simulation drained with blocked processes: {stuck}")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import types
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.serve import (
     OverloadController,
     PoissonWorkload,
     ResilienceConfig,
+    ResilienceRuntime,
     RetryBudget,
     ServeConfig,
     ServeEngine,
@@ -164,6 +166,21 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.record_failure(0.0) is False
         assert breaker.state == "closed"
+
+    def test_pick_node_filter_consults_every_admitted_breaker(self):
+        runtime = ResilienceRuntime(ResilienceConfig(
+            breaker_failures=1, breaker_cooldown_s=0.1, eject_after=1))
+        nodes = [types.SimpleNamespace(name=f"node{i}") for i in range(4)]
+        for name in ("node1", "node2", "node3"):
+            runtime.record_failure(name, 0.0)
+        runtime.health.observe("node3", down=True)     # ejected
+        assert runtime.usable(nodes, 0.05) == [nodes[0]]
+        # Cooled down: the scan itself turns the admitted open breakers
+        # half-open (each then allows its one probe); the ejected
+        # node's breaker is never consulted.
+        assert runtime.usable(nodes, 0.2) == nodes[:3]
+        assert [runtime.breaker(node.name).state for node in nodes] \
+            == ["closed", "half-open", "half-open", "open"]
 
 
 class TestRetryBudget:

@@ -356,6 +356,30 @@ class TestPareto:
         assert len(frontier) == 1
         assert frontier[0]["config_hash"] == "aaa"
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_quadratic_scan(self, seed):
+        rng = random.Random(seed)
+        # Few distinct values per objective: exact ties, +-0.0 and
+        # infinities turn up often, and so do whole-vector ties.
+        values = [0.0, -0.0, 1.0, 2.5, -3.0, float("inf"), float("-inf")]
+        keys = ("a", "b", "c", "d")
+        for size in (0, 1, 2, 7, 40, 160):
+            records = []
+            for index in rng.sample(range(10 * size + 1), size):
+                feasible = rng.random() > 0.15
+                records.append({
+                    "config_hash": f"{index:05x}", "feasible": feasible,
+                    "metrics": {key: rng.choice(values) for key in keys}
+                    if feasible else None})
+            for maximize, minimize in (((), keys), (("a",), ("b", "c")),
+                                       (("d", "a"), ("b",)), (keys, ())):
+                got = pareto_frontier(records, maximize, minimize)
+                assert got == _quadratic_frontier(records, maximize,
+                                                  minimize)
+                assert all(type(r) is dict for r in got)
+                assert not any(r is original for r in got
+                               for original in records)
+
     def test_sensitivity_ranks_the_moving_knob(self):
         records = [
             _record("a", 2.0, 1e-5, 0.01, host_mhz=2, budget_mw=5),
@@ -388,6 +412,33 @@ class TestPareto:
             records[0]["config"], cluster_size=True)))
         assert sensitivity(records) == _json_keyed_sensitivity(records)
         assert sensitivity(records)["host_mhz"]["values"] == 4
+
+
+def _quadratic_frontier(records, maximize, minimize):
+    """The frontier by comparing every feasible record with every other:
+    the reference the one-pass scan must reproduce."""
+    from repro.dse.pareto import objective_vector
+
+    def dominates(a, b):
+        return all(x >= y for x, y in zip(a, b)) and a != b
+
+    feasible = [r for r in records if r.get("feasible")]
+    vectors = {r["config_hash"]: objective_vector(r, maximize, minimize)
+               for r in feasible}
+    frontier = []
+    seen_vectors = set()
+    for record in sorted(feasible, key=lambda r: r["config_hash"]):
+        vector = vectors[record["config_hash"]]
+        if vector in seen_vectors:
+            continue
+        if any(dominates(vectors[other["config_hash"]], vector)
+               for other in feasible):
+            continue
+        seen_vectors.add(vector)
+        frontier.append(dict(record))
+    frontier.sort(key=lambda r: (
+        tuple(-v for v in vectors[r["config_hash"]]), r["config_hash"]))
+    return frontier
 
 
 def _json_keyed_sensitivity(records, objective="effective_speedup"):

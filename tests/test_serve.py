@@ -4,9 +4,14 @@ import builtins
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import errors
 from repro.cli import main
 from repro.core import pricing
@@ -28,6 +33,11 @@ from repro.serve.engine import (
     default_power_budget,
 )
 from repro.serve.archetype import FleetSpec, NodeArchetype
+from repro.serve.chaos import (
+    pinned_campaign_config,
+    pinned_campaign_plans,
+    run_campaign,
+)
 from repro.serve.fleet import PowerTracker, ServiceBook
 from repro.serve.metrics import percentile
 from repro.serve.resilience import ResilienceConfig
@@ -486,6 +496,89 @@ class TestServeCli:
                 main(["serve", "--replay", str(path)])
 
 
+class TieredBook(FixedBook):
+    """FixedBook with a fast and an eco tier of fixed draws per kernel."""
+
+    idle_power = 1.0
+    host_power = 0.5
+
+    def __init__(self, fast_w, eco_w):
+        super().__init__()
+        self.fast_w = fast_w
+        self.eco_w = eco_w
+
+    def tiers(self):
+        return ("fast", "eco")
+
+    def active_power(self, kernel, tier):
+        return (self.fast_w if tier == "fast" else self.eco_w)[kernel]
+
+
+class TestPowerBudgetFailsFast:
+    """A budget some kernel fits on no idle node is rejected up front."""
+
+    @staticmethod
+    def _config(policy, budget_w, workload=None):
+        # Two idle nodes and the host: the idle fleet draws 2.5 W, so
+        # matmul needs 3.5 W fast / 3.0 W eco and cnn 4.5 W / 3.5 W.
+        return ServeConfig(
+            workload=workload or TraceWorkload(
+                [{"t": 0.001 * i, "kernel": kernel}
+                 for i, kernel in enumerate(["matmul", "cnn"] * 3)]),
+            nodes=2, book=TieredBook({"matmul": 2.0, "cnn": 3.0},
+                                     {"matmul": 1.5, "cnn": 2.0}),
+            scheduler=SchedulerConfig(policy=policy, power_budget_w=budget_w))
+
+    def test_eco_fit_runs_under_power_cap(self):
+        report = ServeEngine(self._config(Policy.POWER_CAP, 3.6)).run()
+        assert report.completed == 6
+
+    def test_no_tier_fits(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "power budget 3400.000 mW cannot run 'cnn' on an idle "
+                "fleet (needs 3500.000 mW)")):
+            ServeEngine(self._config(Policy.POWER_CAP, 3.4)).run()
+
+    def test_only_power_cap_may_throttle(self):
+        # FIFO under a budget gates the fast tier only.
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "cannot run 'cnn' on an idle fleet (needs 4500.000 mW)")):
+            ServeEngine(self._config(Policy.FIFO, 4.0)).run()
+        assert ServeEngine(self._config(Policy.FIFO, 4.5)).run() \
+            .completed == 6
+
+    def test_closed_loop_checks_the_whole_mix(self):
+        workload = ClosedLoopWorkload(clients=1, think_s=0.001,
+                                      requests_per_client=3, seed=1,
+                                      mix={"matmul": 1.0, "cnn": 1e-9})
+        first_wave = workload.arrivals(_flat_estimate)
+        assert {request.kernel for request in first_wave} == {"matmul"}
+        with pytest.raises(ConfigurationError, match="cannot run 'cnn'"):
+            ServeEngine(self._config(Policy.POWER_CAP, 3.4, workload)).run()
+
+    def test_plain_serve_exits_1_with_one_line(self):
+        with pytest.raises(SystemExit, match=re.escape(
+                "serve: power budget 0.500 mW cannot run 'cnn' on an idle "
+                "fleet (needs 8.543 mW)")):
+            main(["serve", "--policy", "power-cap", "--power-budget", "0.5",
+                  "--requests", "20"])
+
+    def test_resilient_chaos_exits_1_instead_of_hanging(self):
+        # In a child under a timeout: a regression that re-arms the
+        # health probe forever fails here instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--empty",
+             "--resilience", "on", "--policy", "power-cap",
+             "--power-budget", "0.5", "--requests", "30"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "chaos: power budget 0.500 mW cannot run 'cnn' on an idle "
+            "fleet (needs 8.543 mW)\n")
+
+
 class TestRegressions:
     def test_timeout_error_is_builtin_timeout(self):
         # The driver-facing TimeoutError must be catchable both as a
@@ -917,3 +1010,76 @@ class TestServiceBookContract:
             assert book.calls.get(method, 0) <= bound, method
         assert set(book.calls) <= set(BOOK_CALLS_STATEFUL) \
             | set(BOOK_CALLS_CACHEABLE)
+
+
+@pytest.fixture
+def event_streams(monkeypatch):
+    """Per simulator built: [schedule calls, cancel calls, process names]."""
+    streams = {}
+    init, schedule, cancel, add_process = (
+        Simulator.__init__, Simulator.schedule, Simulator.cancel,
+        Simulator.add_process)
+
+    def counted_init(self):
+        init(self)
+        streams[self] = [0, 0, []]
+
+    def counted_schedule(self, delay, callback, *args):
+        streams[self][0] += 1
+        return schedule(self, delay, callback, *args)
+
+    def counted_cancel(self, handle):
+        streams[self][1] += 1
+        return cancel(self, handle)
+
+    def counted_add_process(self, generator, name=""):
+        streams[self][2].append(name)
+        return add_process(self, generator, name)
+
+    monkeypatch.setattr(Simulator, "__init__", counted_init)
+    monkeypatch.setattr(Simulator, "schedule", counted_schedule)
+    monkeypatch.setattr(Simulator, "cancel", counted_cancel)
+    monkeypatch.setattr(Simulator, "add_process", counted_add_process)
+    return streams
+
+
+#: ``(Simulator.schedule calls, Simulator.cancel calls, final now)`` of
+#: every simulation a scenario runs.  The engine schedules exactly one
+#: callback wherever a generator dispatcher, arrival stream or client
+#: would take one resume, so these equal the counts of the process-based
+#: engine they were recorded on, and every heap sequence number with
+#: them.
+EVENT_STREAMS = {
+    "power-cap-resilience": [(1709, 1, 1.229125086643976)],
+    "closed-loop": [(1225, 0, 0.7989267033299684)],
+    "routed": [(1362, 0, 0.7369526873071469)],
+    # The pinned chaos campaign at seed 6, one entry per scenario.
+    "chaos-seed-6": [(1117, 1, 0.5568069388759728),
+                     (1161, 7, 0.8319030807692411),
+                     (1052, 3, 0.5800034164055585),
+                     (1145, 15, 0.5635007269718897),
+                     (1057, 3, 1.4022301459620554)],
+}
+
+#: The only generator processes of a serving run: fleet nodes, the host
+#: backend and the ``.r<n>`` process of each chaos recovery.
+_NODE_PROCESS = re.compile(r"(node\d+(\.r\d+)?|host-fallback)")
+
+
+class TestEventStreamContract:
+    @pytest.mark.parametrize("name", sorted(EVENT_STREAMS))
+    def test_schedule_cancel_counts_and_clock(self, name, event_streams):
+        if name == "chaos-seed-6":
+            run_campaign(pinned_campaign_config(seed=6),
+                         pinned_campaign_plans(), chaos_seed=6)
+        else:
+            report = ServeEngine(_golden_config(name)).run()
+            digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+            assert digest == GOLDEN_SERVE[name]
+        assert [(schedules, cancels, simulator.now)
+                for simulator, (schedules, cancels, _)
+                in event_streams.items()] == EVENT_STREAMS[name]
+        for _, _, processes in event_streams.values():
+            assert processes, "the fleet starts its node processes"
+            assert all(_NODE_PROCESS.fullmatch(process)
+                       for process in processes), processes

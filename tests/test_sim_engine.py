@@ -387,7 +387,8 @@ class TestStaleWake:
 
 
 class TestServeWake:
-    def test_two_fires_in_one_instant_resume_dispatcher_once(self):
+    @staticmethod
+    def _engine(rows):
         from repro.serve import TraceWorkload
         from repro.serve.engine import ServeConfig, ServeEngine
         from repro.serve.fleet import ServiceBook
@@ -408,9 +409,11 @@ class TestServeWake:
             def host_time(self, request):
                 return 1e-2
 
-        engine = ServeEngine(ServeConfig(
-            workload=TraceWorkload([{"t": 0.5, "kernel": "matmul"}]),
-            nodes=1, book=Book()))
+        return ServeEngine(ServeConfig(
+            workload=TraceWorkload(rows), nodes=1, book=Book()))
+
+    def test_two_fires_in_one_instant_resume_dispatcher_once(self):
+        engine = self._engine([{"t": 0.5, "kernel": "matmul"}])
         wakes = []
         dispatch_ready = engine._dispatch_ready
 
@@ -425,3 +428,40 @@ class TestServeWake:
         assert report.completed == 1
         # Start, the double kick, the arrival, the completion.
         assert wakes == [0.0, 0.2, 0.5, 0.501]
+        # The dispatcher and the arrivals are callbacks, not processes.
+        assert [process.name for process in engine.simulator._processes] \
+            == ["node0", "host-fallback"]
+
+    def test_timed_arrival_submits_the_request_it_was_set_for(self):
+        # 0.1 + (0.45 - 0.1) lands one ulp short of 0.45: re-checking
+        # the delay when the timer fires would set a second timer.
+        engine = self._engine([{"t": 0.1, "kernel": "matmul"},
+                               {"t": 0.45, "kernel": "matmul"}])
+        timers = []
+        submitted = []
+        schedule = engine.simulator.schedule
+        submit = engine._submit
+
+        def counted_schedule(delay, callback, *args):
+            if callback == engine._arrive:
+                timers.append(args)
+            return schedule(delay, callback, *args)
+
+        def counted_submit(request):
+            submitted.append((engine.simulator.now, request.request_id))
+            submit(request)
+
+        engine.simulator.schedule = counted_schedule
+        engine._submit = counted_submit
+        assert engine.run().completed == 2
+        assert timers == [(0,), (1,)]
+        assert submitted == [(0.1, 0), (0.44999999999999996, 1)]
+
+    def test_lost_wakeup_raises_naming_the_dispatcher(self):
+        engine = self._engine([{"t": 0.5, "kernel": "matmul"}])
+        engine._fire = lambda: None    # the arrival never wakes it
+        with pytest.raises(DeadlockError) as info:
+            engine.run()
+        assert str(info.value) == (
+            "simulation drained with blocked processes: "
+            "['node0', 'host-fallback', 'serve.dispatcher']")
