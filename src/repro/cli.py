@@ -460,7 +460,8 @@ def _serve_workload(args):
             rates=(args.arrival_rate, args.arrival_rate * args.burst),
             requests=requests, duration=args.duration, **common)
     if args.workload == "closed":
-        per_client = max(1, (requests or args.clients) // args.clients)
+        # ClosedLoopWorkload rejects a client count below 1.
+        per_client = max(1, (requests or args.clients) // max(1, args.clients))
         return ClosedLoopWorkload(
             clients=args.clients, think_s=args.think_ms * 1e-3,
             requests_per_client=per_client, **common)
@@ -566,6 +567,8 @@ def _chaos_plans(args):
     except (OSError, ValueError) as exc:
         raise SystemExit(f"chaos: cannot read --plan {args.plan}: {exc}")
     plans = payload if isinstance(payload, list) else [payload]
+    if not plans:
+        raise SystemExit(f"chaos: bad --plan {args.plan}: no plans")
     try:
         return [FleetPlan.from_dict(plan) for plan in plans]
     except ReproError as exc:

@@ -29,6 +29,7 @@ kind                      models
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -365,19 +366,35 @@ class FleetEventSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FleetEventSpec":
         """Inverse of :meth:`to_dict`."""
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"bad fleet event {payload!r}: not an object")
         try:
             kind = FleetEventKind(payload["kind"])
         except (KeyError, ValueError):
             raise ConfigurationError(
                 f"bad fleet event {payload!r}: unknown kind") from None
+
+        def numeric(key, default, convert=float):
+            value = payload.get(key, default)
+            try:
+                result = convert(value)
+            except (TypeError, ValueError, OverflowError):
+                result = math.nan
+            if not math.isfinite(result):
+                raise ConfigurationError(
+                    f"{kind.value}: {key} must be a finite number, "
+                    f"got {value!r}")
+            return result
+
         return cls(kind=kind,
-                   start_s=float(payload.get("start_s", 0.0)),
-                   window_s=float(payload.get("window_s", 0.0)),
-                   nodes=int(payload.get("nodes", 1)),
-                   recover_s=float(payload.get("recover_s", 0.0)),
-                   droop=float(payload.get("droop", 1.0)),
-                   period_s=float(payload.get("period_s", 0.0)),
-                   factor=float(payload.get("factor", 1.0)))
+                   start_s=numeric("start_s", 0.0),
+                   window_s=numeric("window_s", 0.0),
+                   nodes=numeric("nodes", 1, int),
+                   recover_s=numeric("recover_s", 0.0),
+                   droop=numeric("droop", 1.0),
+                   period_s=numeric("period_s", 0.0),
+                   factor=numeric("factor", 1.0))
 
 
 @dataclass(frozen=True)
@@ -420,6 +437,9 @@ class FleetPlan:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FleetPlan":
         """Inverse of :meth:`to_dict`."""
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"bad fleet plan {payload!r}: not an object")
         events = payload.get("events", [])
         if not isinstance(events, list):
             raise ConfigurationError(f"bad fleet plan {payload!r}")

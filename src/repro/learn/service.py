@@ -34,11 +34,7 @@ from repro.core.system import HeterogeneousSystem
 from repro.errors import ConfigurationError
 from repro.learn.dataset import CORPUS, label_knobs
 from repro.learn.models import FittedModel, load_model
-from repro.serve.fleet import (
-    AnalyticServiceBook,
-    ServiceProfile,
-    register_service_book,
-)
+from repro.serve.fleet import AnalyticServiceBook, ServiceProfile
 from repro.serve.scheduler import register_policy
 from repro.units import mw
 
@@ -164,5 +160,3 @@ def _predicted_select(scheduler, now: float) -> int:
 
 
 register_policy("predicted", _predicted_select)
-register_service_book(
-    "predicted", lambda **kwargs: PredictedServiceBook(**kwargs))

@@ -57,9 +57,6 @@ from repro.serve.fleet import (
     NodeState,
     ServiceBook,
     ServiceProfile,
-    register_service_book,
-    registered_service_books,
-    service_book_by_name,
 )
 from repro.serve.metrics import RequestRecord, ServeReport, percentile
 from repro.serve.resilience import (
@@ -134,10 +131,7 @@ __all__ = [
     "pinned_campaign_plans",
     "policy_name",
     "register_policy",
-    "register_service_book",
     "registered_policies",
-    "registered_service_books",
     "run_campaign",
     "run_scenario",
-    "service_book_by_name",
 ]

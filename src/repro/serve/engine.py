@@ -36,8 +36,12 @@ and health ejection filter the backend pick, a retry budget caps
 requeue amplification (exhaustion sheds as ``retry-budget`` drops),
 overdue batches are hedged onto a second node, the overload ladder
 degrades fast → eco → host-assist → shed, and every completion/drop
-feeds the per-kernel SLO error budgets.  With ``resilience=None`` none
-of these paths is ever entered — plain runs stay bit-identical.
+feeds the per-kernel SLO error budgets.
+
+Every run, plain, routed or resilient, goes through one dispatch loop,
+one node pick and one completion handler.  Without resilience their
+resilience steps are skipped and no batch is tracked for hedging;
+without a routing table every node takes the policy's next batch.
 """
 
 from __future__ import annotations
@@ -115,7 +119,6 @@ class _Flight:
 
     batch: List[Request]
     node_name: str
-    tier: str
     expected_end: float
     outstanding: int = 1
     resolved: bool = False
@@ -362,52 +365,28 @@ class ServeEngine:
         self.fleet.shutdown()
         self._drained = True
 
-    def _route(self, candidates: List[Node], kernel: str) -> Node:
-        """Prefer the archetype the routing table names for *kernel*.
-
-        Falls back to the first candidate (exactly the pre-routing
-        pick) when there is no table, no entry, or no available node of
-        the routed archetype — routing is a preference, never a stall.
-        """
-        if self.routing:
-            target = self.routing.get(kernel)
-            if target is not None:
-                for node in candidates:
-                    if node.archetype == target:
-                        return node
-        return candidates[0]
-
     def _usable_nodes(self) -> List[Node]:
-        """Dispatchable backends in fleet order (host only as fallback)."""
-        nodes = self.fleet.nodes
-        available = [node for node in nodes if node.available]
-        res = self.res
-        if res is None:
-            if not available and self.fleet.host.available \
-                    and not any(node.alive for node in nodes):
-                return [self.fleet.host]    # the whole fleet is gone
-            return available
-        now = self.simulator.now
-        usable = res.usable(available, now)
-        if usable:
-            return usable
-        host = self.fleet.host
-        if host.available:
-            any_usable_alive = any(
-                res.node_usable(node.name, now)
-                for node in nodes if node.alive)
-            # Host fallback widens under resilience: not only when the
-            # whole fleet is gone, but when every survivor is ejected or
-            # breakered, and eagerly at the host-assist overload rung.
-            if not any_usable_alive or res.overload.level >= 2:
-                return [host]
-        return []
+        """Dispatchable backends in fleet order (host only as fallback).
 
-    def _pick_backend(self, kernel: str) -> Optional[Node]:
-        candidates = self._usable_nodes()
-        if not candidates:
-            return None
-        return self._route(candidates, kernel)
+        With no usable accelerator free, the host takes over when no
+        live one is usable at all (the whole fleet is gone or, under
+        resilience, every survivor is ejected or breakered) and, under
+        resilience, eagerly at the host-assist overload rung.
+        """
+        nodes = self.fleet.nodes
+        usable = [node for node in nodes if node.available]
+        res = self.res
+        if res is not None:
+            usable = res.usable(usable, self.simulator.now)
+        if usable or not self.fleet.host.available:
+            return usable
+        # Scan before reading the rung: ``allows`` turns an open breaker
+        # whose cooldown is over half-open.
+        survivor = any(node.alive and (res is None or res.node_usable(
+            node.name, self.simulator.now)) for node in nodes)
+        if survivor and (res is None or res.overload.level < 2):
+            return []
+        return [self.fleet.host]
 
     def _tier_for(self, node: Node, batch: List[Request]) -> Optional[str]:
         if node.is_host:
@@ -438,80 +417,56 @@ class ServeEngine:
         return tier
 
     def _dispatch_ready(self) -> None:
-        if self.res is not None:
-            self._overload_tick()
-        if self.routing:
-            self._dispatch_routed()
-        else:
-            self._dispatch_pooled()
-        if self.res is not None and self.res.config.hedging:
-            self._maybe_hedge()
+        """Launch queued batches while some usable node takes one.
 
-    def _dispatch_pooled(self) -> None:
-        """Pooled dispatch: any free node takes the next batch."""
+        Routing is strict: an accelerator only takes kernels routed to
+        its archetype, so a spilled batch can never evict another
+        class's resident binary — the partitioned fleet the capacity
+        planner prices is the fleet the DES runs.  Two escape hatches
+        keep strictness from stalling the queue: kernels without a
+        routing entry run anywhere, and a kernel whose routed archetype
+        has no node left alive spills to any survivor (serving it dirty
+        beats never serving it).  The host fallback has no resident
+        binary to thrash and takes whatever the policy orders first, as
+        does every node when there is no routing table.
+        """
+        res = self.res
+        if res is not None:
+            self._overload_tick()
         scheduler = self.scheduler
+        routing = self.routing
         now = self.simulator.now
         while scheduler.queue:
             candidates = self._usable_nodes()
             if not candidates:
                 break
-            batch, late = scheduler.take_batch(now)
-            for request in late:
-                # Late drops end a closed-loop chain unless the client
-                # gets to think again.
-                self._issue_next(request)
+            if routing:
+                alive = {node.archetype for node in self.fleet.nodes
+                         if node.alive}
+            for node in candidates:
+                allow = None
+                if routing and not node.is_host:
+                    def allow(request, _arch=node.archetype,
+                              _alive=alive):
+                        target = routing.get(request.kernel)
+                        return (target is None or target == _arch
+                                or target not in _alive)
+                batch, late = scheduler.take_batch(now, allow)
+                for request in late:
+                    # Late drops end a closed-loop chain unless the
+                    # client gets to think again.
+                    self._issue_next(request)
+                if batch or not scheduler.queue:
+                    break   # served, or late drops emptied the queue
             if not batch:
-                continue    # the whole queue was past-deadline drops
-            node = candidates[0]
+                break       # nothing left that a usable node may serve
             tier = self._tier_for(node, batch)
             if tier is None:
                 self._defer(batch)
                 break
             self._launch(node, batch, tier)
-
-    def _dispatch_routed(self) -> None:
-        """Strict-routing dispatch for heterogeneous fleets.
-
-        Each free node only takes kernels routed to its archetype, so
-        a spilled batch can never evict another class's resident
-        binary — the partitioned fleet the capacity planner prices is
-        the fleet the DES runs.  Two escape hatches keep strictness
-        from stalling the queue: kernels without a routing entry run
-        anywhere, and a kernel whose routed archetype has no node left
-        alive spills to any survivor (serving it dirty beats never
-        serving it).  The host fallback has no resident binary to
-        thrash and takes whatever the policy orders first.
-        """
-        while self.scheduler.queue:
-            candidates = self._usable_nodes()
-            if not candidates:
-                break
-            alive = {node.archetype for node in self.fleet.nodes
-                     if node.alive}
-            progressed = False
-            for node in candidates:
-                allow = None
-                if not node.is_host:
-                    def allow(request, _arch=node.archetype,
-                              _alive=alive):
-                        target = self.routing.get(request.kernel)
-                        return (target is None or target == _arch
-                                or target not in _alive)
-                batch, late = self.scheduler.take_batch(
-                    self.simulator.now, allow=allow)
-                for request in late:
-                    self._issue_next(request)
-                if not batch:
-                    continue    # nothing this node may serve
-                tier = self._tier_for(node, batch)
-                if tier is None:
-                    self._defer(batch)
-                    return
-                self._launch(node, batch, tier)
-                progressed = True
-                break
-            if not progressed:
-                break
+        if res is not None and res.config.hedging:
+            self._maybe_hedge()
 
     def _defer(self, batch: List[Request]) -> None:
         """Requeue an over-budget batch (callers stop the round).
@@ -533,7 +488,7 @@ class ServeEngine:
         self.in_flight += len(batch)
         if self.res is not None:
             self._flights[id(batch)] = flight = _Flight(
-                batch=batch, node_name=node.name, tier=tier,
+                batch=batch, node_name=node.name,
                 expected_end=self._expected_end(node, batch, tier))
             if self.res.config.hedging:
                 heapq.heappush(self._hedge_heap, (
@@ -601,8 +556,17 @@ class ServeEngine:
         if not self.simulator.now \
                 > flight.expected_end + res.config.hedge_margin_s:
             return
-        node = self._pick_backend(flight.batch[0].kernel)
-        if node is None or node.name == flight.node_name:
+        candidates = self._usable_nodes()
+        if not candidates:
+            return
+        # Unlike dispatch, a hedge treats routing as a preference: the
+        # first usable node of the routed archetype, else the first.
+        node = candidates[0]
+        target = self.routing.get(flight.batch[0].kernel)
+        if target is not None:
+            node = next((candidate for candidate in candidates
+                         if candidate.archetype == target), node)
+        if node.name == flight.node_name:
             return
         hedge_batch = list(flight.batch)
         tier = self._tier_for(node, hedge_batch)
@@ -620,15 +584,54 @@ class ServeEngine:
     # -- completions -------------------------------------------------------------
 
     def _on_outcome(self, outcome: ServiceOutcome) -> None:
-        if self.res is not None:
-            self._on_outcome_resilient(outcome)
-            return
-        if outcome.died:
-            # The node took its batch down with it: back to the head of
-            # the queue, to be re-served elsewhere.
-            self.in_flight -= len(outcome.batch)
-            self._requeue(outcome.batch)
+        res = self.res
+        batch = outcome.batch
+        flight = None       # only resilient runs track flights
+        if res is not None:
+            flight = self._flights.pop(id(batch), None)
+            if flight is not None:
+                flight.outstanding -= 1
+            node = outcome.node
+            if not node.is_host:
+                if outcome.died:
+                    res.record_failure(node.name, self.simulator.now)
+                else:
+                    res.breaker(node.name).record_success()
+        if flight is not None and flight.resolved:
+            # The pair already completed on the other copy: this
+            # loser's spend (died or merely slower) is hedging waste.
+            res.hedge_waste_time_s += outcome.end_s - outcome.start_s
+            res.hedge_waste_energy_j += outcome.energy_j
+        elif outcome.died:
+            if flight is not None and flight.outstanding > 0:
+                # The hedge copy is still running and becomes the retry
+                # — no requeue, no extra in-flight accounting.
+                res.hedge_covered_failures += 1
+            else:
+                # The node took its batch down with it: back to the head
+                # of the queue, to be re-served elsewhere.
+                self.in_flight -= len(batch)
+                if res is None or res.retry.allow(len(batch),
+                                                  len(self.records)):
+                    self._requeue(batch)
+                else:
+                    # Retry budget exhausted: shedding beats a requeue
+                    # storm amplifying the outage.
+                    now = self.simulator.now
+                    res.alert(now, "warn", "overload", "retry-budget",
+                              f"budget exhausted; shedding "
+                              f"{len(batch)} requests")
+                    for request in batch:
+                        self.scheduler.dropped.append(
+                            (request, "retry-budget"))
+                        res.slo.record_drop(request.kernel, now)
+                        self._requeues.pop(request.request_id, None)
+                        self._issue_next(request)
         else:
+            if flight is not None:
+                flight.resolved = True
+                if batch is flight.hedge_batch:
+                    res.hedge_wins += 1
             self._record(outcome)
         self._fire()
 
@@ -675,62 +678,6 @@ class ServeEngine:
                 energy_j=energy_j))
             self._issue_next(request)
 
-    def _on_outcome_resilient(self, outcome: ServiceOutcome) -> None:
-        res = self.res
-        now = self.simulator.now
-        flight = self._flights.pop(id(outcome.batch), None)
-        if flight is not None:
-            flight.outstanding -= 1
-        node = outcome.node
-        if not node.is_host:
-            if outcome.died:
-                res.record_failure(node.name, now)
-            else:
-                res.breaker(node.name).record_success()
-        if outcome.died:
-            if flight is not None and flight.resolved:
-                # The pair already completed on the other copy; this
-                # loser's spend is pure hedging waste.
-                self._note_hedge_waste(outcome)
-            elif flight is not None and flight.outstanding > 0:
-                # The hedge copy is still running and becomes the retry
-                # — no requeue, no extra in-flight accounting.
-                res.hedge_covered_failures += 1
-            else:
-                self.in_flight -= len(outcome.batch)
-                if res.retry.allow(len(outcome.batch), len(self.records)):
-                    self._requeue(outcome.batch)
-                else:
-                    # Retry budget exhausted: shedding beats a requeue
-                    # storm amplifying the outage.
-                    res.alert(now, "warn", "overload", "retry-budget",
-                              f"budget exhausted; shedding "
-                              f"{len(outcome.batch)} requests")
-                    for request in outcome.batch:
-                        self.scheduler.dropped.append(
-                            (request, "retry-budget"))
-                        res.slo.record_drop(request.kernel, now)
-                        self._requeues.pop(request.request_id, None)
-                        self._issue_next(request)
-            self._fire()
-            return
-        if flight is not None and flight.resolved:
-            # The slower hedge copy of an already-recorded pair.
-            self._note_hedge_waste(outcome)
-            self._fire()
-            return
-        if flight is not None:
-            flight.resolved = True
-            if flight.hedge_batch is not None \
-                    and outcome.batch is flight.hedge_batch:
-                res.hedge_wins += 1
-        self._record(outcome)
-        self._fire()
-
-    def _note_hedge_waste(self, outcome: ServiceOutcome) -> None:
-        self.res.hedge_waste_time_s += outcome.end_s - outcome.start_s
-        self.res.hedge_waste_energy_j += outcome.energy_j
-
     # -- reporting ---------------------------------------------------------------
 
     def _report(self) -> ServeReport:
@@ -772,6 +719,9 @@ def default_power_budget(book: ServiceBook, nodes: int,
     point, plus one part in a thousand of slack so the boundary dispatch
     is not flapped by float noise.
     """
+    if not 0.0 < active_fraction <= 1.0:
+        raise ConfigurationError(
+            f"active fraction {active_fraction} outside (0, 1]")
     hot = max(book.active_power(kernel, "fast")
               for kernel in ("matmul", "svm (RBF)", "cnn"))
     actives = max(1, -(-int(active_fraction * 1000) * nodes // 1000))

@@ -54,32 +54,6 @@ import enum
 #: Per-node envelope budgets of the two service tiers.
 TIER_BUDGETS: Dict[str, float] = {"fast": DEFAULT_BUDGET, "eco": mw(6.5)}
 
-#: Named service-book factories (``register_service_book``); factories
-#: take keyword arguments forwarded from the caller (e.g. ``host_mhz``).
-_BOOK_REGISTRY: Dict[str, Callable[..., "ServiceBook"]] = {}
-
-
-def register_service_book(name: str,
-                          factory: Callable[..., "ServiceBook"]) -> None:
-    """Register a pricing backend under *name* (overwrites quietly)."""
-    _BOOK_REGISTRY[name] = factory
-
-
-def registered_service_books() -> Tuple[str, ...]:
-    """Every registered pricing-backend name, sorted."""
-    return tuple(sorted(_BOOK_REGISTRY))
-
-
-def service_book_by_name(name: str, **kwargs) -> "ServiceBook":
-    """Instantiate a registered pricing backend."""
-    try:
-        factory = _BOOK_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(registered_service_books())
-        raise ConfigurationError(
-            f"unknown service book {name!r}; known: {known}") from None
-    return factory(**kwargs)
-
 #: The resilient ladder replayed at fleet granularity (then: node dead).
 LADDER = ("initial", "re-arm", "reboot")
 
@@ -685,7 +659,3 @@ class Fleet:
     def dead_nodes(self) -> int:
         """Accelerators lost to exhausted recovery ladders."""
         return sum(1 for node in self.nodes if not node.alive)
-
-
-register_service_book(
-    "analytic", lambda **kwargs: AnalyticServiceBook(**kwargs))

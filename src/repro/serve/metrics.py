@@ -348,7 +348,7 @@ class ServeReport:
             lead = members[0]
             hub.span(f"{lead.request.kernel} x{len(members)}",
                      f"serve.{node}", start, end - start,
-                     energy=sum(m.energy_j for m in members),
+                     energy=ordered_sum([m.energy_j for m in members]),
                      requests=len(members), tier=lead.tier,
                      max_wait_ms=round(
                          max(m.wait_s for m in members) * 1e3, 6),

@@ -372,14 +372,22 @@ class TestCapacityCli:
         assert len(payload["points"]) == 2
 
     def test_bad_rates_are_clean_errors(self):
-        for rates, message in (("50,abc", "capacity --rates: bad value"),
-                               ("", "capacity --rates: empty value list"),
-                               (" , ", "capacity --rates: empty value list"),
-                               ("a:b:c", "capacity: bad --rates"),
-                               ("100:50:10", "capacity: bad --rates"),
-                               ("50:700", "capacity: bad --rates")):
+        sweep = ["capacity", "sweep"]
+        fraction = r"capacity: active fraction {} outside \(0, 1\]"
+        for argv, message in (
+                ([*sweep, "--rates", "50,abc"],
+                 "capacity --rates: bad value"),
+                ([*sweep, "--rates", ""], "capacity --rates: empty value list"),
+                ([*sweep, "--rates", " , "],
+                 "capacity --rates: empty value list"),
+                ([*sweep, "--rates", "a:b:c"], "capacity: bad --rates"),
+                ([*sweep, "--rates", "100:50:10"], "capacity: bad --rates"),
+                ([*sweep, "--rates", "50:700"], "capacity: bad --rates"),
+                ([*sweep, "--power-fraction", "-1"], fraction.format("-1.0")),
+                ([*sweep, "--power-fraction", "0"], fraction.format("0.0")),
+                ([*sweep, "--power-fraction", "5"], fraction.format("5.0"))):
             with pytest.raises(SystemExit, match=message):
-                main(["capacity", "sweep", "--rates", rates])
+                main(argv)
 
     def test_validate_gate_exit_codes(self, capsys):
         assert main(["capacity", "validate"]) == 0

@@ -32,6 +32,7 @@ from repro.serve import (
     run_campaign,
     run_scenario,
 )
+from repro.serve.fleet import NodeState
 from repro.serve.workload import ClosedLoopWorkload
 from repro.sim import Simulator
 
@@ -67,8 +68,23 @@ class TestFleetPlan:
         with pytest.raises(ConfigurationError):
             FleetEventSpec(kind=FleetEventKind.FLAPPING,
                            period_s=0.0, window_s=0.5)
-        with pytest.raises(ConfigurationError):
-            FleetPlan.from_dict({"name": "bad", "events": "nope"})
+        for payload, message in (
+                ({"name": "bad", "events": "nope"}, "bad fleet plan"),
+                (1, "bad fleet plan 1: not an object"),
+                ("storm", "bad fleet plan 'storm': not an object"),
+                ({"events": [None]}, "bad fleet event None: not an object"),
+                ({"events": [{"kind": "crash-storm", "start_s": "abc"}]},
+                 "crash-storm: start_s must be a finite number, got 'abc'"),
+                ({"events": [{"kind": "crash-storm", "nodes": None}]},
+                 "crash-storm: nodes must be a finite number, got None"),
+                ({"events": [{"kind": "crash-storm",
+                              "start_s": float("nan")}]},
+                 "crash-storm: start_s must be a finite number, got nan"),
+                ({"events": [{"kind": "crash-storm",
+                              "nodes": float("inf")}]},
+                 "crash-storm: nodes must be a finite number, got inf")):
+            with pytest.raises(ConfigurationError, match=message):
+                FleetPlan.from_dict(payload)
 
     def test_describe_names_events(self):
         plan = FleetPlan.crash_storm(nodes=3)
@@ -181,6 +197,21 @@ class TestCircuitBreaker:
         assert runtime.usable(nodes, 0.2) == nodes[:3]
         assert [runtime.breaker(node.name).state for node in nodes] \
             == ["closed", "half-open", "half-open", "open"]
+
+    def test_host_fallback_scans_breakers_before_the_overload_rung(self):
+        engine = ServeEngine(ServeConfig(
+            workload=PoissonWorkload(rate=100.0, requests=4, seed=1),
+            nodes=2, resilience=ResilienceConfig(breaker_failures=1,
+                                                 breaker_cooldown_s=0.1)))
+        for node in engine.fleet.nodes:
+            node.state = NodeState.BUSY     # alive, but none is free
+        engine.res.record_failure("node0", -1.0)   # cooled down by t=0
+        engine.res.overload.level = 2       # host-assist
+        assert engine._usable_nodes() == [engine.fleet.host]
+        # The scan over live nodes ran first: node0's cooled-down
+        # breaker turned half-open even though the rung alone picks
+        # the host.
+        assert engine.res.breaker("node0").state == "half-open"
 
 
 class TestRetryBudget:
@@ -614,9 +645,23 @@ class TestChaosCli:
 
     def test_bad_plan_file_is_a_clean_error(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"name": "x", "events": "garbage"}')
-        with pytest.raises(SystemExit):
-            main(["chaos", "--plan", str(path)])
+        serve_json = ["--serve-json", str(tmp_path / "serve.json")]
+        for text, extra, message in (
+                ('{"name": "x", "events": "garbage"}', [], "bad fleet plan"),
+                ("[1]", [], "not an object"),
+                ('"storm"', [], "not an object"),
+                ('{"events": [{"kind": "crash-storm", "start_s": "abc"}]}',
+                 [], "start_s must be a finite number"),
+                ('{"events": [{"kind": "crash-storm", "nodes": null}]}',
+                 [], "nodes must be a finite number"),
+                ('{"events": [{"kind": "crash-storm", "start_s": NaN}]}',
+                 [], "start_s must be a finite number"),
+                ("[]", [], "no plans"),
+                ("[]", serve_json, "no plans")):
+            path.write_text(text)
+            with pytest.raises(SystemExit, match=f"chaos: bad --plan .*"
+                                                 f"{message}"):
+                main(["chaos", "--plan", str(path), *extra])
 
     def test_resilience_off_disables_scorecard_extras(self, capsys):
         assert main(["chaos", "--empty", "--resilience", "off",

@@ -42,9 +42,7 @@ from repro.serve import (
     ServeConfig,
     ServeEngine,
     register_policy,
-    register_service_book,
     registered_policies,
-    service_book_by_name,
 )
 
 
@@ -330,25 +328,6 @@ class TestServePlugPoints:
         report = ServeEngine(config).run()
         assert report.policy == "lifo-test"
         assert len(report.records) == 40
-
-    def test_custom_service_book_registered_by_name(self):
-        from repro.serve import AnalyticServiceBook
-
-        class FlatBook(AnalyticServiceBook):
-            pass
-
-        register_service_book("flat-test",
-                              lambda **kwargs: FlatBook(**kwargs))
-        book = service_book_by_name("flat-test", host_mhz=4.0)
-        assert isinstance(book, FlatBook)
-        with pytest.raises(ConfigurationError, match="unknown service"):
-            service_book_by_name("nonesuch")
-
-    def test_analytic_book_registered_by_default(self):
-        from repro.serve import AnalyticServiceBook
-
-        book = service_book_by_name("analytic")
-        assert isinstance(book, AnalyticServiceBook)
 
 
 # -- the CLI ---------------------------------------------------------------------

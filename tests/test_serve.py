@@ -19,6 +19,7 @@ from repro.core.system import HeterogeneousSystem
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.kernels import BENCHMARK_NAMES, all_kernels
+from repro.obs import Telemetry, use_telemetry
 from repro.serve import (
     AnalyticServiceBook,
     ClosedLoopWorkload,
@@ -27,6 +28,7 @@ from repro.serve import (
     Request,
     TraceWorkload,
 )
+from repro.serve import metrics
 from repro.serve.engine import (
     ServeConfig,
     ServeEngine,
@@ -488,12 +490,19 @@ class TestServeCli:
 
     def test_bad_replay_trace_is_a_clean_error(self, tmp_path):
         path = tmp_path / "requests.json"
-        for text, message in (("not json", "serve: cannot load trace"),
-                              ('{"t": 0}', "serve: trace .* is not a JSON"),
-                              ('[{"bogus": 1}]', "serve: bad trace row 0")):
-            path.write_text(text)
+        replay = ["serve", "--replay", str(path)]
+        closed = ["--workload", "closed", "--clients", "0", "--requests", "10"]
+        for text, argv, message in (
+                ("not json", replay, "serve: cannot load trace"),
+                ('{"t": 0}', replay, "serve: trace .* is not a JSON"),
+                ('[{"bogus": 1}]', replay, "serve: bad trace row 0"),
+                (None, ["serve", *closed], "serve: need >= 1 clients"),
+                (None, ["chaos", "--empty", *closed],
+                 "chaos: need >= 1 clients")):
+            if text is not None:
+                path.write_text(text)
             with pytest.raises(SystemExit, match=message):
-                main(["serve", "--replay", str(path)])
+                main(argv)
 
 
 class TieredBook(FixedBook):
@@ -788,6 +797,13 @@ _HANGS = FaultPlan("hangs", (FaultSpec(FaultKind.KERNEL_HANG, count=1,
                                        rate=0.08),))
 
 
+def _routed_fleet():
+    """Two default nodes and two x2 nodes; cnn and svm route to x2."""
+    small = NodeArchetype(name="x2", cluster_size=2)
+    return FleetSpec(groups=((NodeArchetype(), 2), (small, 2)),
+                     routing={"cnn": "x2", "svm (RBF)": "x2"})
+
+
 def _golden_config(name):
     """The pinned ServeConfig of golden scenario *name* (fresh objects)."""
     book = AnalyticServiceBook()
@@ -829,11 +845,36 @@ def _golden_config(name):
             workload=poisson, nodes=2, seed=9, book=book,
             fault_plans=[FaultPlan.brownout(0.7), FaultPlan.clean()])
     if name == "routed":
-        small = NodeArchetype(name="x2", cluster_size=2)
+        return ServeConfig(workload=poisson, seed=7, fleet=_routed_fleet())
+    if name == "routed-resilient-edf":
+        # The routed archetype dies (both x2 nodes never boot), so cnn
+        # and svm spill to the survivors; EDF late drops, overload
+        # sheds, hedges and host fallbacks all happen under routing.
         return ServeConfig(
-            workload=poisson, seed=7,
-            fleet=FleetSpec(groups=((NodeArchetype(), 2), (small, 2)),
-                            routing={"cnn": "x2", "svm (RBF)": "x2"}))
+            workload=PoissonWorkload(rate=450.0, requests=300, seed=7,
+                                     deadline_factor=6.0),
+            seed=7, fleet=_routed_fleet(),
+            scheduler=SchedulerConfig(policy=Policy.EDF, drop_late=True,
+                                      queue_capacity=60, max_batch=3),
+            fault_plans=[FaultPlan.clean(), FaultPlan.clean(),
+                         FaultPlan.boot_failure(99),
+                         FaultPlan.boot_failure(99)],
+            resilience=ResilienceConfig(queue_high=12, queue_low=3,
+                                        hedge_margin_s=0.0005))
+    if name == "routed-closed-loop":
+        # Power-gate deferrals, hedges (one lost) and the host-assist
+        # rung, under routing and closed-loop backpressure.
+        return ServeConfig(
+            workload=ClosedLoopWorkload(clients=5, think_s=0.001,
+                                        requests_per_client=20, seed=6),
+            seed=6, fleet=_routed_fleet(),
+            scheduler=SchedulerConfig(
+                policy=Policy.POWER_CAP, max_batch=3,
+                power_budget_w=default_power_budget(book, 4, 0.5)),
+            fault_plans=[_HANGS, FaultPlan.clean(), FaultPlan.brownout(0.7),
+                         _HANGS],
+            resilience=ResilienceConfig(queue_high=2, queue_low=1,
+                                        hedge_margin_s=0.0002))
     if name == "closed-loop":
         return ServeConfig(
             workload=ClosedLoopWorkload(clients=6, think_s=0.004,
@@ -887,6 +928,10 @@ GOLDEN_SERVE = {
         "6a57aa9ea1c8f0ef196575e3419d2e0c207309e77cd6c8f79381da6e7589f48a",
     "routed":
         "5e027d5f8bda594ceb1db09aac937d965eb2b07a5622c1e642216208e09ab491",
+    "routed-resilient-edf":
+        "81caf6c1a6eac08285140380d52b64649ee21dc95c7e4fbfb5365f52b86e4f7f",
+    "routed-closed-loop":
+        "93f7819a95c3e7cdc54d06abe6d307d0fb71b5cd27856bd1322345b88f4ea24d",
     "closed-loop":
         "50ffe109f58e1756d41aeeb7a02f39286d5e81a733eaaf147afc0d9b36dee67f",
     "mmpp":
@@ -926,6 +971,33 @@ class TestOrderedSum:
                                     for r in batch])
         assert energy == ordered_sum(
             [profile.request_energy(r.iterations, 0.9) for r in batch])
+
+    def test_batch_span_energy_ignores_builtin_sum(self, monkeypatch):
+        # A compensated sum() of the node-death golden's request energies
+        # rounds 22 of its 71 batch spans differently.
+        def compensated_sum(values, start=0):
+            values = list(values)
+            if all(isinstance(value, int) for value in values):
+                return builtins.sum(values, start)
+            total, compensation = float(start), 0.0
+            for value in values:
+                step = total + value
+                compensation += ((total - step) + value
+                                 if abs(total) >= abs(value)
+                                 else (value - step) + total)
+                total = step
+            return total + compensation
+
+        def span_energies():
+            hub = Telemetry(enabled=True)
+            with use_telemetry(hub):
+                report.emit_telemetry()
+            return [span.energy for span in hub.spans]
+
+        report = ServeEngine(_golden_config("node-death")).run()
+        plain = span_energies()
+        monkeypatch.setattr(metrics, "sum", compensated_sum, raising=False)
+        assert span_energies() == plain
 
 
 class TestHedgeOrder:
@@ -1053,6 +1125,8 @@ EVENT_STREAMS = {
     "power-cap-resilience": [(1709, 1, 1.229125086643976)],
     "closed-loop": [(1225, 0, 0.7989267033299684)],
     "routed": [(1362, 0, 0.7369526873071469)],
+    "routed-resilient-edf": [(1272, 1, 0.7657347510123476)],
+    "routed-closed-loop": [(731, 1, 0.5996595781008189)],
     # The pinned chaos campaign at seed 6, one entry per scenario.
     "chaos-seed-6": [(1117, 1, 0.5568069388759728),
                      (1161, 7, 0.8319030807692411),
