@@ -460,7 +460,15 @@ def _serve_workload(args):
             rates=(args.arrival_rate, args.arrival_rate * args.burst),
             requests=requests, duration=args.duration, **common)
     if args.workload == "closed":
+        # Each client issues the same number of requests, so a run can
+        # serve exactly --requests only for a multiple of --clients.
         # ClosedLoopWorkload rejects a client count below 1.
+        if args.clients >= 1 and (requests is None
+                                  or requests % args.clients):
+            raise SystemExit(
+                f"{args.command}: --requests {args.requests} must be a "
+                f"positive multiple of --clients {args.clients} for "
+                f"--workload closed")
         per_client = max(1, (requests or args.clients) // max(1, args.clients))
         return ClosedLoopWorkload(
             clients=args.clients, think_s=args.think_ms * 1e-3,
@@ -587,6 +595,10 @@ def _cmd_chaos(args) -> str:
 
     plans = _chaos_plans(args)
     if plans is None:
+        for flag, dest, default in args.campaign_ignores:
+            if getattr(args, dest) != default:
+                raise SystemExit(
+                    f"chaos: {flag} applies only with --plan or --empty")
         config = pinned_campaign_config(nodes=args.nodes, seed=args.seed)
         plans = pinned_campaign_plans()
         armed = args.resilience != "off"
@@ -1122,9 +1134,11 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--json", action="store_true",
                      help="machine-readable JSON instead of tables")
 
-    def serve_spec(sp: argparse.ArgumentParser) -> None:
+    def serve_spec(sp: argparse.ArgumentParser) -> List[argparse.Action]:
         # The shared serving-run specification: `serve` runs it as-is,
         # `chaos` layers fleet fault plans and resilience on top.
+        # Returns the actions it adds.
+        first = len(sp._actions)
         sp.add_argument("--nodes", type=int, default=4,
                         help="accelerator nodes in the fleet")
         sp.add_argument("--policy",
@@ -1178,6 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--replay", default=None, metavar="PATH",
                         help="replay a JSON request trace instead of a "
                              "generator")
+        return sp._actions[first:]
 
     serve = command(
         "serve", "multi-accelerator serving simulation: workload -> "
@@ -1194,7 +1209,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", "fleet fault campaigns over the serving runtime: "
                  "crash storms, brownouts, flapping, surges -> "
                  "resilience scorecard", _cmd_chaos)
-    serve_spec(chaos)
+    # The pinned campaign reads only --nodes and --seed of the spec;
+    # _cmd_chaos refuses any other spec flag set away from its default.
+    chaos.set_defaults(campaign_ignores=tuple(
+        (action.option_strings[0], action.dest, action.default)
+        for action in serve_spec(chaos)
+        if action.dest not in ("nodes", "seed")))
     chaos.add_argument("--plan", default=None, metavar="PATH",
                        help="JSON fleet plan (object or list of objects) "
                             "instead of the pinned campaign")

@@ -9,10 +9,13 @@ once and looks the rest up:
 * :func:`verify` (kernel) — the functional round trip of
   :meth:`~repro.core.system.HeterogeneousSystem.round_trip`: inputs,
   ``compute``, serialization, frame encode/decode and the byte check;
-* :func:`characterize` (kernel, threads) — program, binary size, the
-  system's ``DeviceOpenMp.execute`` and the activity profile;
-  :func:`host_run` (kernel, host device) memoizes the host-only
-  baseline lowering of ``HeterogeneousSystem.run_on_host`` alongside;
+* :func:`characterize` (kernel, threads) — binary size, the system's
+  ``DeviceOpenMp.execute`` and the activity profile of the kernel's
+  program; :func:`host_run` (kernel, host device) memoizes the
+  host-only baseline lowering of ``HeterogeneousSystem.run_on_host``
+  alongside.  Both read one program per kernel, built once by
+  ``Kernel.build_program`` and memoized on the kernel (programs are
+  frozen, so sharing one is safe);
 * :func:`operating_point` (budget, link reserve, host device, power
   model, host clock, activity fractions) — ``PowerEnvelopeSolver.solve``;
 * :func:`price` (link, tying, iterations, buffering) —
@@ -87,6 +90,7 @@ class Characterization:
 
 
 _VERIFIED: Dict[Tuple, Verification] = {}
+_PROGRAMS: Dict[Tuple, Program] = {}
 _CHARACTERIZED: Dict[Tuple, Characterization] = {}
 _HOST_CYCLES: Dict[Tuple, float] = {}
 _OPERATING_POINTS: Dict[Tuple, EnvelopePoint] = {}
@@ -94,7 +98,8 @@ _OPERATING_POINTS: Dict[Tuple, EnvelopePoint] = {}
 
 def clear() -> None:
     """Empty every stage memo (the next calls recompute)."""
-    for memo in (_VERIFIED, _CHARACTERIZED, _HOST_CYCLES, _OPERATING_POINTS):
+    for memo in (_VERIFIED, _PROGRAMS, _CHARACTERIZED, _HOST_CYCLES,
+                 _OPERATING_POINTS):
         memo.clear()
 
 
@@ -119,6 +124,15 @@ def verify(kernel: Kernel) -> Verification:
     return found
 
 
+def _program(kernel: Kernel) -> Program:
+    """*kernel*'s loop-nest program, built once per kernel."""
+    key = kernel.memo_key()
+    found = _PROGRAMS.get(key)
+    if found is None:
+        found = _PROGRAMS[key] = kernel.build_program()
+    return found
+
+
 def characterize(system: HeterogeneousSystem,
                  kernel: Kernel) -> Characterization:
     """Binary size, cluster execution and activity of *kernel* on
@@ -126,7 +140,7 @@ def characterize(system: HeterogeneousSystem,
     key = (kernel.memo_key(), system.omp.threads)
     found = _CHARACTERIZED.get(key)
     if found is None:
-        program = kernel.build_program()
+        program = _program(kernel)
         binary = KernelBinary.from_program(program)
         execution = system.omp.execute(program)
         activity = ActivityProfile.compute(
@@ -145,13 +159,14 @@ def characterize(system: HeterogeneousSystem,
 
 def host_run(system: HeterogeneousSystem, kernel: Kernel,
              frequency: float = Stm32L476.BASELINE_FREQUENCY) -> HostRun:
-    """*kernel* on *system*'s host alone; the lowering is memoized."""
+    """*kernel* on *system*'s host alone, as
+    :meth:`~repro.core.system.HeterogeneousSystem.run_on_host` runs it;
+    the lowering is memoized."""
     key = (kernel.memo_key(), system.host.device)
     cycles = _HOST_CYCLES.get(key)
     if cycles is None:
-        run = system.run_on_host(kernel, frequency)
-        _HOST_CYCLES[key] = run.cycles
-        return run
+        cycles = _HOST_CYCLES[key] = system.host.device.lower(
+            _program(kernel)).cycles
     return HostRun(frequency=frequency, cycles=cycles,
                    time=cycles / frequency,
                    power=system.host.active_power(frequency))

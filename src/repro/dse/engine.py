@@ -135,12 +135,11 @@ class ExplorationEngine:
             return []
         worker = functools.partial(_evaluate.evaluate_config,
                                    model_version=model_version)
-        knob_dicts = [config.as_dict() for config in misses]
         results: List[Dict[str, Any]] = []
         with hub.timed("dse.evaluate", "dse", count=len(misses)):
             if self.jobs == 1 or len(misses) == 1:
-                for index, knobs in enumerate(knob_dicts):
-                    results.append(worker(knobs))
+                for index, config in enumerate(misses):
+                    results.append(worker(config))
                     hub.count("dse.evaluations")
                     hub.gauge("dse.progress", (index + 1) / len(misses))
             else:
@@ -148,7 +147,7 @@ class ExplorationEngine:
                 chunk = max(1, len(misses) // (4 * workers))
                 with ProcessPoolExecutor(max_workers=workers) as executor:
                     for index, record in enumerate(
-                            executor.map(worker, knob_dicts,
+                            executor.map(worker, misses,
                                          chunksize=chunk)):
                         results.append(record)
                         hub.count("dse.evaluations")

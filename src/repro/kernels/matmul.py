@@ -79,11 +79,13 @@ class MatmulKernel(Kernel):
             # Per-product renormalization with round-half-up, then a
             # 32-bit accumulate and a final saturation (the sequence the
             # fixed-point C kernel executes).
-            # products[i, k, j] = a[i, k] * b[k, j]
-            products = (a.astype(np.int64)[:, :, None]
-                        * b.astype(np.int64)[None, :, :])
+            # products[i, k, j] = a[i, k] * b[k, j]; with int16 operands
+            # |a * b| <= 2**30, so product plus rounding term stays below
+            # 2**31 and int32 holds them exactly.  The k sum is int64.
+            products = (a.astype(np.int32)[:, :, None]
+                        * b.astype(np.int32)[None, :, :])
             renormalized = (products + (1 << (shift - 1))) >> shift
-            acc = renormalized.sum(axis=1)
+            acc = renormalized.sum(axis=1, dtype=np.int64)
             return {"c": _saturate(acc, np_dtype)}
         acc = a.astype(np.int64) @ b.astype(np.int64)
         rescaled = (acc + (1 << (shift - 1))) >> shift

@@ -11,7 +11,9 @@ defines that abstraction's wire format.  Every transaction is one frame::
 
 giving 10 bytes of overhead per frame (the default
 ``frame_overhead_bytes`` of :class:`repro.link.spi.SpiLink`).  The
-checksum is a simple additive complement over header and payload.
+checksum is a simple additive complement over header and payload,
+``(~sum(bytes)) & 0xFF``, summed in numpy rather than byte by byte in
+Python: a kernel binary or input map is tens of kilobytes per frame.
 
 Commands:
 
@@ -29,6 +31,8 @@ import enum
 import struct
 from dataclasses import dataclass
 from typing import Iterator, List
+
+import numpy as np
 
 from repro.errors import ProtocolError
 
@@ -73,8 +77,11 @@ def frame_overhead_bytes() -> int:
     return FRAME_OVERHEAD_BYTES
 
 
-def _checksum(data: bytes) -> int:
-    return (~sum(data)) & 0xFF
+def _checksum(data: bytes, offset: int = 0, count: int = -1) -> int:
+    """Additive complement of *count* bytes of *data* from *offset*
+    (``count=-1``: to the end), read in place."""
+    total = np.frombuffer(data, np.uint8, count, offset).sum(dtype=np.uint64)
+    return ~int(total) & 0xFF
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -111,8 +118,7 @@ def iter_frames(data: bytes) -> Iterator[Frame]:
             command = Command(command_code)
         except ValueError:
             raise ProtocolError(f"unknown command code {command_code:#x}") from None
-        body = data[offset:end]
-        expected = _checksum(body)
+        expected = _checksum(data, offset, end - offset)
         actual = data[end]
         if actual != expected:
             raise ProtocolError(

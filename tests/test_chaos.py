@@ -663,6 +663,28 @@ class TestChaosCli:
                                                  f"{message}"):
                 main(["chaos", "--plan", str(path), *extra])
 
+    def test_pinned_campaign_refuses_spec_flags_it_ignores(self, capsys):
+        # The pinned campaign reads --nodes and --seed of the serve spec;
+        # any other spec flag set away from its default is refused, the
+        # first one (in --help order) named.
+        for extra, flag in (
+                (["--workload", "closed", "--clients", "-2",
+                  "--requests", "10"], "--workload"),
+                (["--requests", "10"], "--requests"),
+                (["--arrival-rate", "400", "--policy", "power-cap"],
+                 "--policy"),
+                (["--drop-late"], "--drop-late"),
+                (["--faults", "on"], "--faults"),
+                (["--replay", "trace.json"], "--replay")):
+            with pytest.raises(SystemExit) as raised:
+                main(["chaos", *extra])
+            assert str(raised.value) \
+                == f"chaos: {flag} applies only with --plan or --empty"
+        # A spec flag given at its default value is no change.
+        assert main(["chaos", "--requests", "600", "--nodes", "3",
+                     "--seed", "2", "--chaos-seed", "2", "--json"]) in (0, 3)
+        capsys.readouterr()
+
     def test_resilience_off_disables_scorecard_extras(self, capsys):
         assert main(["chaos", "--empty", "--resilience", "off",
                      "--requests", "40", "--json"]) in (0, 3, 4)

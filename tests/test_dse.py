@@ -237,6 +237,63 @@ class TestSharedSystems:
             is not dse_evaluate.build_system(canonical)
 
 
+class TestColdSweepDoesNoRepeatWork:
+    """A cold sweep canonicalizes and hashes each configuration once
+    and constructs each kernel once."""
+
+    SPACE = {"grid": {"kernel": ["matmul", "hog", "cnn (approx)"],
+                      "host_mhz": [8.0, 16.0], "budget_mw": [5.0, 10.0],
+                      "cluster_size": [2, 4]},
+             "points": [{"kernel": "svm (RBF)", "link_tying": "untied",
+                         "untied_clock_mhz": 48.0, "iterations": 16,
+                         "double_buffered": True}]}
+
+    @staticmethod
+    def _counted(monkeypatch, calls, module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_each_configuration_and_kernel_is_prepared_once(self,
+                                                            monkeypatch):
+        from repro.dse import space as dse_space
+
+        calls = {"canonicalize": 0, "config_hash": 0, "kernel_by_name": 0}
+        for module in (dse_space, dse_evaluate):
+            for name in ("canonicalize", "config_hash"):
+                self._counted(monkeypatch, calls, module, name)
+        self._counted(monkeypatch, calls, dse_evaluate, "kernel_by_name")
+        monkeypatch.setattr(dse_evaluate, "_SYSTEMS", {})
+        monkeypatch.setattr(dse_evaluate, "_KERNELS", {})
+        pricing.clear()
+        space = ParameterSpace.from_dict(self.SPACE)
+        configs = space.expand()
+        assert calls == {"canonicalize": 25, "config_hash": 25,
+                         "kernel_by_name": 0}
+        serial = ExplorationEngine(jobs=1).run(space)
+        assert calls == {"canonicalize": 50, "config_hash": 50,
+                         "kernel_by_name": 4}
+        assert serial.stats.infeasible > 0
+        # A mapping still goes through canonicalize and config_hash, and
+        # gives the record the engine's Configuration hand-off gave.
+        assert serial.records == [evaluate_config(config.as_dict())
+                                  for config in configs]
+        assert calls["canonicalize"] == calls["config_hash"] == 75
+        parallel = ExplorationEngine(jobs=2).run(space)
+        assert parallel.records == serial.records
+
+    def test_configuration_and_mapping_give_one_record(self):
+        config = Configuration.from_knobs({"kernel": "hog", "host_mhz": 4})
+        record = evaluate_config(config)
+        assert record == evaluate_config({"kernel": "hog", "host_mhz": 4})
+        assert record["config"] == config.as_dict()
+        assert record["config_hash"] == config.hash
+
+
 class TestCache:
     def test_put_get_roundtrip_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)

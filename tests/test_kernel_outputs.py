@@ -15,6 +15,7 @@ import pytest
 from repro.kernels import BENCHMARK_NAMES, kernel_by_name
 from repro.kernels.hog import (BLOCK_PIXELS, BLOCKS, BINS, IMAGE, HogKernel,
                                gaussian_window_q15)
+from repro.kernels.matmul import MatmulKernel
 from repro.pulp.binary import KernelBinary
 
 INT16_MIN = int(np.iinfo(np.int16).min)
@@ -272,3 +273,43 @@ class TestCnnBatched:
         pool1 = rng.integers(-(1 << 15), 1 << 15, (8, 14, 14))
         assert np.array_equal(kernel._conv2(pool1, inputs["w2"]),
                               kernel._conv2_per_map(pool1, inputs["w2"]))
+
+
+class TestMatmulFixedInt32:
+    """The fixed-point matmul multiplies and renormalizes in int32; the
+    int64 formula it replaced is the oracle, at the int16 extremes where
+    a product plus its rounding term comes closest to 2**31."""
+
+    @staticmethod
+    def _int64_formula(a, b):
+        products = (a.astype(np.int64)[:, :, None]
+                    * b.astype(np.int64)[None, :, :])
+        renormalized = (products + (1 << 14)) >> 15
+        acc = renormalized.sum(axis=1)
+        return np.clip(acc, INT16_MIN, INT16_MAX).astype(np.int16)
+
+    @staticmethod
+    def _cases(n):
+        def full(value):
+            return np.full((n, n), value, dtype=np.int16)
+
+        parity = np.indices((n, n)).sum(axis=0) % 2
+        alternating = np.where(parity == 0, INT16_MAX,
+                               INT16_MIN).astype(np.int16)
+        column = np.where(np.arange(n) % 2 == 0, INT16_MIN, INT16_MAX)
+        rows = np.broadcast_to(column[:, None], (n, n)).astype(np.int16)
+        return {
+            "all_min": (full(INT16_MIN), full(INT16_MIN)),
+            "all_max": (full(INT16_MAX), full(INT16_MAX)),
+            "mixed_signs": (full(INT16_MIN), full(INT16_MAX)),
+            "alternating": (alternating, alternating),
+            "alternating_rows": (rows, rows.T),
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_int16_extremes_match_the_int64_formula(self, n):
+        kernel = MatmulKernel("fixed", n=n)
+        for case, (a, b) in self._cases(n).items():
+            got = kernel.compute({"a": a, "b": b})["c"]
+            assert got.dtype == np.int16
+            assert np.array_equal(got, self._int64_formula(a, b)), (n, case)

@@ -1,5 +1,7 @@
 """Tests for the SPI link, GPIO event lines and the wire protocol."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from repro.link import (
     encode_frame,
     frame_overhead_bytes,
 )
-from repro.link.protocol import FRAME_OVERHEAD_BYTES
+from repro.link.protocol import FRAME_OVERHEAD_BYTES, _checksum
 from repro.units import mhz
 
 
@@ -205,3 +207,59 @@ class TestProtocol:
                   for i, p in enumerate(payloads)]
         stream = b"".join(encode_frame(f) for f in frames)
         assert decode_frames(stream) == frames
+
+
+def _sum_checksum(data) -> int:
+    """The frame checksum as a byte-by-byte Python sum: the oracle."""
+    return (~sum(bytes(data))) & 0xFF
+
+
+class TestChecksum:
+    """The numpy checksum against the Python-sum oracle."""
+
+    @staticmethod
+    def _payloads(length):
+        rng = random.Random(length)
+        return (b"\xff" * length,                       # carries every lane
+                bytes(i & 0xFF for i in range(length)),  # every byte value
+                rng.randbytes(length))
+
+    @pytest.mark.parametrize("length", [0, 1, 255, 256, 257, 65536])
+    def test_matches_sum_on_every_buffer_type(self, length):
+        for data in self._payloads(length):
+            expected = _sum_checksum(data)
+            for buffer in (data, bytearray(data), memoryview(data)):
+                assert _checksum(buffer) == expected, (length, type(buffer))
+
+    def test_matches_sum_at_random_sizes(self):
+        rng = random.Random(22)
+        for _ in range(64):
+            data = rng.randbytes(rng.randrange(0, 70_000))
+            assert _checksum(data) == _sum_checksum(data), len(data)
+
+    def test_offset_and_count_select_the_slice(self):
+        data = random.Random(5).randbytes(1000)
+        for offset, count in ((0, 0), (0, 1), (3, 255), (17, 700),
+                              (999, 1), (0, 1000)):
+            assert _checksum(data, offset, count) \
+                == _sum_checksum(data[offset:offset + count])
+        assert _checksum(data, 300) == _sum_checksum(data[300:])
+
+    def test_frame_at_nonzero_offset_checks_only_its_bytes(self):
+        # Frames whose neighbours do not sum to 0 mod 256: a checksum
+        # that read bytes before the frame (or after it) would differ.
+        first = encode_frame(Frame(Command.LOAD_BINARY, 0, b"\x07" * 300))
+        second = encode_frame(Frame(Command.WRITE_DATA, 64, b"\x01\x02\x03"))
+        third = encode_frame(Frame(Command.START, 0x40))
+        stream = first + second + third
+        assert second[-1] != _sum_checksum(first + second[:-1])
+        assert first[-1] != _sum_checksum(first[:-1] + second)
+        frames = decode_frames(stream)
+        assert [frame.address for frame in frames] == [0, 64, 0x40]
+        assert frames[1].payload == b"\x01\x02\x03"
+        assert decode_frames(memoryview(stream)) == frames
+        # A bad checksum in the middle frame is reported at its offset.
+        broken = bytearray(stream)
+        broken[len(first) + len(second) - 1] ^= 0x10
+        with pytest.raises(ProtocolError, match=f"offset {len(first)}"):
+            decode_frames(bytes(broken))

@@ -1,6 +1,7 @@
 """Tests for the staged pricing pipeline's memo keys and its callers."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,8 @@ from repro.core.sensor import SensorPath, SensorPipeline
 from repro.core.system import HeterogeneousSystem
 from repro.experiments import report
 from repro.faults import FaultPlan, ResilientDriver
-from repro.kernels import kernel_by_name
+from repro.kernels import BENCHMARK_NAMES, Kernel, kernel_by_name
+from repro.mcu.stm32l476 import UntiedSpiHost
 from repro.power.activity import ActivityProfile, PulpComponent
 from repro.power.operating_point import OperatingPointTable
 from repro.power.pulp_model import PULP3_TABLE, PulpPowerModel
@@ -28,6 +30,27 @@ def empty_memos():
 
 def _solve(solver, host_mhz, activity):
     return pricing.operating_point(solver, mhz(host_mhz), activity)
+
+
+def _count_builds(monkeypatch):
+    """Log the kernel name of every ``build_program`` call, on every
+    kernel class that defines one."""
+    builds = []
+
+    def counted(original):
+        def build_program(self):
+            builds.append(self.name)
+            return original(self)
+        return build_program
+
+    pending = [Kernel]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "build_program" in vars(cls):
+            monkeypatch.setattr(cls, "build_program",
+                                counted(vars(cls)["build_program"]))
+    return builds
 
 
 class TestOperatingPointKey:
@@ -136,8 +159,46 @@ class TestPaperReproductionPricing:
 
         monkeypatch.setattr(PowerEnvelopeSolver, "solve", counted_solve)
         monkeypatch.setattr(DeviceOpenMp, "execute", counted_execute)
+        builds = _count_builds(monkeypatch)
         text = report.build_report()
         assert "**17/17 anchors reproduced.**" in text
         # Five distinct activity fractions x eight host clocks; Figure
         # 5b's host clocks are a subset.  Ten kernels x {1, 4} threads.
         assert calls == {"solve": 40, "execute": 20}
+        # One program per kernel serves both thread counts and the
+        # host baseline.
+        assert Counter(builds) == Counter(BENCHMARK_NAMES)
+
+
+class TestProgramMemo:
+    def test_characterize_and_host_run_share_one_program(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        kernel = kernel_by_name("cnn")
+        pricing.characterize(HeterogeneousSystem(threads=4), kernel)
+        pricing.characterize(HeterogeneousSystem(threads=2), kernel)
+        pricing.host_run(HeterogeneousSystem(), kernel)
+        pricing.characterize(HeterogeneousSystem(threads=1),
+                             kernel_by_name("cnn"))
+        assert builds == ["cnn"]
+
+    def test_clear_empties_the_program_memo(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        system = HeterogeneousSystem()
+        kernel = kernel_by_name("matmul")
+        pricing.characterize(system, kernel)
+        assert builds == ["matmul"] and pricing._PROGRAMS
+        pricing.clear()
+        assert not pricing._PROGRAMS
+        pricing.host_run(system, kernel)
+        assert builds == ["matmul", "matmul"]
+
+    @pytest.mark.parametrize("host", ["tied", "untied"])
+    def test_host_run_equals_run_on_host(self, host):
+        system = HeterogeneousSystem(
+            host=UntiedSpiHost(serial_clock=mhz(48)) if host == "untied"
+            else None)
+        for name in BENCHMARK_NAMES:
+            kernel = kernel_by_name(name)
+            for frequency in (mhz(2), mhz(8), mhz(26)):
+                assert pricing.host_run(system, kernel, frequency) \
+                    == system.run_on_host(kernel, frequency), (name, frequency)

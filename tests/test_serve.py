@@ -492,17 +492,36 @@ class TestServeCli:
         path = tmp_path / "requests.json"
         replay = ["serve", "--replay", str(path)]
         closed = ["--workload", "closed", "--clients", "0", "--requests", "10"]
-        for text, argv, message in (
-                ("not json", replay, "serve: cannot load trace"),
-                ('{"t": 0}', replay, "serve: trace .* is not a JSON"),
-                ('[{"bogus": 1}]', replay, "serve: bad trace row 0"),
-                (None, ["serve", *closed], "serve: need >= 1 clients"),
-                (None, ["chaos", "--empty", *closed],
-                 "chaos: need >= 1 clients")):
+        cases = [
+            ("not json", replay, "serve: cannot load trace"),
+            ('{"t": 0}', replay, "serve: trace .* is not a JSON"),
+            ('[{"bogus": 1}]', replay, "serve: bad trace row 0"),
+            (None, ["serve", *closed], "serve: need >= 1 clients"),
+            (None, ["chaos", "--empty", *closed],
+             "chaos: need >= 1 clients")]
+        # A closed-loop run serves exactly --requests or refuses: each
+        # client issues the same count, so it must be a multiple.
+        for clients, requests, extra in (("3", "10", []), ("8", "3", []),
+                                         ("4", "0", ["--duration", "5"])):
+            flags = ["--workload", "closed", "--clients", clients,
+                     "--requests", requests, *extra]
+            message = (f"--requests {requests} must be a positive multiple "
+                       f"of --clients {clients}")
+            cases += [(None, ["serve", *flags], f"serve: {message}"),
+                      (None, ["chaos", "--empty", *flags],
+                       f"chaos: {message}")]
+        for text, argv, message in cases:
             if text is not None:
                 path.write_text(text)
             with pytest.raises(SystemExit, match=message):
                 main(argv)
+
+    def test_closed_loop_serves_exactly_the_requests_asked_for(self, capsys):
+        argv = ["serve", "--workload", "closed", "--clients", "3",
+                "--requests", "12", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["arrivals"] == payload["completed"] == 12
 
 
 class TieredBook(FixedBook):
