@@ -450,7 +450,7 @@ def _serve_workload(args):
         return TraceWorkload.from_json(args.replay)
     requests = args.requests if args.requests > 0 else None
     if requests is None and args.duration is None:
-        raise SystemExit("serve: give --requests > 0 or a --duration")
+        raise SystemExit(f"{args.command}: give --requests > 0 or a --duration")
     common = dict(
         deadline_factor=(args.deadline_factor
                          if args.deadline_factor > 0 else None),
@@ -493,11 +493,11 @@ def _serve_book_and_policy(args):
         else Policy(args.policy)
     if isinstance(policy, str) and policy not in registered_policies():
         known = ", ".join(registered_policies())
-        raise SystemExit(f"serve: unknown --scheduler {policy!r}; "
+        raise SystemExit(f"{args.command}: unknown --scheduler {policy!r}; "
                          f"registered: {known}")
     if args.model is None:
         raise SystemExit(
-            f"serve: --scheduler {args.scheduler} needs --model "
+            f"{args.command}: --scheduler {args.scheduler} needs --model "
             "<trained model JSON> (train one with: python -m repro "
             "learn train)")
     try:
@@ -505,7 +505,7 @@ def _serve_book_and_policy(args):
         book = learn_service.PredictedServiceBook(
             fitted, confidence=args.confidence, host_mhz=args.host_mhz)
     except (OSError, ReproError) as exc:
-        raise SystemExit(f"serve: cannot use model {args.model}: {exc}")
+        raise SystemExit(f"{args.command}: cannot use model {args.model}: {exc}")
     return book, policy
 
 

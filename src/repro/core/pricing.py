@@ -13,9 +13,10 @@ once and looks the rest up:
   ``DeviceOpenMp.execute`` and the activity profile of the kernel's
   program; :func:`host_run` (kernel, host device) memoizes the
   host-only baseline lowering of ``HeterogeneousSystem.run_on_host``
-  alongside.  Both read one program per kernel, built once by
-  ``Kernel.build_program`` and memoized on the kernel (programs are
-  frozen, so sharing one is safe);
+  alongside, and :func:`risc_ops` (kernel) Table I's RISC-op count, the
+  program's instructions on the baseline RISC target.  All three read
+  one program per kernel, built once by ``Kernel.build_program`` and
+  memoized on the kernel (programs are frozen, so sharing one is safe);
 * :func:`operating_point` (budget, link reserve, host device, power
   model, host clock, activity fractions) — ``PowerEnvelopeSolver.solve``;
 * :func:`price` (link, tying, iterations, buffering) —
@@ -59,6 +60,7 @@ from repro.core.envelope import EnvelopePoint, PowerEnvelopeSolver
 from repro.core.offload import OffloadCostModel, OffloadTiming
 from repro.core.system import (HeterogeneousSystem, HostRun, OffloadResult,
                                require_accelerator)
+from repro.isa.baseline import BaselineRiscTarget
 from repro.isa.program import Program
 from repro.kernels.base import Arrays, Kernel
 from repro.mcu.stm32l476 import Stm32L476
@@ -93,13 +95,16 @@ _VERIFIED: Dict[Tuple, Verification] = {}
 _PROGRAMS: Dict[Tuple, Program] = {}
 _CHARACTERIZED: Dict[Tuple, Characterization] = {}
 _HOST_CYCLES: Dict[Tuple, float] = {}
+_RISC_OPS: Dict[Tuple, float] = {}
 _OPERATING_POINTS: Dict[Tuple, EnvelopePoint] = {}
+
+_BASELINE = BaselineRiscTarget()
 
 
 def clear() -> None:
     """Empty every stage memo (the next calls recompute)."""
     for memo in (_VERIFIED, _PROGRAMS, _CHARACTERIZED, _HOST_CYCLES,
-                 _OPERATING_POINTS):
+                 _RISC_OPS, _OPERATING_POINTS):
         memo.clear()
 
 
@@ -170,6 +175,16 @@ def host_run(system: HeterogeneousSystem, kernel: Kernel,
     return HostRun(frequency=frequency, cycles=cycles,
                    time=cycles / frequency,
                    power=system.host.active_power(frequency))
+
+
+def risc_ops(kernel: Kernel) -> float:
+    """Table I's RISC ops of *kernel*: the instructions its program
+    executes on the baseline RISC target, lowered once per kernel."""
+    key = kernel.memo_key()
+    found = _RISC_OPS.get(key)
+    if found is None:
+        found = _RISC_OPS[key] = _BASELINE.risc_ops(_program(kernel))
+    return found
 
 
 def operating_point(solver: PowerEnvelopeSolver, host_frequency: float,

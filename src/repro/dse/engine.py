@@ -22,7 +22,6 @@ around the miss batch, ``dse.cache.hits`` / ``dse.cache.misses`` /
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -143,6 +142,10 @@ class ExplorationEngine:
                     hub.count("dse.evaluations")
                     hub.gauge("dse.progress", (index + 1) / len(misses))
             else:
+                # Imported here: it loads multiprocessing, which an
+                # in-process run never needs.
+                from concurrent.futures import ProcessPoolExecutor
+
                 workers = min(self.jobs, len(misses))
                 chunk = max(1, len(misses) // (4 * workers))
                 with ProcessPoolExecutor(max_workers=workers) as executor:

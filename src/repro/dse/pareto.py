@@ -86,25 +86,31 @@ def pareto_frontier(records: List[Mapping[str, Any]],
 
 def sensitivity(records: List[Mapping[str, Any]],
                 objective: str = DEFAULT_OBJECTIVE) -> Dict[str, Dict[str, Any]]:
-    """Per-knob effect on *objective* across the feasible records."""
+    """Per-knob effect on *objective* across the feasible records.
+
+    Records carry canonical configurations: every knob of
+    :data:`~repro.dse.space.KNOB_ORDER` and no other.
+    """
     feasible = [r for r in records if r.get("feasible")]
     if not feasible:
         return {}
     overall_mean = (ordered_sum([r["metrics"][objective] for r in feasible])
                     / len(feasible))
     # (knob, type, value) tells 1, 1.0 and True apart, as JSON text does.
-    keyed = [{knob: (knob, type(value), value)
-              for knob, value in sorted(r["config"].items())}
-             for r in feasible]
+    # Each record's items are built once, in KNOB_ORDER; a knob's groups
+    # key on the items either side of it.
+    keyed = [tuple([(knob, type(config[knob]), config[knob])
+                    for knob in KNOB_ORDER])
+             for config in (r["config"] for r in feasible)]
     summary: Dict[str, Dict[str, Any]] = {}
-    for knob in KNOB_ORDER:
-        values = {items[knob] for items in keyed}
+    for index, knob in enumerate(KNOB_ORDER):
+        values = {items[index] for items in keyed}
         if len(values) < 2:
             continue
         groups: Dict[Tuple, Dict[Tuple, float]] = {}
         for record, items in zip(feasible, keyed):
-            rest = tuple(item for name, item in items.items() if name != knob)
-            groups.setdefault(rest, {})[items[knob]] \
+            rest = items[:index] + items[index + 1:]
+            groups.setdefault(rest, {})[items[index]] \
                 = record["metrics"][objective]
         spreads = [max(group.values()) - min(group.values())
                    for group in groups.values() if len(group) >= 2]

@@ -12,8 +12,8 @@ harness prints.  The mapping to the paper:
 * :mod:`~repro.experiments.figure5` — Figure 5a (speedup within the
   10 mW envelope) and Figure 5b (efficiency vs iterations per offload,
   serial and double-buffered).
+
+Import the module you need (``from repro.experiments import table1``):
+the package itself imports none of them, so a caller that needs only
+:mod:`~repro.experiments.store` (the DSE result cache) loads no figure.
 """
-
-from repro.experiments import figure3, figure4, figure5, table1
-
-__all__ = ["table1", "figure3", "figure4", "figure5"]

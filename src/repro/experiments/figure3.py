@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
-from repro.isa.baseline import BaselineRiscTarget
 from repro.kernels.matmul import MatmulKernel
 from repro.mcu.catalog import MCU_CATALOG
 from repro.units import format_watts
@@ -74,9 +73,10 @@ class Figure3Result:
 def run(threads: int = 4) -> Figure3Result:
     """Compute Figure 3's scatter."""
     system = HeterogeneousSystem(threads=threads)
-    matmul = pricing.characterize(system, MatmulKernel("char"))
+    kernel = MatmulKernel("char")
+    matmul = pricing.characterize(system, kernel)
     program = matmul.program
-    risc_ops = BaselineRiscTarget().risc_ops(program)
+    risc_ops = pricing.risc_ops(kernel)
     points: List[EfficiencyPoint] = []
 
     # PULP across its anchored operating points.

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import pricing
 from repro.core.envelope import FIGURE5A_HOST_FREQUENCIES
 from repro.core.system import HeterogeneousSystem
-from repro.isa.baseline import BaselineRiscTarget
 from repro.kernels.base import Kernel
 from repro.kernels.registry import all_kernels
 from repro.mcu.stm32l476 import Stm32L476
@@ -82,12 +81,11 @@ def run_figure5a(threads: int = 4,
                  ) -> Figure5aResult:
     """Compute Figure 5a."""
     system = HeterogeneousSystem(threads=threads)
-    baseline = BaselineRiscTarget()
     cells: List[Figure5aCell] = []
     for kernel in all_kernels():
         characterization = pricing.characterize(system, kernel)
         execution = characterization.execution
-        risc_ops = baseline.risc_ops(characterization.program)
+        risc_ops = pricing.risc_ops(kernel)
         host_cycles = pricing.host_run(system, kernel).cycles
         host_time_baseline = host_cycles / BASELINE_FREQUENCY
         for host_frequency in host_frequencies:

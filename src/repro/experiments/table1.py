@@ -11,7 +11,6 @@ from typing import List, Optional
 
 from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
-from repro.isa.baseline import BaselineRiscTarget
 from repro.kernels.registry import PAPER_TABLE1, all_kernels
 from repro.units import format_bytes
 
@@ -41,7 +40,6 @@ class Table1Row:
 def run() -> List[Table1Row]:
     """Compute Table I."""
     system = HeterogeneousSystem()
-    baseline = BaselineRiscTarget()
     rows: List[Table1Row] = []
     for kernel in all_kernels():
         sizes = pricing.characterize(system, kernel)
@@ -53,7 +51,7 @@ def run() -> List[Table1Row]:
             input_bytes=sizes.input_bytes,
             output_bytes=sizes.output_bytes,
             binary_bytes=sizes.binary_bytes,
-            risc_ops=baseline.risc_ops(sizes.program),
+            risc_ops=pricing.risc_ops(kernel),
             paper_input_bytes=paper_in * 1024,
             paper_output_bytes=paper_out,
             paper_binary_bytes=paper_bin * 1024,

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import IsaError
-from repro.isa.vop import DType, VOp
+from repro.isa.vop import DType, OpKind, VOp
 
 Node = Union["Block", "Loop"]
 
@@ -98,10 +99,27 @@ class Loop:
         start = core * base + min(core, extra)
         return start, start + base + (1 if core < extra else 0)
 
+    # The loop is frozen, so its shape is computed once per node, from
+    # its children's cached values, and kept in the instance dict.
+
+    @cached_property
     def depth(self) -> int:
         """Nesting depth below this loop (1 for an innermost loop)."""
-        child_depths = [node.depth() for node in self.body if isinstance(node, Loop)]
-        return 1 + (max(child_depths) if child_depths else 0)
+        return 1 + max((node.depth for node in self.body
+                        if isinstance(node, Loop)), default=0)
+
+    @cached_property
+    def vector_kinds(self) -> FrozenSet[OpKind]:
+        """Kinds of the vector-marked ops in this loop's subtree that a
+        SIMD unit must pack (foldable address updates excluded)."""
+        kinds = set()
+        for node in self.body:
+            if isinstance(node, Loop):
+                kinds.update(node.vector_kinds)
+            else:
+                kinds.update(op.kind for op in node.ops if op.vector and not (
+                    op.kind is OpKind.ADDR and op.foldable))
+        return frozenset(kinds)
 
 
 @dataclass(frozen=True)

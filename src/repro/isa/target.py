@@ -20,19 +20,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.isa.costs import SimdSpec, TargetCosts
-from repro.isa.program import Block, Loop, Node, Program
+from repro.isa.program import Block, Loop, Program
 from repro.isa.report import LoweredReport
-from repro.isa.vop import OpKind, VOp
+from repro.isa.vop import MEMORY_KINDS, DType, OpKind
+
+#: What the walk reads of one op kind on one target: its report key,
+#: cycles, instructions and whether it touches memory.
+OpCost = Tuple[str, float, float, bool]
+
+#: A body's lowering before it is scaled and merged: cycles,
+#: instructions, memory accesses and cycles per report key.
+_Sums = Tuple[float, float, float, Dict[str, float]]
+
+#: Every op kind with its report key and whether it touches memory.
+_KINDS = tuple((kind, kind.value, kind in MEMORY_KINDS) for kind in OpKind)
 
 
 class Target:
-    """A concrete instruction-set target defined by a cost table."""
+    """A concrete instruction-set target defined by a cost table.
+
+    The table is resolved once, at construction: one :data:`OpCost` per
+    op kind the table prices, and per SIMD element type the spec for
+    loops with and without a multiply.  Treat ``costs`` as read-only;
+    build a new target for a modified table.
+    """
 
     def __init__(self, costs: TargetCosts):
         self.costs = costs
+        cycles, instructions = costs.op_cycles, costs.op_instructions
+        self._op_costs: Dict[OpKind, OpCost] = {
+            kind: (key, cycles[kind], instructions[kind], memory)
+            for kind, key, memory in _KINDS
+            if kind in cycles and kind in instructions}
+        self._simd_plans: Dict[DType, Tuple[SimdSpec, SimdSpec]] = {
+            dtype: (spec, spec if spec.pure_alu_overhead is None else replace(
+                spec, overhead_factor=spec.pure_alu_overhead))
+            for dtype, spec in costs.simd.items() if spec.lanes > 1}
 
     @property
     def name(self) -> str:
@@ -48,19 +74,15 @@ class Target:
     def lower_nodes(self, nodes) -> LoweredReport:
         """Lower a bare sequence of IR nodes (used by the OpenMP model to
         cost per-thread chunks and serial regions)."""
-        report = LoweredReport(target_name=self.name)
-        for node in nodes:
-            self._lower_node(node, report, simd=None)
-        self._apply_cycle_scale(report)
-        return report
-
-    def _apply_cycle_scale(self, report: LoweredReport) -> None:
+        cycles, instructions, memory, by_kind = self._lower_body(nodes, None)
         scale = self.costs.cycle_scale
-        if scale == 1.0:
-            return
-        report.cycles *= scale
-        for key in report.cycles_by_kind:
-            report.cycles_by_kind[key] *= scale
+        if scale != 1.0:
+            cycles *= scale
+            for key in by_kind:
+                by_kind[key] *= scale
+        return LoweredReport(target_name=self.costs.name, cycles=cycles,
+                             instructions=instructions,
+                             cycles_by_kind=by_kind, memory_accesses=memory)
 
     def vector_plan(self, loop: Loop) -> Optional[SimdSpec]:
         """The SIMD spec applied to *loop*, or ``None`` if the loop cannot
@@ -70,104 +92,117 @@ class Target:
         ``pure_alu_overhead`` factor: add/logic lanes never widen."""
         if not loop.vectorizable:
             return None
-        spec = self.costs.simd.get(loop.simd_dtype)
-        if spec is None or spec.lanes <= 1:
+        plans = self._simd_plans.get(loop.simd_dtype)
+        if plans is None:
             return None
-        has_multiply = False
-        for op in _vector_ops(loop):
-            if op.kind not in self.costs.simd_kinds:
-                return None
-            if op.kind in (OpKind.MUL, OpKind.MAC):
-                has_multiply = True
-        if not has_multiply and spec.pure_alu_overhead is not None:
-            return replace(spec, overhead_factor=spec.pure_alu_overhead)
-        return spec
+        kinds = loop.vector_kinds
+        if not kinds.issubset(self.costs.simd_kinds):
+            return None
+        multiply, pure_alu = plans
+        if OpKind.MUL in kinds or OpKind.MAC in kinds:
+            return multiply
+        return pure_alu
 
     # -- lowering walk -------------------------------------------------------
+    #
+    # Each body accumulates into local sums in program order, exactly as
+    # a sequence of ``LoweredReport.add``/``merge_scaled`` calls would:
+    # every float is added in the same order, so the results are the
+    # same bits.
 
-    def _lower_node(self, node: Node, report: LoweredReport,
-                    simd: Optional[SimdSpec]) -> None:
-        if isinstance(node, Block):
-            for op in node.ops:
-                self._lower_op(op, report, simd)
-        else:
-            self._lower_loop(node, report, simd)
+    def _lower_body(self, nodes, simd: Optional[SimdSpec]) -> _Sums:
+        cycles = instructions = memory = 0.0
+        by_kind: Dict[str, float] = {}
+        for node in nodes:
+            lower = self._lower_ops if isinstance(node, Block) \
+                else self._lower_loop
+            cycles, instructions, memory = lower(
+                node, simd, cycles, instructions, memory, by_kind)
+        return cycles, instructions, memory, by_kind
 
-    def _lower_loop(self, loop: Loop, report: LoweredReport,
-                    simd: Optional[SimdSpec]) -> None:
+    def _lower_loop(self, loop: Loop, simd: Optional[SimdSpec],
+                    cycles: float, instructions: float, memory: float,
+                    by_kind: Dict[str, float]) -> Tuple[float, float, float]:
+        """Add *loop* to the running sums: its body times its trips, then
+        its per-iteration overhead and its setup."""
+        costs = self.costs
         plan = self.vector_plan(loop) if simd is None else None
-        trips = loop.trips
-        body_simd = simd
-        overhead_factor = 1.0
-        extra_cycles = 0.0
-        extra_instructions = 0.0
-        if plan is not None:
+        if plan is None:
+            trips = loop.trips
+            body_cycles, body_instructions, body_memory, body_by_kind = \
+                self._lower_body(loop.body, simd)
+            extra_cycles = extra_instructions = 0.0
+        else:
             trips = math.ceil(loop.trips / plan.lanes)
-            body_simd = plan
-            overhead_factor = plan.overhead_factor
+            body_cycles, body_instructions, body_memory, body_by_kind = \
+                self._lower_body(loop.body, plan)
+            # The overhead factor applies only to this loop's direct
+            # costs; nested loops were already lowered in the vector
+            # context.  For simplicity (and because the paper's
+            # vectorized loops are innermost or wrap only an innermost
+            # reduction) we scale the whole body.
+            factor = plan.overhead_factor
+            body_cycles *= factor
+            for key in body_by_kind:
+                body_by_kind[key] *= factor
             extra_cycles = plan.extra_cycles_per_iter
             extra_instructions = plan.extra_instructions_per_iter
 
-        body = LoweredReport(target_name=self.name)
-        for child in loop.body:
-            self._lower_node(child, body, body_simd)
-        if plan is not None:
-            # The overhead factor applies only to this loop's direct costs;
-            # nested loops were already lowered in the vector context.  For
-            # simplicity (and because the paper's vectorized loops are
-            # innermost or wrap only an innermost reduction) we scale the
-            # whole body.
-            body.cycles *= overhead_factor
-            for key in body.cycles_by_kind:
-                body.cycles_by_kind[key] *= overhead_factor
+        cycles += body_cycles * trips
+        instructions += body_instructions * trips
+        memory += body_memory * trips
+        for key, value in body_by_kind.items():
+            by_kind[key] = by_kind.get(key, 0.0) + value * trips
 
-        if self._is_hardware_loop(loop):
-            iter_cycles = 0.0
-            iter_instructions = 0.0
-            setup = self.costs.hwloop_setup_cycles
+        if loop.depth <= costs.hardware_loops:
+            iter_cycles = iter_instructions = 0.0
+            setup = costs.hwloop_setup_cycles
         else:
-            iter_cycles = self.costs.loop_iter_cycles
-            iter_instructions = self.costs.loop_iter_instructions
-            setup = self.costs.loop_setup_cycles
+            iter_cycles = costs.loop_iter_cycles
+            iter_instructions = costs.loop_iter_instructions
+            setup = costs.loop_setup_cycles
+        overhead = (iter_cycles + extra_cycles) * trips
+        cycles += overhead
+        instructions += (iter_instructions + extra_instructions) * trips
+        if overhead:
+            by_kind["loop_overhead"] = by_kind.get("loop_overhead", 0.0) \
+                + overhead
+        cycles += setup
+        instructions += 1.0
+        if setup:
+            by_kind["loop_setup"] = by_kind.get("loop_setup", 0.0) + setup
+        return cycles, instructions, memory
 
-        report.merge_scaled(body, trips)
-        report.add("loop_overhead",
-                   (iter_cycles + extra_cycles) * trips,
-                   (iter_instructions + extra_instructions) * trips)
-        report.add("loop_setup", setup, 1.0)
-
-    def _is_hardware_loop(self, loop: Loop) -> bool:
-        return loop.depth() <= self.costs.hardware_loops
-
-    def _lower_op(self, op: VOp, report: LoweredReport,
-                  simd: Optional[SimdSpec]) -> None:
-        count = op.count
-        if simd is not None and not op.vector:
-            # Per-element work inside a vectorized loop replicates per lane.
-            count *= simd.lanes
-
-        if op.kind is OpKind.ADDR and op.foldable and self.costs.addr_folded:
-            return  # folded into a post-increment addressing mode
-
-        cycles = self.costs.cycles_for(op.kind)
-        instructions = self.costs.instructions_for(op.kind)
-        memory = 0.0
-        if op.is_memory:
-            memory = count
-            if op.unaligned and simd is not None:
-                cycles += self.costs.unaligned_penalty_cycles
-                instructions += self.costs.unaligned_penalty_instructions
-        report.add(op.kind.value, cycles * count, instructions * count, memory)
-
-
-def _vector_ops(loop: Loop):
-    """All vector-marked ops in the loop's subtree."""
-    stack = list(loop.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Block):
-            for op in node.ops:
-                if op.vector and not (op.kind is OpKind.ADDR and op.foldable):
-                    yield op
-        else:
-            stack.extend(node.body)
+    def _lower_ops(self, block: Block, simd: Optional[SimdSpec],
+                   cycles: float, instructions: float, memory: float,
+                   by_kind: Dict[str, float]) -> Tuple[float, float, float]:
+        """Add *block*'s ops to the running sums."""
+        costs = self.costs
+        op_costs = self._op_costs
+        fold_addr = costs.addr_folded
+        for op in block.ops:
+            kind = op.kind
+            if kind is OpKind.ADDR and op.foldable and fold_addr:
+                continue  # folded into a post-increment addressing mode
+            entry = op_costs.get(kind)
+            if entry is None:
+                # Missing from a table: its own lookup raises the error.
+                entry = (kind.value, costs.cycles_for(kind),
+                         costs.instructions_for(kind), kind in MEMORY_KINDS)
+            key, op_cycles, op_instructions, is_memory = entry
+            count = op.count
+            if simd is not None and not op.vector:
+                # Per-element work inside a vectorized loop replicates
+                # per lane.
+                count *= simd.lanes
+            if is_memory:
+                if op.unaligned and simd is not None:
+                    op_cycles += costs.unaligned_penalty_cycles
+                    op_instructions += costs.unaligned_penalty_instructions
+                memory += count
+            op_cycles *= count
+            cycles += op_cycles
+            instructions += op_instructions * count
+            if op_cycles:
+                by_kind[key] = by_kind.get(key, 0.0) + op_cycles
+        return cycles, instructions, memory

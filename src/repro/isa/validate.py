@@ -138,7 +138,7 @@ def _check_loops(program: Program, findings: List[Finding]) -> None:
                          for op in _direct_ops(node))
         has_addr = any(op.kind is OpKind.ADDR and op.foldable
                        for op in _direct_ops(node))
-        if has_addr and not has_memory and node.depth() == 1:
+        if has_addr and not has_memory and node.depth == 1:
             findings.append(Finding(
                 Severity.WARNING, location,
                 "foldable ADDR ops without memory ops in the same body: "

@@ -39,6 +39,12 @@ class OpKind(enum.Enum):
     DIV = "div"              #: integer division
     BRANCH = "branch"        #: data-dependent branch inside a body
 
+    # Members are singletons and Enum compares them by identity, so an
+    # identity hash agrees with equality.  It keeps the per-op dict and
+    # set lookups of the lowering walk free of a Python-level
+    # ``hash(self._name_)`` call.
+    __hash__ = object.__hash__
+
 
 class DType(enum.Enum):
     """Element data types (fixed-point formats map onto the integer widths)."""
@@ -46,6 +52,9 @@ class DType(enum.Enum):
     I8 = 8
     I16 = 16
     I32 = 32
+
+    # Identity hash, as for :class:`OpKind`.
+    __hash__ = object.__hash__
 
     @property
     def bits(self) -> int:

@@ -18,6 +18,7 @@ hard-tanh (clip) activation replacing the tanh lookup.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 import numpy as np
@@ -69,22 +70,31 @@ def _avg_pool(maps: np.ndarray) -> np.ndarray:
             + maps[:, 1::2, 0::2] + maps[:, 1::2, 1::2]) >> 2
 
 
+@functools.cache
 def conv2_connection_table() -> np.ndarray:
     """Deterministic sparse connection table: [out_map, in_map] booleans
-    with CONV2_CONNECTIVITY of the entries set, LeNet-style."""
+    with CONV2_CONNECTIVITY of the entries set, LeNet-style.
+
+    Built once per process and shared write-protected."""
     table = np.zeros((CONV2_MAPS, CONV1_MAPS), dtype=bool)
     keep = int(round(CONV1_MAPS * CONV2_CONNECTIVITY))
     for out_map in range(CONV2_MAPS):
         for offset in range(keep):
             table[out_map, (out_map + offset) % CONV1_MAPS] = True
+    table.setflags(write=False)
     return table
 
 
+@functools.cache
 def perforation_mask() -> np.ndarray:
     """Deterministic conv2 perforation mask ([h, w] booleans, True =
-    computed). A 2-in-5 diagonal skip pattern gives PERFORATION = 0.4."""
+    computed). A 2-in-5 diagonal skip pattern gives PERFORATION = 0.4.
+
+    Built once per process and shared write-protected."""
     ys, xs = np.mgrid[0:_CONV2_OUT, 0:_CONV2_OUT]
-    return ((ys * _CONV2_OUT + xs) % 5) >= 2
+    mask = ((ys * _CONV2_OUT + xs) % 5) >= 2
+    mask.setflags(write=False)
+    return mask
 
 
 class CnnKernel(Kernel):

@@ -26,6 +26,7 @@ MUL64/ADD64-heavy IR reproduces.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
@@ -59,15 +60,20 @@ EPSILON_Q16 = 1 << 8
 _PI_Q16 = int(round(math.pi * Q16_ONE))
 
 
+@functools.cache
 def gaussian_window_q15() -> np.ndarray:
-    """16x16 Gaussian block window, sigma = half block width, Q1.15."""
+    """16x16 Gaussian block window, sigma = half block width, Q1.15.
+
+    Built once per process and shared write-protected."""
     side = 2 * CELL
     center = (side - 1) / 2.0
     sigma = side / 2.0
     ys, xs = np.mgrid[0:side, 0:side]
     window = np.exp(-((ys - center) ** 2 + (xs - center) ** 2)
                     / (2 * sigma ** 2))
-    return np.round(window * Q15_ONE).astype(np.int64)
+    window = np.round(window * Q15_ONE).astype(np.int64)
+    window.setflags(write=False)
+    return window
 
 
 class HogKernel(Kernel):

@@ -1,7 +1,12 @@
 """Tests for the design-space exploration subsystem (``repro.dse``)."""
 
 import json
+import os
+import pathlib
 import random
+import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +23,7 @@ from repro.dse import (
     sensitivity,
 )
 from repro.dse import evaluate as dse_evaluate
+from repro.dse.space import KNOB_ORDER
 from repro.errors import ConfigurationError, ReproError
 from repro.kernels import BENCHMARK_NAMES, kernel_by_name
 from repro.units import mhz
@@ -294,6 +300,24 @@ class TestColdSweepDoesNoRepeatWork:
         assert record["config_hash"] == config.hash
 
 
+class TestImportCost:
+    def test_import_loads_no_process_pool_and_no_figure(self):
+        # The pool loads only for jobs > 1, and the result cache's
+        # store module does not pull in the paper's figures.
+        probe = ("import sys, repro.dse\n"
+                 "print(' '.join(sorted(name for name in sys.modules\n"
+                 "    if name.split('.')[0] == 'multiprocessing'\n"
+                 "    or name == 'concurrent.futures.process'\n"
+                 "    or name.startswith(('repro.experiments.figure',\n"
+                 "                        'repro.experiments.table1')))))\n")
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(sys.modules["repro"].__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.split() == []
+
+
 class TestCache:
     def test_put_get_roundtrip_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -470,6 +494,45 @@ class TestPareto:
         assert sensitivity(records) == _json_keyed_sensitivity(records)
         assert sensitivity(records)["host_mhz"]["values"] == 4
 
+    @pytest.mark.parametrize("objective", ["effective_speedup",
+                                           "energy_per_iteration_j",
+                                           "total_power_w"])
+    def test_sensitivity_matches_the_rebuild_on_the_sweep_grid(
+            self, objective):
+        records = ExplorationEngine(jobs=1).run(
+            ParameterSpace.from_dict(_perfbench_dse_spec())).records
+        got = sensitivity(records, objective)
+        assert {"kernel", "host_mhz", "budget_mw", "spi_mode",
+                "cluster_size"} <= set(got)
+        assert got == _per_knob_rebuild_sensitivity(records, objective)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sensitivity_matches_the_rebuild_on_mixed_types(self, seed):
+        # 1, 1.0 and True are one value to ==, three to JSON text; key
+        # order varies between records.
+        rng = random.Random(seed)
+        pools = {"kernel": ["matmul", "hog"], "host_mhz": [1, 1.0, True, 8],
+                 "budget_mw": [5.0, 10.0, 1],
+                 "spi_mode": ["single", "quad"],
+                 "link_tying": ["tied", "untied"],
+                 "untied_clock_mhz": [24.0, 24, 1.0],
+                 "cluster_size": [1, True, 1.0, 4],
+                 "iterations": [1, 1.0, True],
+                 "double_buffered": [False, 0, True, 1, 0.0]}
+        records = []
+        for index in range(rng.randint(1, 120)):
+            knobs = list(KNOB_ORDER)
+            rng.shuffle(knobs)
+            config = {knob: rng.choice(pools[knob]) for knob in knobs}
+            feasible = rng.random() < 0.8
+            records.append(_record(f"{index:04d}", rng.uniform(0, 50),
+                                   rng.uniform(1e-6, 1e-4),
+                                   rng.uniform(1e-3, 1e-2), feasible))
+            records[-1]["config"] = config
+        assert sensitivity(records) == _per_knob_rebuild_sensitivity(records)
+        if any(r["feasible"] for r in records):
+            assert sensitivity(records) == _json_keyed_sensitivity(records)
+
 
 def _quadratic_frontier(records, maximize, minimize):
     """The frontier by comparing every feasible record with every other:
@@ -496,6 +559,50 @@ def _quadratic_frontier(records, maximize, minimize):
     frontier.sort(key=lambda r: (
         tuple(-v for v in vectors[r["config_hash"]]), r["config_hash"]))
     return frontier
+
+
+def _perfbench_dse_spec():
+    """The ``dse_sweep`` benchmark grid, read from perfbench."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "workloads.py")
+    return runpy.run_path(str(path))["DSE_SPEC"]
+
+
+def _per_knob_rebuild_sensitivity(records, objective="effective_speedup"):
+    """The sensitivity summary with each knob's rest-of-knobs tuples
+    rebuilt from name-sorted items: the reference the one-pass,
+    KNOB_ORDER tuples must reproduce."""
+    from repro.units import ordered_sum
+
+    feasible = [r for r in records if r.get("feasible")]
+    if not feasible:
+        return {}
+    overall_mean = (ordered_sum([r["metrics"][objective] for r in feasible])
+                    / len(feasible))
+    keyed = [{knob: (knob, type(value), value)
+              for knob, value in sorted(r["config"].items())}
+             for r in feasible]
+    summary = {}
+    for knob in KNOB_ORDER:
+        values = {items[knob] for items in keyed}
+        if len(values) < 2:
+            continue
+        groups = {}
+        for record, items in zip(feasible, keyed):
+            rest = tuple(item for name, item in items.items() if name != knob)
+            groups.setdefault(rest, {})[items[knob]] \
+                = record["metrics"][objective]
+        spreads = [max(group.values()) - min(group.values())
+                   for group in groups.values() if len(group) >= 2]
+        if not spreads:
+            continue
+        mean_spread = ordered_sum(spreads) / len(spreads)
+        summary[knob] = {
+            "values": len(values), "groups": len(spreads),
+            "mean_spread": mean_spread, "max_spread": max(spreads),
+            "relative_effect": (mean_spread / overall_mean
+                                if overall_mean else 0.0)}
+    return summary
 
 
 def _json_keyed_sensitivity(records, objective="effective_speedup"):

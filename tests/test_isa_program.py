@@ -44,13 +44,13 @@ class TestVOp:
 class TestLoop:
     def test_depth_innermost(self):
         loop = Loop(4, [Block([load()])])
-        assert loop.depth() == 1
+        assert loop.depth == 1
 
     def test_depth_nested(self):
         inner = Loop(4, [Block([load()])])
         middle = Loop(4, [inner])
         outer = Loop(4, [middle, Loop(2, [Block([store()])])])
-        assert outer.depth() == 3
+        assert outer.depth == 3
 
     def test_with_trips(self):
         loop = Loop(10, [Block([load()])], name="x")

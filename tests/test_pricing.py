@@ -12,6 +12,7 @@ from repro.core.sensor import SensorPath, SensorPipeline
 from repro.core.system import HeterogeneousSystem
 from repro.experiments import report
 from repro.faults import FaultPlan, ResilientDriver
+from repro.isa import BaselineRiscTarget, Target
 from repro.kernels import BENCHMARK_NAMES, Kernel, kernel_by_name
 from repro.mcu.stm32l476 import UntiedSpiHost
 from repro.power.activity import ActivityProfile, PulpComponent
@@ -51,6 +52,27 @@ def _count_builds(monkeypatch):
             monkeypatch.setattr(cls, "build_program",
                                 counted(vars(cls)["build_program"]))
     return builds
+
+
+def _baseline_lowerings(monkeypatch):
+    """The program names ``Target.lower`` lowers on the baseline RISC
+    target, and its ``lower_nodes`` walks (one per ``lower`` call)."""
+    names, walks = [], []
+    lower, lower_nodes = Target.lower, Target.lower_nodes
+
+    def counted_lower(self, program):
+        if self.name == "baseline-risc":
+            names.append(program.name)
+        return lower(self, program)
+
+    def counted_lower_nodes(self, nodes):
+        if self.name == "baseline-risc":
+            walks.append(len(nodes))
+        return lower_nodes(self, nodes)
+
+    monkeypatch.setattr(Target, "lower", counted_lower)
+    monkeypatch.setattr(Target, "lower_nodes", counted_lower_nodes)
+    return names, walks
 
 
 class TestOperatingPointKey:
@@ -202,3 +224,30 @@ class TestProgramMemo:
             for frequency in (mhz(2), mhz(8), mhz(26)):
                 assert pricing.host_run(system, kernel, frequency) \
                     == system.run_on_host(kernel, frequency), (name, frequency)
+
+
+class TestRiscOps:
+    def test_equals_the_baseline_lowering_for_every_kernel(self):
+        for name in BENCHMARK_NAMES:
+            program = kernel_by_name(name).build_program()
+            expected = BaselineRiscTarget().risc_ops(program)
+            assert repr(pricing.risc_ops(kernel_by_name(name))) \
+                == repr(expected), name
+
+    def test_lowered_once_per_kernel_until_cleared(self, monkeypatch):
+        names, walks = _baseline_lowerings(monkeypatch)
+        first = pricing.risc_ops(kernel_by_name("svm (poly)"))
+        assert pricing.risc_ops(kernel_by_name("svm (poly)")) == first
+        assert names == ["svm (poly)"] and len(walks) == 1
+        assert pricing._RISC_OPS
+        pricing.clear()
+        assert not pricing._RISC_OPS
+        assert pricing.risc_ops(kernel_by_name("svm (poly)")) == first
+        assert names == ["svm (poly)"] * 2 and len(walks) == 2
+
+    def test_report_lowers_each_program_on_the_baseline_once(
+            self, monkeypatch):
+        names, walks = _baseline_lowerings(monkeypatch)
+        report.build_report()
+        assert Counter(names) == Counter(BENCHMARK_NAMES)
+        assert len(walks) == len(names)

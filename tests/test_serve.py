@@ -516,6 +516,24 @@ class TestServeCli:
             with pytest.raises(SystemExit, match=message):
                 main(argv)
 
+    @pytest.mark.parametrize("command", [["serve"], ["chaos", "--empty"]])
+    def test_spec_errors_name_the_command(self, command, tmp_path):
+        name = command[0]
+        cases = [
+            (["--requests", "0"],
+             f"{name}: give --requests > 0 or a --duration"),
+            (["--scheduler", "bogus"],
+             f"{name}: unknown --scheduler 'bogus'; registered: "),
+            (["--scheduler", "predicted"],
+             f"{name}: --scheduler predicted needs --model "),
+            (["--model", str(tmp_path / "missing.json")],
+             f"{name}: cannot use model "),
+        ]
+        for flags, message in cases:
+            with pytest.raises(SystemExit) as info:
+                main([*command, *flags])
+            assert str(info.value.code).startswith(message), flags
+
     def test_closed_loop_serves_exactly_the_requests_asked_for(self, capsys):
         argv = ["serve", "--workload", "closed", "--clients", "3",
                 "--requests", "12", "--json"]
