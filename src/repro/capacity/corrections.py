@@ -43,11 +43,6 @@ class KernelShape:
         """Warm per-request service seconds at nominal clock."""
         return self.warm_io_s + self.warm_compute_s
 
-    @property
-    def warm_energy_j(self) -> float:
-        """Warm per-request joules at nominal clock."""
-        return self.warm_io_energy_j + self.warm_compute_energy_j
-
     def warm_at(self, compute_stretch: float) -> float:
         """Warm service with the compute portion stretched (brownout)."""
         return self.warm_io_s + self.warm_compute_s * compute_stretch

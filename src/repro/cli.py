@@ -190,21 +190,19 @@ _DES_CYCLE_CAP = 20_000.0
 
 
 def _des_cluster_lanes(hub, kernel, target) -> None:
-    """Replay the kernel's first parallel loop on the DES cluster and
-    route per-core / per-bank / per-DMA-channel lanes into *hub*."""
-    from repro.obs.bridge import route_recorder
+    """Replay the kernel's first parallel loop on the DES cluster, which
+    emits its per-core / per-bank / per-DMA-channel lanes into *hub*
+    (the active hub)."""
     from repro.pulp.cluster import Cluster
     from repro.pulp.timing import kernel_op_streams
-    from repro.sim.tracing import TraceRecorder
 
     streams = kernel_op_streams(kernel.build_program(), target,
                                 Cluster.CORES, cycle_cap=_DES_CYCLE_CAP)
-    recorder = TraceRecorder()
-    cluster = Cluster()
-    run = cluster.run(streams,
-                      dma_jobs=[(0, 0, 1024, True), (0, 4096, 1024, False)],
-                      recorder=recorder)
-    route_recorder(recorder, hub)
+    before = len(hub.spans)
+    run = Cluster().run(streams,
+                        dma_jobs=[(0, 0, 1024, True), (0, 4096, 1024, False)])
+    hub.count("cluster.trace_events", len(hub.spans) - before,
+              domain="cycles")
     hub.gauge("cluster.wall_cycles", run.wall_cycles, domain="cycles")
     hub.gauge("cluster.conflict_rate", run.conflict_rate, domain="cycles")
 

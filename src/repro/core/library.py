@@ -60,11 +60,6 @@ class LibraryPlan:
         """Link bytes/second avoided by residency."""
         return sum(entry.saved_bytes_per_second for entry in self.resident)
 
-    @property
-    def residual_traffic(self) -> float:
-        """Binary re-offload bytes/second still paid."""
-        return sum(entry.saved_bytes_per_second for entry in self.evicted)
-
     def offload_seconds_saved(self, link: SpiLink, spi_clock: float) -> float:
         """Link seconds/second saved (i.e. duty-cycle reduction)."""
         if self.saved_traffic == 0:

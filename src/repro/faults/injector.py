@@ -1,10 +1,10 @@
 """Seeded fault injection: one plan, deterministic fault events.
 
-A :class:`FaultInjector` owns all randomness of a scenario (one LCG,
-same family as :class:`repro.link.noise.NoisyChannel`), so a given
-(plan, seed) pair always produces the identical fault sequence — the
-bedrock of reproducible campaigns.  The injector exposes one hook per
-point in the offload stack where a real system would fail:
+A :class:`FaultInjector` owns all randomness of a scenario (one
+:class:`repro.units.Lcg`), so a given (plan, seed) pair always produces
+the identical fault sequence — the bedrock of reproducible campaigns.
+The injector exposes one hook per point in the offload stack where a
+real system would fail:
 
 - :meth:`mangle_transmission` — frame-level wire faults (drop,
   truncate, duplicate), applied by :class:`FaultyChannel` on top of the
@@ -35,6 +35,7 @@ from repro.faults.plan import (
 )
 from repro.link.noise import NoisyChannel
 from repro.obs.telemetry import get_telemetry
+from repro.units import Lcg
 
 
 class FaultInjector:
@@ -43,22 +44,18 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, seed: int = 1):
         self.plan = plan
         self.seed = seed
-        self._state = (seed * 0x9E3779B9 + 0x7F4A7C15) & 0xFFFFFFFF
+        self._rng = Lcg(seed)
         self.events: List[str] = []
         self._budgets = {spec.kind: spec.count for spec in plan.specs}
 
     # -- randomness --------------------------------------------------------------
-
-    def _next_random(self) -> float:
-        self._state = (self._state * 1664525 + 1013904223) & 0xFFFFFFFF
-        return (self._state >> 8) / float(1 << 24)
 
     def _fires(self, spec: FaultSpec) -> bool:
         """Consume the spec's budget first, then its probability."""
         if self._budgets.get(spec.kind, 0) > 0:
             self._budgets[spec.kind] -= 1
             return True
-        return spec.rate > 0.0 and self._next_random() < spec.rate
+        return spec.rate > 0.0 and self._rng.uniform() < spec.rate
 
     def _record(self, kind: FaultKind) -> None:
         self.events.append(kind.value)
@@ -198,18 +195,18 @@ class FleetAction:
 class FleetInjector:
     """Expands a :class:`FleetPlan` into a deterministic action schedule.
 
-    One LCG (same family as :class:`FaultInjector`) is seeded per event
-    spec, so a given (plan, seed, fleet-size) triple always yields the
-    identical schedule — scenarios stay independent of each other and of
-    the serve engine's own randomness.
+    One :class:`repro.units.Lcg` is seeded per event spec, so a given
+    (plan, seed, fleet-size) triple always yields the identical schedule
+    — scenarios stay independent of each other and of the serve
+    engine's own randomness.
     """
 
     def __init__(self, plan: FleetPlan, seed: int = 1):
         self.plan = plan
         self.seed = seed
 
-    def _lcg(self, index: int) -> "_FleetLcg":
-        return _FleetLcg((self.seed + index * 7919) & 0xFFFFFFFF)
+    def _lcg(self, index: int) -> Lcg:
+        return Lcg((self.seed + index * 7919) & 0xFFFFFFFF)
 
     def actions(self, fleet_size: int) -> List[FleetAction]:
         """The timed action schedule for a fleet of *fleet_size* nodes.
@@ -242,7 +239,7 @@ class FleetInjector:
         windows.sort()
         return windows
 
-    def _pick_nodes(self, count: int, rng: "_FleetLcg",
+    def _pick_nodes(self, count: int, rng: Lcg,
                     fleet_size: int) -> List[int]:
         """*count* distinct node indices via a partial Fisher–Yates."""
         pool = list(range(fleet_size))
@@ -252,7 +249,7 @@ class FleetInjector:
             picked.append(pool.pop(slot))
         return picked
 
-    def _crash_storm(self, event, rng: "_FleetLcg",
+    def _crash_storm(self, event, rng: Lcg,
                      fleet_size: int) -> List[FleetAction]:
         actions = []
         for node in self._pick_nodes(event.nodes, rng, fleet_size):
@@ -263,7 +260,7 @@ class FleetInjector:
                                            "recover", node))
         return actions
 
-    def _flapping(self, event, rng: "_FleetLcg",
+    def _flapping(self, event, rng: Lcg,
                   fleet_size: int) -> List[FleetAction]:
         actions = []
         for node in self._pick_nodes(event.nodes, rng, fleet_size):
@@ -278,14 +275,3 @@ class FleetInjector:
                 actions.append(FleetAction(t + down, "recover", node))
                 t += event.period_s
         return actions
-
-
-class _FleetLcg:
-    """The repo-standard 32-bit LCG (see :class:`FaultInjector`)."""
-
-    def __init__(self, seed: int):
-        self._state = (seed * 0x9E3779B9 + 0x7F4A7C15) & 0xFFFFFFFF
-
-    def uniform(self) -> float:
-        self._state = (self._state * 1664525 + 1013904223) & 0xFFFFFFFF
-        return (self._state >> 8) / float(1 << 24)

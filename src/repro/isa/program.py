@@ -84,21 +84,6 @@ class Loop:
         OpenMP model to carve per-thread chunks)."""
         return dataclasses.replace(self, trips=int(trips))
 
-    def chunk_bounds(self, core: int, cores: int) -> Tuple[int, int]:
-        """Half-open iteration range ``[start, stop)`` of *core* under
-        the OpenMP static schedule (larger chunks go to the lowest core
-        ids, matching :func:`repro.pulp.timing.chunk_trips`).
-
-        This is the ground truth the SPMD analyzer's per-core register
-        presets encode; exposing it here keeps the runtime, the DES
-        streams and the static concurrency model on one schedule.
-        """
-        if not 0 <= core < cores:
-            raise IsaError(f"core {core} outside 0..{cores - 1}")
-        base, extra = divmod(self.trips, cores)
-        start = core * base + min(core, extra)
-        return start, start + base + (1 if core < extra else 0)
-
     # The loop is frozen, so its shape is computed once per node, from
     # its children's cached values, and kept in the instance dict.
 
@@ -168,27 +153,6 @@ class Program:
         """
         return [node for node in self.body
                 if isinstance(node, Loop) and node.parallelizable]
-
-    def parallel_region_metadata(self, cores: int = 4) -> List[dict]:
-        """Core-id/parallel-region metadata for SPMD analysis.
-
-        One dict per top-level parallelizable loop, in program order:
-        region index, loop name, trip count, reduction flag, and the
-        static-schedule ``chunks`` (per-core half-open iteration
-        bounds).  The concurrency analyzer and the learned-scheduler
-        feature export consume this instead of re-deriving schedules.
-        """
-        regions: List[dict] = []
-        for loop in self.parallel_loops():
-            regions.append({
-                "region": len(regions),
-                "name": loop.name,
-                "trips": loop.trips,
-                "reduction": loop.reduction,
-                "chunks": [loop.chunk_bounds(core, cores)
-                           for core in range(cores)],
-            })
-        return regions
 
     # -- aggregate op counting ----------------------------------------------
 

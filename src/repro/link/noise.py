@@ -21,12 +21,14 @@ from typing import Callable, List, Optional
 
 from repro.errors import LinkError, ProtocolError
 from repro.link.protocol import Frame, decode_frames, encode_frame
+from repro.units import Lcg
 
 
 class NoisyChannel:
     """Flips each transmitted bit with probability ``bit_error_rate``.
 
-    Deterministic: corruption positions come from a seeded LCG, so every
+    Deterministic: corruption positions come from a seeded
+    :class:`repro.units.Lcg` (started from its own seed mix), so every
     failure-injection test is reproducible.  Flip positions are sampled
     *geometrically* (one LCG draw per flip, not per bit): the gap to the
     next flipped bit is ``floor(log(1-u) / log(1-p))``, which makes
@@ -38,13 +40,9 @@ class NoisyChannel:
         if not 0.0 <= bit_error_rate < 1.0:
             raise LinkError(f"invalid bit error rate {bit_error_rate}")
         self.bit_error_rate = bit_error_rate
-        self._state = (seed * 0x9E3779B9 + 1) & 0xFFFFFFFF
+        self._rng = Lcg.from_state(seed * 0x9E3779B9 + 1)
         self.bits_transferred = 0
         self.bits_flipped = 0
-
-    def _next_random(self) -> float:
-        self._state = (self._state * 1664525 + 1013904223) & 0xFFFFFFFF
-        return (self._state >> 8) / float(1 << 24)
 
     def transmit(self, data: bytes) -> bytes:
         """Pass *data* through the channel, possibly corrupting it."""
@@ -57,7 +55,7 @@ class NoisyChannel:
         position = -1
         while True:
             # Geometric gap: number of clean bits before the next flip.
-            gap = int(math.log(1.0 - self._next_random()) / log_miss)
+            gap = int(math.log(1.0 - self._rng.uniform()) / log_miss)
             position += 1 + gap
             if position >= total_bits:
                 break

@@ -368,63 +368,6 @@ def run_dot_product_i8(a: np.ndarray, b: np.ndarray,
     return result.registers[10], result
 
 
-def run_dwconv3_i8(x: np.ndarray, machine: Optional[Machine] = None
-                   ) -> Tuple[np.ndarray, ExecutionResult]:
-    """3-tap int8 depthwise conv: sat8((x[i] + 2x[i-1] + x[i-2] + 2) >> 2)."""
-    x = np.asarray(x, dtype=np.int8)
-    if x.ndim != 1 or not len(x):
-        raise KernelError("dwconv3 needs a non-empty 1-D int8 array")
-    machine = machine if machine is not None else Machine()
-    base_x, base_y = 0x100, 0x1100
-    machine.write_block(base_x, x.tobytes())
-    machine.registers[1] = base_x
-    machine.registers[2] = base_y
-    machine.registers[3] = len(x)
-    result = machine.run(DWCONV3_I8)
-    out = np.frombuffer(machine.read_block(base_y, len(x)), dtype=np.int8)
-    return out.copy(), result
-
-
-def run_fir8_i32(x: np.ndarray, machine: Optional[Machine] = None
-                 ) -> Tuple[np.ndarray, ExecutionResult]:
-    """8-tap int32 FIR with taps (1 2 4 8 8 4 2 1), zero history, >> 5."""
-    x = np.asarray(x, dtype=np.int32)
-    if x.ndim != 1 or not len(x):
-        raise KernelError("fir8 needs a non-empty 1-D int32 array")
-    machine = machine if machine is not None else Machine()
-    base_x, base_y = 0x100, 0x100 + 4 * len(x) + 64
-    machine.write_block(base_x, x.tobytes())
-    machine.registers[1] = base_x
-    machine.registers[2] = base_y
-    machine.registers[3] = len(x)
-    result = machine.run(FIR8_I32)
-    out = np.frombuffer(machine.read_block(base_y, 4 * len(x)),
-                        dtype=np.int32)
-    return out.copy(), result
-
-
-def run_mag_hist_i32(gx: np.ndarray, gy: np.ndarray,
-                     machine: Optional[Machine] = None
-                     ) -> Tuple[np.ndarray, ExecutionResult]:
-    """Soft 4-bin orientation response per (gx, gy) int16 gradient pair."""
-    gx = np.asarray(gx, dtype=np.int16)
-    gy = np.asarray(gy, dtype=np.int16)
-    if gx.shape != gy.shape or gx.ndim != 1 or not len(gx):
-        raise KernelError("mag_hist needs equal non-empty 1-D int16 arrays")
-    machine = machine if machine is not None else Machine()
-    packed = ((gy.astype(np.int32) << 16)
-              | (gx.astype(np.int32) & 0xFFFF)).astype(np.int32)
-    base_g, base_y = 0x100, 0x100 + 4 * len(gx) + 64
-    machine.write_block(base_g, packed.tobytes())
-    machine.registers[1] = base_g
-    machine.registers[2] = base_y
-    machine.registers[3] = len(gx)
-    result = machine.run(MAG_HIST_I32)
-    out = np.frombuffer(machine.read_block(base_y, 4 * len(gx)),
-                        dtype=np.int32)
-    return out.copy(), result
-
-
 def run_matmul_i8_parallel(a: np.ndarray, b: np.ndarray, cores: int = 4,
                            banks: int = 8):
     """Row-partitioned char matmul on the lockstep multicore cluster.

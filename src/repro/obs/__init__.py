@@ -14,15 +14,17 @@ The public surface of the telemetry subsystem:
   :func:`write_flamegraph` — flamegraph export;
 - :func:`metrics_snapshot` / :func:`render_metrics` — metrics surface;
 - :class:`TraceAnalyzer` — utilization / critical path / overlap;
-- :func:`route_recorder` — DES recorder -> hub bridge;
-- :func:`render_span_timeline` — generic ASCII lanes.
+- :func:`render_span_timeline` — ASCII lanes of any domain.
+
+Every layer emits into the active hub itself: the offload cost model,
+the SPI link, the OpenMP runtime and the DES cluster (per-core,
+per-bank and per-DMA-channel cycle-domain lanes).
 
 See ``docs/OBSERVABILITY.md`` for the event model and formats, and
 ``docs/BENCHMARKS.md`` for how ``repro bench`` builds on this layer.
 """
 
 from repro.obs.analyzer import LaneStats, TraceAnalyzer
-from repro.obs.bridge import route_recorder
 from repro.obs.clock import monotonic
 from repro.obs.export import (
     chrome_trace_events,
@@ -66,7 +68,6 @@ __all__ = [
     "monotonic",
     "render_metrics",
     "render_span_timeline",
-    "route_recorder",
     "set_telemetry",
     "to_chrome_trace",
     "use_telemetry",

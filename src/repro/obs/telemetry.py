@@ -1,14 +1,14 @@
 """The unified telemetry hub: spans and counters for every layer.
 
-One event model replaces the repo's three ad-hoc trace fragments (the
-offload Gantt of :mod:`repro.core.trace`, the DES recorder of
-:mod:`repro.sim.tracing`, and the per-PC profiler of
-:mod:`repro.machine.profiler`).  A :class:`Span` is a named, timed
-interval on an actor *lane* (``host``, ``spi``, ``cluster.core2``,
-``tcdm.bank5`` ...), optionally hierarchical through ``parent`` and
-carrying attributes plus attributed energy in joules.  A
-:class:`Counter` is a monotonic count or a gauge with an optional
-timestamped sample series.
+One event model for every layer: the offload cost model, the SPI
+link, the OpenMP runtime and the DES cluster emit into the active hub,
+and the offload Gantt of :mod:`repro.core.trace` and the per-PC
+profiler of :mod:`repro.machine.profiler` render from or feed it.  A
+:class:`Span` is a named, timed interval on an actor *lane* (``host``,
+``spi``, ``cluster.core2``, ``tcdm.bank5`` ...), optionally
+hierarchical through ``parent`` and carrying attributes plus
+attributed energy in joules.  A :class:`Counter` is a monotonic count
+or a gauge with an optional timestamped sample series.
 
 Spans live in one of two time domains:
 

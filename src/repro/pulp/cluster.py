@@ -4,7 +4,8 @@ Wires cores, TCDM, DMA and the hardware synchronizer into one runnable
 unit.  A :meth:`Cluster.run` executes one op stream per core (plus
 optional concurrent DMA jobs), ends with a hardware barrier, and returns
 wall cycles together with the PMU-style statistics the power model's
-activity factors are derived from.
+activity factors are derived from.  Under an enabled telemetry hub the
+run also emits its per-core, per-bank and per-DMA-channel lanes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.telemetry import get_telemetry
 from repro.pulp.core import CoreStats, Or10nCore, OpStream
 from repro.pulp.dma import DmaController, DmaStats
 from repro.pulp.icache import SharedICache
@@ -20,7 +22,6 @@ from repro.pulp.l2 import L2Memory
 from repro.pulp.synchronizer import HardwareSynchronizer
 from repro.pulp.tcdm import Tcdm
 from repro.sim.engine import Simulator
-from repro.sim.tracing import TraceRecorder
 
 
 #: A DMA job: (l2_address, tcdm_address, length, to_tcdm).
@@ -78,7 +79,6 @@ class Cluster:
 
     def run(self, streams: Sequence[OpStream],
             dma_jobs: Sequence[DmaJob] = (),
-            recorder: Optional[TraceRecorder] = None,
             race_checker=None) -> ClusterRun:
         """Execute one op stream per core plus optional DMA traffic.
 
@@ -87,11 +87,12 @@ class Cluster:
         participant count, which is set to the active cores only, as the
         runtime powers unused cores down at fork time).
 
-        An optional *recorder* instruments the run: cores report compute
-        bursts / stalls / granted accesses, TCDM banks report grants,
-        DMA channels report transfers and barrier crossings are marked —
-        the feed for :func:`repro.sim.tracing.render_timeline` and the
-        telemetry bridge.
+        The run reads the active telemetry hub once.  When it is
+        enabled, the cores, TCDM banks and DMA channels emit cycle-domain
+        spans straight into it, on the ``cluster.core<N>``,
+        ``tcdm.bank<N>`` and ``dma.ch<N>`` lanes (see :class:`Or10nCore`,
+        :meth:`Tcdm.note_access` and :class:`DmaController`); a disabled
+        hub costs one ``is None`` check per event and records nothing.
 
         An optional *race_checker* (:mod:`repro.pulp.hbcheck`) receives
         every granted core access and every barrier completion — the
@@ -100,25 +101,23 @@ class Cluster:
         if not 1 <= len(streams) <= self.CORES:
             raise ConfigurationError(
                 f"need 1..{self.CORES} streams, got {len(streams)}")
+        hub = get_telemetry()
+        telemetry = hub if hub.enabled else None
         simulator = Simulator()
         tcdm = Tcdm(simulator, self.tcdm_size, self.banks,
-                    recorder=recorder)
+                    telemetry=telemetry)
         synchronizer = HardwareSynchronizer(simulator, participants=len(streams))
         if race_checker is not None:
             synchronizer.observers.append(race_checker.on_barrier)
-        dma = DmaController(simulator, self.l2, tcdm, recorder=recorder)
-        cores = [Or10nCore(simulator, tcdm, i, recorder=recorder,
+        dma = DmaController(simulator, self.l2, tcdm, telemetry=telemetry)
+        cores = [Or10nCore(simulator, tcdm, i, telemetry=telemetry,
                            synchronizer=synchronizer,
                            race_checker=race_checker)
                  for i in range(len(streams))]
 
         def core_process(core: Or10nCore, stream: OpStream):
             yield from core.run(stream)
-            if recorder is not None:
-                recorder.record(simulator.now, core.actor, "barrier")
-            before = simulator.now
-            yield from synchronizer.barrier()
-            core.stats.barrier_cycles += simulator.now - before
+            yield from core.barrier()
 
         for core, stream in zip(cores, streams):
             simulator.add_process(core_process(core, stream),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Union
 
 from repro.errors import SimulationError
+from repro.obs.telemetry import CYCLES, Telemetry
 from repro.pulp.tcdm import Tcdm
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.tracing import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,21 @@ class CoreStats:
 class Or10nCore:
     """One OR10N core attached to the shared TCDM.
 
-    When a *recorder* is attached, the core reports compute bursts,
-    stalls and granted accesses as timed events on its ``core<N>``
-    lane (the PMU-trace feed of the telemetry layer).
+    Given an enabled *telemetry* hub, the core emits cycle-domain spans
+    on its ``cluster.core<N>`` lane: ``compute`` bursts, idle ``stall``
+    spans, one single-cycle ``memory`` span per granted access, and a
+    zero-length ``barrier`` instant at each barrier crossing (the PMU
+    trace of the paper's FPGA platform).
     """
 
     def __init__(self, simulator: Simulator, tcdm: Tcdm, core_id: int,
-                 recorder: Optional[TraceRecorder] = None,
+                 telemetry: Optional[Telemetry] = None,
                  synchronizer=None, race_checker=None):
         self.simulator = simulator
         self.tcdm = tcdm
         self.core_id = core_id
-        self.recorder = recorder
+        self.telemetry = telemetry
+        self.lane = f"cluster.core{core_id}"
         #: Serves in-stream :class:`BarrierOp`s (optional; the cluster
         #: wires its :class:`~repro.pulp.synchronizer.HardwareSynchronizer`).
         self.synchronizer = synchronizer
@@ -99,20 +102,16 @@ class Or10nCore:
         self.race_checker = race_checker
         self.stats = CoreStats()
 
-    @property
-    def actor(self) -> str:
-        """Trace lane name of this core."""
-        return f"core{self.core_id}"
-
     def run(self, stream: Iterable[Union[ComputeOp, MemOp]]):
         """Generator process executing *stream* (register with the
         simulator via ``simulator.add_process(core.run(stream))``)."""
         for op in stream:
             if isinstance(op, ComputeOp):
-                if self.recorder is not None:
-                    self.recorder.record(self.simulator.now, self.actor,
-                                         "compute", f"{op.cycles:.0f}cy",
-                                         duration=op.cycles)
+                if self.telemetry is not None:
+                    self.telemetry.span("compute", self.lane,
+                                        self.simulator.now, op.cycles,
+                                        domain=CYCLES,
+                                        detail=f"{op.cycles:.0f}cy")
                 if op.cycles > 0:
                     yield Timeout(op.cycles)
                 self.stats.compute_cycles += op.cycles
@@ -123,26 +122,32 @@ class Or10nCore:
                     raise SimulationError(
                         f"core {self.core_id}: BarrierOp in stream but no "
                         f"synchronizer attached")
-                if self.recorder is not None:
-                    self.recorder.record(self.simulator.now, self.actor,
-                                         "barrier")
-                before = self.simulator.now
-                yield from self.synchronizer.barrier()
-                self.stats.barrier_cycles += self.simulator.now - before
+                yield from self.barrier()
             else:
                 raise SimulationError(f"core {self.core_id}: bad op {op!r}")
+
+    def barrier(self):
+        """Generator joining the synchronizer's barrier; the wait counts
+        as barrier cycles."""
+        if self.telemetry is not None:
+            self.telemetry.instant("barrier", self.lane, self.simulator.now,
+                                   domain=CYCLES)
+        before = self.simulator.now
+        yield from self.synchronizer.barrier()
+        self.stats.barrier_cycles += self.simulator.now - before
 
     def _access(self, op: MemOp):
         resource = self.tcdm.bank_resource(op.address)
         requested = self.simulator.now
         yield resource.request()
         waited = self.simulator.now - requested
-        if self.recorder is not None:
+        if self.telemetry is not None:
             if waited > 0:
-                self.recorder.record(requested, self.actor, "stall",
-                                     f"{waited:.0f}cy", duration=waited)
-            self.recorder.record(self.simulator.now, self.actor, "memory",
-                                 f"@{op.address:#x}", duration=1.0)
+                self.telemetry.span("stall", self.lane, requested, waited,
+                                    domain=CYCLES, detail=f"{waited:.0f}cy",
+                                    idle=True)
+            self.telemetry.span("memory", self.lane, self.simulator.now, 1.0,
+                                domain=CYCLES, detail=f"@{op.address:#x}")
         self.tcdm.note_access(self.simulator.now, op.address)
         if self.race_checker is not None:
             self.race_checker.on_access(self.core_id, op.address, op.width,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.telemetry import CYCLES, Telemetry
 from repro.pulp.l2 import L2Memory
 from repro.pulp.tcdm import WORD_BYTES, Tcdm
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.tracing import TraceRecorder
 
 
 @dataclass
@@ -31,11 +31,16 @@ class DmaStats:
 
 
 class DmaController:
-    """Multi-channel L2 <-> TCDM DMA."""
+    """Multi-channel L2 <-> TCDM DMA.
+
+    Given an enabled *telemetry* hub, each transfer emits one
+    cycle-domain ``dma`` span on its channel's ``dma.ch<N>`` lane when
+    it ends.
+    """
 
     def __init__(self, simulator: Simulator, l2: L2Memory, tcdm: Tcdm,
                  channels: int = 4, setup_cycles: float = 8.0,
-                 recorder: Optional[TraceRecorder] = None):
+                 telemetry: Optional[Telemetry] = None):
         if channels < 1:
             raise ConfigurationError(f"need >= 1 channel, got {channels}")
         self.simulator = simulator
@@ -43,13 +48,9 @@ class DmaController:
         self.tcdm = tcdm
         self.channels = channels
         self.setup_cycles = setup_cycles
-        self.recorder = recorder
+        self.telemetry = telemetry
         self._free_channels = list(range(channels))
         self.stats = DmaStats()
-
-    @property
-    def _busy_channels(self) -> int:
-        return self.channels - len(self._free_channels)
 
     def transfer(self, l2_address: int, tcdm_address: int, length: int,
                  to_tcdm: bool = True):
@@ -91,11 +92,11 @@ class DmaController:
             self._free_channels.sort()
             elapsed = self.simulator.now - start
             self.stats.busy_cycles += elapsed
-            if self.recorder is not None:
+            if self.telemetry is not None:
                 direction = "->tcdm" if to_tcdm else "->l2"
-                self.recorder.record(
-                    start, f"dma.ch{channel}", "dma",
-                    f"{length}B{direction}", duration=elapsed)
+                self.telemetry.span("dma", f"dma.ch{channel}", start,
+                                    elapsed, domain=CYCLES,
+                                    detail=f"{length}B{direction}")
 
     def ideal_cycles(self, length: int) -> float:
         """Contention-free transfer cycles for *length* bytes."""

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.telemetry import CYCLES, Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
-from repro.sim.tracing import TraceRecorder
 from repro.units import kib
 
 WORD_BYTES = 4
@@ -28,13 +28,13 @@ class Tcdm:
 
     def __init__(self, simulator: Simulator, size: int = DEFAULT_SIZE,
                  banks: int = DEFAULT_BANKS,
-                 recorder: Optional[TraceRecorder] = None):
+                 telemetry: Optional[Telemetry] = None):
         if banks < 1 or size <= 0 or size % (banks * WORD_BYTES) != 0:
             raise ConfigurationError(
                 f"invalid TCDM geometry: size={size}, banks={banks}")
         self.size = int(size)
         self.banks = int(banks)
-        self.recorder = recorder
+        self.telemetry = telemetry
         self._data = bytearray(self.size)
         self._bank_resources: List[Resource] = [
             Resource(simulator, capacity=1, name=f"tcdm-bank{i}")
@@ -53,20 +53,17 @@ class Tcdm:
         """The DES resource guarding the bank serving *address*."""
         return self._bank_resources[self.bank_of(address)]
 
-    def bank_resources(self) -> List[Resource]:
-        """All bank resources (for statistics)."""
-        return list(self._bank_resources)
-
     def note_access(self, time: float, address: int) -> None:
-        """Report a granted bank access to the attached recorder.
+        """Emit a granted bank access into the telemetry hub.
 
         Called by initiators (cores, DMA) at grant time; one single-cycle
-        ``bank`` event on the serving bank's lane.  No-op without a
-        recorder.
+        cycle-domain ``bank`` span on the serving bank's
+        ``tcdm.bank<N>`` lane.  No-op without a hub.
         """
-        if self.recorder is not None:
-            self.recorder.record(time, f"bank{self.bank_of(address)}",
-                                 "bank", f"@{address:#x}", duration=1.0)
+        if self.telemetry is not None:
+            self.telemetry.span("bank", f"tcdm.bank{self.bank_of(address)}",
+                                time, 1.0, domain=CYCLES,
+                                detail=f"@{address:#x}")
 
     # -- functional storage ------------------------------------------------------
 

@@ -12,8 +12,8 @@ kernel.  Workloads produce request streams three ways:
 * **trace replay** — :class:`TraceWorkload` replays a recorded JSON
   request log.
 
-All randomness comes from one :class:`Lcg` per workload (the same LCG
-family as :class:`repro.faults.injector.FaultInjector`), so a given
+All randomness comes from one :class:`repro.units.Lcg` per workload
+(the generator the fault injectors draw from too), so a given
 (workload, seed) pair always produces the identical stream.  Relative
 deadlines are expressed as a multiple of the kernel's expected warm
 service time, resolved against a service estimator at generation time.
@@ -22,51 +22,17 @@ service time, resolved against a service estimator at generation time.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.units import ordered_sum
+from repro.units import Lcg
 
 #: Default kernel mix of generated workloads (name -> weight).
 DEFAULT_MIX: Dict[str, float] = {"matmul": 4.0, "svm (RBF)": 3.0, "cnn": 1.0}
 
 #: kernel -> expected warm service seconds (for relative deadlines).
 Estimator = Callable[[str, int], float]
-
-
-class Lcg:
-    """The repo's 32-bit LCG (same family as the fault injector)."""
-
-    def __init__(self, seed: int):
-        self._state = (seed * 0x9E3779B9 + 0x7F4A7C15) & 0xFFFFFFFF
-
-    def uniform(self) -> float:
-        """Uniform in [0, 1)."""
-        self._state = (self._state * 1664525 + 1013904223) & 0xFFFFFFFF
-        return (self._state >> 8) / float(1 << 24)
-
-    def exponential(self, rate: float) -> float:
-        """Exponentially distributed with mean ``1/rate``."""
-        if rate <= 0:
-            raise ConfigurationError(f"exponential rate must be > 0: {rate}")
-        # 1 - u is in (0, 1]: log never sees zero.
-        return -math.log(1.0 - self.uniform()) / rate
-
-    def weighted_choice(self, items: Sequence[str],
-                        weights: Sequence[float]) -> str:
-        """One item drawn with probability proportional to its weight."""
-        total = ordered_sum(weights)
-        if total <= 0:
-            raise ConfigurationError("weights must sum to > 0")
-        mark = self.uniform() * total
-        acc = 0.0
-        for item, weight in zip(items, weights):
-            acc += weight
-            if mark < acc:
-                return item
-        return items[-1]
 
 
 @dataclass

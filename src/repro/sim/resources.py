@@ -37,11 +37,6 @@ class Resource:
         self.wait_time = 0.0
 
     @property
-    def in_use(self) -> int:
-        """Currently held units."""
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         """Requests waiting for a grant."""
         return len(self._waiting)

@@ -9,7 +9,7 @@ say ``mhz(32)`` instead of ``32e6`` and so that reports can render
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -67,11 +67,6 @@ def kib(value: float) -> int:
     return int(round(float(value) * 1024))
 
 
-def uj(value: float) -> float:
-    """Microjoules to joules."""
-    return float(value) * 1e-6
-
-
 def ua_per_mhz(value: float) -> float:
     """Datasheet current density (µA/MHz) to amperes-per-hertz."""
     return float(value) * 1e-6 / 1e6
@@ -99,6 +94,51 @@ def ordered_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+class Lcg:
+    """The repo's seeded 32-bit LCG, one deterministic uniform stream.
+
+    Serving workloads, the fault and fleet injectors and the noisy SPI
+    channel all draw from it, so a seed fixes every random choice bit
+    for bit on every interpreter.
+    """
+
+    def __init__(self, seed: int):
+        self._state = (seed * 0x9E3779B9 + 0x7F4A7C15) & 0xFFFFFFFF
+
+    @classmethod
+    def from_state(cls, state: int) -> "Lcg":
+        """A generator started from a raw 32-bit *state* (no seed mixing)."""
+        lcg = cls(0)
+        lcg._state = state & 0xFFFFFFFF
+        return lcg
+
+    def uniform(self) -> float:
+        """Uniform in [0, 1): the top 24 bits of the next state."""
+        self._state = (self._state * 1664525 + 1013904223) & 0xFFFFFFFF
+        return (self._state >> 8) / float(1 << 24)
+
+    def exponential(self, rate: float) -> float:
+        """Exponentially distributed with mean ``1/rate``."""
+        if rate <= 0:
+            raise ConfigurationError(f"exponential rate must be > 0: {rate}")
+        # 1 - u is in (0, 1]: log never sees zero.
+        return -math.log(1.0 - self.uniform()) / rate
+
+    def weighted_choice(self, items: Sequence[str],
+                        weights: Sequence[float]) -> str:
+        """One item drawn with probability proportional to its weight."""
+        total = ordered_sum(weights)
+        if total <= 0:
+            raise ConfigurationError("weights must sum to > 0")
+        mark = self.uniform() * total
+        acc = 0.0
+        for item, weight in zip(items, weights):
+            acc += weight
+            if mark < acc:
+                return item
+        return items[-1]
 
 
 def gops(ops: float, seconds: float) -> float:

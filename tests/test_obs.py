@@ -18,7 +18,6 @@ from repro.obs import (
     metrics_snapshot,
     render_metrics,
     render_span_timeline,
-    route_recorder,
     to_chrome_trace,
     use_telemetry,
 )
@@ -207,32 +206,200 @@ class TestRoundTripAnalyzer:
         assert TraceAnalyzer(db).overlap_efficiency() > 0.0
 
     def test_des_recorder_round_trip(self):
+        from repro.pulp.cluster import Cluster
         from repro.pulp.core import ComputeOp, MemOp
-        from repro.sim.tracing import trace_cluster_run
 
         streams = [[ComputeOp(5.0)] + [MemOp(4 * i) for i in range(10)]
                    for _ in range(4)]
-        run, recorder = trace_cluster_run(streams)
         hub = Telemetry(enabled=True)
-        routed = route_recorder(recorder, hub)
-        assert routed == len(recorder.events)
-        lanes = hub.lanes(CYCLES)
+        with use_telemetry(hub):
+            run = Cluster().run(streams)
+        analyzer = TraceAnalyzer(hub)
+        stats = analyzer.lane_stats(CYCLES)
         assert {"cluster.core0", "cluster.core1", "cluster.core2",
-                "cluster.core3"} <= set(lanes)
-        assert any(lane.startswith("tcdm.bank") for lane in lanes)
-        assert hub.counters["cluster.trace_events"].value == routed
+                "cluster.core3"} <= set(stats)
+        assert any(lane.startswith("tcdm.bank") for lane in stats)
+        # A core's busy time is its compute plus granted-access cycles;
+        # stalls are idle and do not count.
+        for core, core_stats in enumerate(run.core_stats):
+            lane = stats[f"cluster.core{core}"]
+            assert lane.busy == \
+                core_stats.compute_cycles + core_stats.memory_cycles
+            assert 0.0 < lane.utilization <= 1.0
+            assert lane.extent <= run.wall_cycles
+        phases = analyzer.phase_totals(CYCLES)
+        assert phases["compute"] == \
+            sum(s.compute_cycles for s in run.core_stats)
+        assert phases["memory"] == phases["bank"] == \
+            sum(s.accesses for s in run.core_stats)
+        assert phases.get("stall", 0.0) == \
+            sum(s.stall_cycles for s in run.core_stats)
         # Exported events stay schema-valid.
         events = chrome_trace_events(hub)
         assert all(e["pid"] == 2 for e in events if e["ph"] in ("B", "E"))
 
-    def test_route_disabled_hub_is_noop(self):
-        from repro.pulp.core import ComputeOp
-        from repro.sim.tracing import trace_cluster_run
 
-        _, recorder = trace_cluster_run([[ComputeOp(3.0)]])
-        hub = Telemetry(enabled=False)
-        assert route_recorder(recorder, hub) == 0
-        assert not hub.spans
+class TestDesClusterLanes:
+    """The DES cluster emits its lanes straight into the active hub."""
+
+    @staticmethod
+    def traced_run(streams, **kwargs):
+        from repro.pulp.cluster import Cluster
+
+        hub = Telemetry(enabled=True)
+        with use_telemetry(hub):
+            run = Cluster().run(streams, **kwargs)
+        return run, hub
+
+    def test_core_bank_and_barrier_events(self):
+        from repro.pulp.core import ComputeOp, MemOp
+
+        streams = [[ComputeOp(5.0)] + [MemOp(4 * i) for i in range(10)]
+                   for _ in range(4)]
+        run, hub = self.traced_run(streams)
+        assert all(s.domain == CYCLES for s in hub.spans)
+        lanes = hub.lanes(CYCLES)
+        for core, stats in enumerate(run.core_stats):
+            spans = hub.spans_in(f"cluster.core{core}")
+            memory = [s for s in spans if s.name == "memory"]
+            assert len(memory) == stats.accesses == 10
+            assert all(s.duration == 1.0 for s in memory)
+            barriers = [s for s in spans if s.name == "barrier"]
+            assert len(barriers) == 1 and barriers[0].duration == 0.0
+            assert barriers[0].attrs == {}
+        assert {f"tcdm.bank{i}" for i in range(8)} <= set(lanes)
+        bank_spans = [s for s in hub.spans if s.lane.startswith("tcdm.bank")]
+        assert len(bank_spans) == sum(run.grants_by_bank) == 40
+        assert all(s.name == "bank" for s in bank_spans)
+        events = chrome_trace_events(hub)
+        assert all(e["pid"] == 2 for e in events if e["ph"] in "BEi")
+
+    def test_stalls_are_idle_spans_under_contention(self):
+        from repro.pulp.core import MemOp
+
+        streams = [[MemOp(0) for _ in range(10)] for _ in range(4)]
+        run, hub = self.traced_run(streams)
+        stalls = [s for s in hub.spans if s.name == "stall"]
+        assert stalls and all(s.is_idle for s in stalls)
+        assert all(s.attrs["detail"] == f"{s.duration:.0f}cy"
+                   for s in stalls)
+        assert sum(s.duration for s in stalls) == \
+            sum(stats.stall_cycles for stats in run.core_stats)
+        assert len(hub.spans_in("tcdm.bank0")) == 40
+
+    def test_dma_channel_lanes(self):
+        from repro.pulp.core import ComputeOp
+
+        run, hub = self.traced_run(
+            [[ComputeOp(10.0)]],
+            dma_jobs=[(0, 0, 64, True), (0, 4096, 32, False)])
+        dma = {s.lane: s for s in hub.spans if s.name == "dma"}
+        assert set(dma) == {"dma.ch0", "dma.ch1"}
+        assert dma["dma.ch0"].attrs == {"detail": "64B->tcdm"}
+        assert dma["dma.ch1"].attrs == {"detail": "32B->l2"}
+        assert sum(s.duration for s in dma.values()) == \
+            run.dma_stats.busy_cycles
+        events = chrome_trace_events(hub)
+        threads = {e["args"]["name"]: e["pid"] for e in events
+                   if e["name"] == "thread_name"}
+        assert threads["dma.ch0"] == threads["dma.ch1"] == 2
+
+    def test_disabled_hub_records_nothing_and_changes_nothing(self):
+        from repro.pulp.cluster import Cluster
+        from repro.pulp.core import ComputeOp, MemOp
+
+        streams = [[ComputeOp(3.0)] + [MemOp(0) for _ in range(6)]
+                   for _ in range(4)]
+        dma_jobs = [(0, 0, 64, True)]
+        quiet = Telemetry(enabled=False)
+        with use_telemetry(quiet):
+            plain = Cluster().run(streams, dma_jobs=dma_jobs)
+        assert not quiet.spans and not quiet.counters
+        traced, hub = self.traced_run(streams, dma_jobs=dma_jobs)
+        assert hub.spans
+        assert plain == traced
+
+    @staticmethod
+    def _digest(rows):
+        import hashlib
+
+        text = json.dumps(rows, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    @classmethod
+    def _counter_rows(cls, hub):
+        return sorted([c.name, c.kind, c.unit, c.domain, c.value,
+                       [list(sample) for sample in c.samples]]
+                      for c in hub.counters.values())
+
+    # Captured before the cluster emitted into the hub itself, when a
+    # recorder collected the events and a bridge routed them here.
+    DES_LANE_DIGESTS = {
+        "cnn": "0fed18e2c35c6142",
+        "cnn (approx)": "dce49d7e50f394ff",
+        "hog": "92148794b605b69c",
+        "matmul": "8de2b92a9bd83b7b",
+        "matmul (fixed)": "b559cd6e594ecff1",
+        "matmul (short)": "574c90b3b639e102",
+        "strassen": "def56eb1935f7481",
+        "svm (RBF)": "cf3b84d01464815e",
+        "svm (linear)": "542bca11da855937",
+        "svm (poly)": "77eb00dfd730193a",
+    }
+
+    TRACED_OFFLOAD_DIGESTS = {
+        "matmul": "9fe703df5cb9d38a",
+        "hog": "58906d2ecdb5d256",
+    }
+
+    def test_replay_lanes_match_pinned_digests(self, monkeypatch):
+        """Sorted cycle-domain spans and counters of the ``repro trace``
+        DES replay, per builtin kernel, at a reduced cycle cap."""
+        from repro import cli
+        from repro.core.system import HeterogeneousSystem
+        from repro.kernels import all_kernels
+
+        monkeypatch.setattr(cli, "_DES_CYCLE_CAP", 2000.0)
+        target = HeterogeneousSystem().target
+        digests = {}
+        for kernel in all_kernels():
+            hub = Telemetry(enabled=True)
+            with use_telemetry(hub):
+                cli._des_cluster_lanes(hub, kernel, target)
+            assert hub.counters["cluster.trace_events"].value == \
+                len(hub.spans)
+            spans = sorted([s.name, s.lane, s.start, s.duration,
+                            sorted(s.attrs.items())]
+                           for s in hub.spans if s.domain == CYCLES)
+            digests[kernel.name] = self._digest(
+                [spans, self._counter_rows(hub)])
+        assert digests == self.DES_LANE_DIGESTS
+
+    def test_traced_offload_hub_matches_pinned_digests(self):
+        """Every span (parents by name) and counter of ``repro trace``'s
+        hub at 8 MHz and two iterations."""
+        import argparse
+
+        from repro import cli
+
+        digests = {}
+        for name in self.TRACED_OFFLOAD_DIGESTS:
+            args = argparse.Namespace(kernel=name, host_mhz=8.0,
+                                      iterations=2, double_buffer=False)
+            hub, _ = cli._traced_offload(args)
+            by_id = {s.span_id: s for s in hub.spans}
+
+            def parent(span):
+                if span.parent is None:
+                    return None
+                owner = by_id[span.parent]
+                return [owner.name, owner.lane, owner.start]
+
+            spans = sorted([s.name, s.lane, s.start, s.duration, s.domain,
+                            parent(s), s.energy, sorted(s.attrs.items())]
+                           for s in hub.spans)
+            digests[name] = self._digest([spans, self._counter_rows(hub)])
+        assert digests == self.TRACED_OFFLOAD_DIGESTS
 
 
 class TestRenderers:

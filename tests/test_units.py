@@ -87,3 +87,62 @@ class TestFormatting:
 
     def test_format_watts(self):
         assert units.format_watts(0.0398).startswith("39.8")
+
+
+class TestLcg:
+    """Every seeded stream that used to have its own LCG copy draws
+    from :class:`repro.units.Lcg` now, bit for bit."""
+
+    # sha256 prefixes of the first 1 000 uniforms, captured while each
+    # user still carried its own generator.
+    PINNED = {
+        1: {"workload": "959b50fa256503d5", "fault": "959b50fa256503d5",
+            "fleet0": "959b50fa256503d5", "fleet3": "0da970d785f1a0f3",
+            "noise": "bba527acec02da36"},
+        7: {"workload": "cf0473e989369e93", "fault": "cf0473e989369e93",
+            "fleet0": "cf0473e989369e93", "fleet3": "9ac2459c019d157c",
+            "noise": "ffd4202152da17a1"},
+        0xDEADBEEF: {"workload": "48eaa8da5f9850ad",
+                     "fault": "48eaa8da5f9850ad",
+                     "fleet0": "48eaa8da5f9850ad",
+                     "fleet3": "f4ceeb4d186276fb",
+                     "noise": "446238658573efc7"},
+    }
+
+    @staticmethod
+    def _digest(rng):
+        import hashlib
+        import json
+
+        draws = [rng.uniform() for _ in range(1000)]
+        text = json.dumps(draws, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    def test_streams_match_pinned_digests(self):
+        from repro.faults.injector import FaultInjector, FleetInjector
+        from repro.faults.plan import FaultPlan, FleetPlan
+        from repro.link.noise import NoisyChannel
+        from repro.serve.workload import Lcg
+
+        for seed, pinned in self.PINNED.items():
+            fleet = FleetInjector(FleetPlan("clean"), seed)
+            streams = {
+                "workload": Lcg(seed),
+                "fault": FaultInjector(FaultPlan("clean"), seed)._rng,
+                "fleet0": fleet._lcg(0),
+                "fleet3": fleet._lcg(3),
+                "noise": NoisyChannel(0.0, seed)._rng,
+            }
+            assert {name: self._digest(rng)
+                    for name, rng in streams.items()} == pinned, seed
+
+    def test_one_class(self):
+        from repro.serve import workload
+
+        assert workload.Lcg is units.Lcg
+
+    def test_from_state_skips_the_seed_mix(self):
+        mixed = units.Lcg(5)
+        raw = units.Lcg.from_state((5 * 0x9E3779B9 + 0x7F4A7C15) + (1 << 32))
+        assert [mixed.uniform() for _ in range(8)] == \
+            [raw.uniform() for _ in range(8)]
