@@ -15,8 +15,8 @@ for: every node lit at its envelope's fast-tier budget (the envelope
 solver packs host + accelerator draw to exactly that budget, so a
 node's peak draw *is* its ``fast_budget_mw``).
 
-Configurations canonicalize to plain JSON dicts and hash with the same
-content-hash idiom as :mod:`repro.dse.space`, so planner records,
+Configurations canonicalize to plain JSON dicts and hash with the DSE's
+content hash, :func:`repro.records.config_hash`, so planner records,
 caches and reruns agree bit-for-bit.
 """
 
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.dse.space import config_hash
 from repro.errors import ConfigurationError
+from repro.records import config_hash
 from repro.serve.archetype import NodeArchetype
 from repro.serve.fleet import ServiceBook
 from repro.units import mw

@@ -11,7 +11,7 @@ composition instead of a DES run), and keeps the Pareto frontier over
 * **energy per request** (minimize),
 * **p95 latency** (minimize),
 
-through the generalized :func:`repro.dse.pareto.pareto_frontier`.  The
+through the generalized :func:`repro.records.pareto_frontier`.  The
 frontier — the only points anyone would deploy — is then re-verified
 against the :mod:`repro.serve` DES with the composition's real
 heterogeneous :class:`~repro.serve.archetype.FleetSpec` and routing
@@ -40,8 +40,8 @@ from repro.capacity.model import (
     CapacityModel,
     CapacityPrediction,
 )
-from repro.dse.pareto import pareto_frontier
 from repro.errors import ConfigurationError, ReproError
+from repro.records import pareto_frontier
 from repro.serve.archetype import FleetSpec
 from repro.serve.fleet import ServiceBook
 from repro.serve.workload import DEFAULT_MIX

@@ -13,7 +13,7 @@ useful computation" of the paper's rightmost Figure 5b plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import OffloadError
 from repro.link.spi import SpiLink
@@ -74,8 +74,27 @@ class OffloadTiming:
         return self.energy.average_power
 
 
+class _Phases(NamedTuple):
+    """What an offload costs at one point, whatever its iteration count."""
+
+    pulp_idle: float            #: accelerator power while it waits
+    pulp_active: float          #: accelerator power while it computes
+    host_active: float          #: host power while it runs
+    binary: TransferCost
+    data_in: TransferCost       #: per iteration
+    data_out: TransferCost      #: per iteration
+    compute_time: float         #: per iteration
+    sync_time: float            #: per iteration
+    boot_time: float
+
+
 class OffloadCostModel:
-    """Prices offloads for a given host/link/accelerator configuration."""
+    """Prices offloads for a given host/link/accelerator configuration.
+
+    The host, link, power model and I$ are read-only after construction:
+    the model keeps the phases of the last point it priced (see
+    :meth:`offload_timing`).
+    """
 
     def __init__(self, host: Optional[Stm32L476] = None,
                  link: Optional[SpiLink] = None,
@@ -85,6 +104,10 @@ class OffloadCostModel:
         self.link = link if link is not None else SpiLink()
         self.pulp_power = pulp_power if pulp_power is not None else PulpPowerModel()
         self.icache = icache if icache is not None else SharedICache()
+        #: The last point priced: every input of offload_timing but the
+        #: iteration count, and its phases.
+        self._point: Optional[Tuple] = None
+        self._phases: Optional[_Phases] = None
 
     # -- elementary costs -------------------------------------------------------
 
@@ -114,11 +137,72 @@ class OffloadCostModel:
                        activity: ActivityProfile, host_frequency: float,
                        iterations: int = 1, double_buffered: bool = False,
                        include_binary: bool = True) -> OffloadTiming:
-        """Cost ``iterations`` kernel runs per one binary offload."""
+        """Cost ``iterations`` kernel runs per one binary offload.
+
+        The phases (:class:`_Phases`) read every input but *iterations*,
+        so they are costed once per point: the model keeps the last
+        point's, and a sweep over iterations at one point, such as
+        Figure 5b's, costs them once.  Each call assembles the schedule,
+        the energy account and the telemetry spans.  Under an enabled
+        telemetry hub the phases are costed on every call, so the link's
+        transfer counters are too.
+        """
         if iterations < 1:
             raise OffloadError(f"iterations must be >= 1, got {iterations}")
         if compute_cycles <= 0 or pulp_frequency <= 0:
             raise OffloadError("compute cycles and PULP frequency must be positive")
+        point = (binary_bytes, input_bytes, output_bytes, compute_cycles,
+                 pulp_frequency, pulp_voltage, activity.fractions_key,
+                 host_frequency, double_buffered, include_binary)
+        telemetry = get_telemetry()
+        if point != self._point or telemetry.enabled:
+            self._phases = self._cost_phases(
+                binary_bytes, input_bytes, output_bytes, compute_cycles,
+                pulp_frequency, pulp_voltage, activity, host_frequency,
+                double_buffered, include_binary)
+            self._point = point
+        phases = self._phases
+        binary, data_in, data_out = phases.binary, phases.data_in, \
+            phases.data_out
+
+        energy = EnergyAccount()
+        if binary.time:
+            energy.add("binary", binary.time, binary.energy / binary.time)
+        if phases.boot_time:
+            energy.add("boot", phases.boot_time,
+                       phases.pulp_active + self.host.sleep_power)
+
+        if double_buffered:
+            total = self._double_buffered(phases, iterations, energy)
+        else:
+            total = self._serial(phases, iterations, energy)
+        total += phases.boot_time
+
+        timing = OffloadTiming(
+            iterations=iterations,
+            double_buffered=double_buffered,
+            binary_time=binary.time,
+            boot_time=phases.boot_time,
+            input_time=data_in.time,
+            output_time=data_out.time,
+            compute_time=phases.compute_time,
+            sync_time=phases.sync_time,
+            total_time=total,
+            ideal_time=iterations * phases.compute_time,
+            energy=energy,
+            binary_bytes=binary.payload_bytes,
+            input_bytes=data_in.payload_bytes,
+            output_bytes=data_out.payload_bytes,
+        )
+        if telemetry.enabled:
+            emit_offload_spans(telemetry, timing)
+        return timing
+
+    def _cost_phases(self, binary_bytes: int, input_bytes: int,
+                     output_bytes: int, compute_cycles: float,
+                     pulp_frequency: float, pulp_voltage: float,
+                     activity: ActivityProfile, host_frequency: float,
+                     double_buffered: bool, include_binary: bool) -> _Phases:
         pulp_idle = self.pulp_power.total_power(
             pulp_frequency, pulp_voltage, _IDLE)
         pulp_active = self.pulp_power.total_power(
@@ -145,51 +229,15 @@ class OffloadCostModel:
             boot_cycles = (self.icache.warmup_cycles(binary_bytes)
                            + RUNTIME_INIT_CYCLES)
             boot_time = boot_cycles / pulp_frequency
+        return _Phases(pulp_idle, pulp_active,
+                       self.host.active_power(host_frequency), binary,
+                       data_in, data_out, compute_time, sync_time, boot_time)
 
-        energy = EnergyAccount()
-        if binary.time:
-            energy.add("binary", binary.time, binary.energy / binary.time)
-        if boot_time:
-            energy.add("boot", boot_time,
-                       pulp_active + self.host.sleep_power)
-
-        if double_buffered:
-            total = self._double_buffered(
-                binary, data_in, data_out, compute_time, sync_time,
-                iterations, pulp_active, pulp_idle, host_frequency, energy)
-        else:
-            total = self._serial(
-                binary, data_in, data_out, compute_time, sync_time,
-                iterations, pulp_active, host_frequency, energy)
-        total += boot_time
-
-        timing = OffloadTiming(
-            iterations=iterations,
-            double_buffered=double_buffered,
-            binary_time=binary.time,
-            boot_time=boot_time,
-            input_time=data_in.time,
-            output_time=data_out.time,
-            compute_time=compute_time,
-            sync_time=sync_time,
-            total_time=total,
-            ideal_time=iterations * compute_time,
-            energy=energy,
-            binary_bytes=binary.payload_bytes,
-            input_bytes=data_in.payload_bytes,
-            output_bytes=data_out.payload_bytes,
-        )
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            emit_offload_spans(telemetry, timing)
-        return timing
-
-    def _serial(self, binary: TransferCost, data_in: TransferCost,
-                data_out: TransferCost, compute_time: float,
-                sync_time: float, iterations: int, pulp_active: float,
-                host_frequency: float, energy: EnergyAccount) -> float:
-        per_iteration = (data_in.time + compute_time + sync_time
-                         + data_out.time)
+    def _serial(self, phases: _Phases, iterations: int,
+                energy: EnergyAccount) -> float:
+        data_in, data_out = phases.data_in, phases.data_out
+        per_iteration = (data_in.time + phases.compute_time
+                         + phases.sync_time + data_out.time)
         if data_in.time:
             energy.add("input", iterations * data_in.time,
                        data_in.energy / data_in.time)
@@ -197,24 +245,21 @@ class OffloadCostModel:
             energy.add("output", iterations * data_out.time,
                        data_out.energy / data_out.time)
         # During compute the host sleeps in stop mode.
-        energy.add("compute", iterations * compute_time,
-                   pulp_active + self.host.sleep_power)
-        energy.add("sync", iterations * sync_time,
-                   self.host.active_power(host_frequency))
-        return binary.time + iterations * per_iteration
+        energy.add("compute", iterations * phases.compute_time,
+                   phases.pulp_active + self.host.sleep_power)
+        energy.add("sync", iterations * phases.sync_time, phases.host_active)
+        return phases.binary.time + iterations * per_iteration
 
-    def _double_buffered(self, binary: TransferCost, data_in: TransferCost,
-                         data_out: TransferCost, compute_time: float,
-                         sync_time: float, iterations: int,
-                         pulp_active: float, pulp_idle: float,
-                         host_frequency: float,
+    def _double_buffered(self, phases: _Phases, iterations: int,
                          energy: EnergyAccount) -> float:
         """Transfers overlap compute: while iteration *k* computes, the
         host streams iteration *k+1* in and iteration *k-1* out.  The
         steady-state period is the slower of the two pipelines."""
+        data_in, data_out = phases.data_in, phases.data_out
+        compute_time, sync_time = phases.compute_time, phases.sync_time
         transfer_time = data_in.time + data_out.time
         period = max(compute_time + sync_time, transfer_time)
-        total = binary.time + data_in.time \
+        total = phases.binary.time + data_in.time \
             + iterations * period + data_out.time
         # Energy: transfers happen regardless; compute happens regardless;
         # the overlap means the host is active (driving DMA) during the
@@ -225,15 +270,14 @@ class OffloadCostModel:
         if data_out.time:
             energy.add("output", iterations * data_out.time,
                        data_out.energy / data_out.time)
-        energy.add("compute", iterations * compute_time, pulp_active)
+        energy.add("compute", iterations * compute_time, phases.pulp_active)
         idle_gap = iterations * max(0.0, period - compute_time - sync_time)
         if idle_gap > 0:
-            energy.add("accelerator-wait", idle_gap, pulp_idle)
+            energy.add("accelerator-wait", idle_gap, phases.pulp_idle)
         host_sleep = iterations * max(0.0, period - transfer_time)
         if host_sleep > 0:
             energy.add("host-sleep", host_sleep, self.host.sleep_power)
-        energy.add("sync", iterations * sync_time,
-                   self.host.active_power(host_frequency))
+        energy.add("sync", iterations * sync_time, phases.host_active)
         return total
 
 

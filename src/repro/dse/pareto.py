@@ -1,12 +1,8 @@
 """Pareto frontiers, per-knob sensitivity and exports for DSE results.
 
-Pareto semantics: over the *feasible* records, maximize end-to-end
-speedup while minimizing energy per iteration and total system power.
-A point survives if no other point is at least as good on every
-objective and strictly better on one.  Ties collapse — of several
-points with identical objective vectors, the one whose configuration
-hash sorts first represents the group — so the frontier is a canonical,
-order-independent set.
+The frontier itself is :func:`repro.records.pareto_frontier`, which the
+fleet-composition planner shares; this module re-exports it with its
+objectives and :func:`~repro.records.objective_vector`.
 
 Sensitivity: for each knob that takes more than one value, group the
 records that agree on every *other* knob and measure how much the
@@ -21,67 +17,16 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.dse.space import KNOB_ORDER
+from repro.records import (  # noqa: F401  (part of this module's API)
+    MAXIMIZE,
+    MINIMIZE,
+    objective_vector,
+    pareto_frontier,
+)
 from repro.units import ordered_sum
-
-#: Objectives to maximize / minimize, as keys into ``record["metrics"]``.
-MAXIMIZE: Tuple[str, ...] = ("effective_speedup",)
-MINIMIZE: Tuple[str, ...] = ("energy_per_iteration_j", "total_power_w")
 
 #: Default objective for sensitivity ranking.
 DEFAULT_OBJECTIVE = "effective_speedup"
-
-
-def objective_vector(record: Mapping[str, Any],
-                     maximize: Tuple[str, ...] = MAXIMIZE,
-                     minimize: Tuple[str, ...] = MINIMIZE,
-                     ) -> Tuple[float, ...]:
-    """The record's objectives, sign-folded so larger is always better."""
-    metrics = record["metrics"]
-    return tuple([metrics[key] for key in maximize]
-                 + [-metrics[key] for key in minimize])
-
-
-def _dominates(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
-    """Whether folded vector *a* Pareto-dominates *b*."""
-    return all(x >= y for x, y in zip(a, b)) and a != b
-
-
-def pareto_frontier(records: List[Mapping[str, Any]],
-                    maximize: Tuple[str, ...] = MAXIMIZE,
-                    minimize: Tuple[str, ...] = MINIMIZE,
-                    ) -> List[Dict[str, Any]]:
-    """The non-dominated feasible records, in canonical order.
-
-    Objectives default to the offload-DSE triple (maximize speedup,
-    minimize energy and power); callers with different metrics — the
-    fleet-composition planner maximizes throughput while minimizing
-    energy/request and p95 — pass their own *maximize*/*minimize* keys.
-
-    Canonical order: the folded objective vector, best first, then
-    ascending configuration hash — identical for serial, parallel and
-    cached runs over the same space.  Ties collapse deterministically:
-    of several points with identical objective vectors, the smallest
-    configuration hash represents the group.
-
-    One pass after a sort: each distinct vector keeps its first holder
-    in hash order, and the vectors are visited in descending
-    lexicographic order, where anything that dominates a vector comes
-    before it.  A dominated vector is therefore dominated by a frontier
-    point already found, so each is tested against the frontier alone.
-    """
-    holders: Dict[Tuple[float, ...], Mapping[str, Any]] = {}
-    for record in sorted((r for r in records if r.get("feasible")),
-                         key=lambda r: r["config_hash"]):
-        holders.setdefault(objective_vector(record, maximize, minimize),
-                           record)
-    kept: List[Tuple[float, ...]] = []
-    frontier = []
-    for vector in sorted(holders, reverse=True):
-        if any(_dominates(other, vector) for other in kept):
-            continue
-        kept.append(vector)
-        frontier.append(dict(holders[vector]))
-    return frontier
 
 
 def sensitivity(records: List[Mapping[str, Any]],

@@ -18,14 +18,13 @@ Canonicalization rules that matter for hashing:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.kernels import BENCHMARK_NAMES
+from repro.records import config_hash
 
 #: Knob names in canonical (display and expansion) order.
 KNOB_ORDER: Tuple[str, ...] = (
@@ -128,12 +127,6 @@ def canonicalize(knobs: Mapping[str, Any]) -> Dict[str, Any]:
     if canonical["link_tying"] == "tied":
         canonical["untied_clock_mhz"] = DEFAULTS["untied_clock_mhz"]
     return canonical
-
-
-def config_hash(canonical: Mapping[str, Any]) -> str:
-    """Stable content hash of a canonical configuration."""
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

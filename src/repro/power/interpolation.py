@@ -290,7 +290,8 @@ class PolynomialInterpolator:
                 width, starts = _grid(self.x_min, self.x_max,
                                       min(_START_CELLS, 2 ** halvings))
                 slope = _derivative(self.coefficients)
-                bend = max(abs(_horner(_derivative(slope), x)) for x in starts)
+                curvature = _derivative(slope)
+                bend = max(abs(_horner(curvature, x)) for x in starts)
                 certificate = _Certificate(
                     cell, 2 ** halvings - 1, tuple(starts), width,
                     tuple(self._eval(x) for x in starts), slope,

@@ -34,9 +34,10 @@ Densities scale with voltage as ``(V / V_nom)**2`` (CV^2 dynamic power).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import OperatingPointError, PowerModelError
 from repro.power.activity import ActivityProfile, PulpComponent
@@ -49,6 +50,12 @@ V_NOMINAL = 1.0
 #: Probes the regula-falsi frequency search makes before it gives way to
 #: the bisection.
 _SEARCH_STEPS = 40
+#: Locus points a model keeps per activity (nominal density) and grid,
+#: for later frequency searches at other budgets.
+_KEPT_POINTS = 64
+#: Activities and grids a model keeps locus points for; the oldest goes
+#: first.
+_KEPT_LOCI = 64
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,29 @@ PULP3_TABLE = OperatingPointTable([
 ])
 
 
+class _Locus:
+    """Locus points of one activity on one certified grid, in ascending
+    grid order: grid index, float locus power and voltage.  The power
+    rises strictly along the grid, so it ascends too.  At most
+    ``_KEPT_POINTS`` are kept; later points are dropped."""
+
+    __slots__ = ("cell", "indices", "powers", "voltages")
+
+    def __init__(self, cell: float):
+        self.cell = cell
+        self.indices: List[int] = []
+        self.powers: List[float] = []
+        self.voltages: List[float] = []
+
+    def keep(self, index: int, power: float, voltage: float) -> None:
+        """Insert one evaluated grid point, if there is room."""
+        if len(self.indices) < _KEPT_POINTS:
+            at = bisect_right(self.indices, index)
+            self.indices.insert(at, index)
+            self.powers.insert(at, power)
+            self.voltages.insert(at, voltage)
+
+
 class PulpPowerModel:
     """Evaluate PULP power at any (frequency, voltage, activity) point."""
 
@@ -103,6 +133,11 @@ class PulpPowerModel:
         self._grids: Dict[Tuple[float, float, float],
                           Optional[Tuple[float, int]]] = {}
         self._leakage_error: Optional[float] = None
+        #: (nominal density, lo, hi, tolerance) -> the locus points the
+        #: frequency searches kept (None: uncertified); see
+        #: :meth:`max_frequency_within`.
+        self._loci: Dict[Tuple[float, float, float, float],
+                         Optional[_Locus]] = {}
 
     @cached_property
     def memo_key(self) -> Tuple:
@@ -163,10 +198,15 @@ class PulpPowerModel:
         The same operations as :meth:`total_power` at the locus voltage,
         so a bisection can sum the density once rather than per probe.
         """
+        return self._locus_point(frequency, nominal)[0]
+
+    def _locus_point(self, frequency: float,
+                     nominal: float) -> Tuple[float, float]:
+        """(:meth:`_locus_power`, the locus voltage it ran at)."""
         voltage = self.table.voltage_for(frequency)
         self._check_point(frequency, voltage)
-        return frequency * (nominal * (voltage / V_NOMINAL) ** 2) \
-            + self.leakage_power(voltage)
+        return (frequency * (nominal * (voltage / V_NOMINAL) ** 2)
+                + self.leakage_power(voltage)), voltage
 
     def max_frequency_within(self, budget: float,
                              activity: ActivityProfile,
@@ -174,8 +214,9 @@ class PulpPowerModel:
         """Highest (frequency, voltage) whose total power fits *budget*.
 
         Returns ``(0.0, v_min)`` when even the minimum point exceeds the
-        budget.  Power is monotonically increasing in frequency along the
-        minimum-voltage locus, so the answer is defined by a bisection
+        budget, or the budget is not a positive number.  Power is
+        monotonically increasing in frequency along the minimum-voltage
+        locus, so the answer is defined by a bisection
         (:meth:`_bisect_frequency`) between 1 MHz, which fits, and
         ``f_max``, which does not.
 
@@ -213,25 +254,35 @@ class PulpPowerModel:
           when they are adjacent, which leaves exactly that pair; the
           search keeps the same kind of pair, so it ends on the same one.
 
+        Searches share their evaluations.  For each activity (its
+        nominal density) and grid the model keeps the locus points it
+        has evaluated, both ends first, up to ``_KEPT_POINTS`` of them.
+        A later search at another budget starts from the tightest
+        fitting/failing pair among those points instead of the grid's
+        ends: power rises strictly along the grid (the second point
+        above), so the kept points split where the budget test does, and
+        the pair brackets the same cell.  The
+        answer's voltage is the one its locus evaluation ran at, which
+        is :meth:`~repro.power.operating_point.OperatingPointTable.voltage_for`
+        of the answer.
+
         An uncertified model or activity, or a search that does not
         close within its step limit, uses the bisection.
         """
-        if budget <= 0:
+        if not budget > 0:
             return 0.0, self.table.v_min
         nominal = self.nominal_density(activity)
         hi = self.table.f_max
         lo = min(mhz(1), hi)
-        power_lo = self._locus_power(lo, nominal)
-        if power_lo > budget:
+        found = self._search_frequency(budget, nominal, lo, hi, tolerance)
+        if found is not None:
+            return found
+        if self._locus_power(lo, nominal) > budget:
             return 0.0, self.table.v_min
-        power_hi = self._locus_power(hi, nominal)
-        if power_hi <= budget:
+        if self._locus_power(hi, nominal) <= budget:
             return hi, self.table.voltage_for(hi)
-        frequency = self._search_frequency(budget, nominal, lo, hi, power_lo,
-                                           power_hi, tolerance)
-        if frequency is None:
-            frequency = self._bisect_frequency(budget, nominal, lo, hi,
-                                               tolerance)
+        frequency = self._bisect_frequency(budget, nominal, lo, hi,
+                                           tolerance)
         return frequency, self.table.voltage_for(frequency)
 
     def _bisect_frequency(self, budget: float, nominal: float, lo: float,
@@ -248,28 +299,37 @@ class PulpPowerModel:
         return lo
 
     def _search_frequency(self, budget: float, nominal: float, lo: float,
-                          hi: float, power_lo: float, power_hi: float,
-                          tolerance: float) -> Optional[float]:
-        """:meth:`_bisect_frequency`'s answer by regula falsi on its grid
-        (see :meth:`max_frequency_within`), or None if uncertified."""
-        grid = self._frequency_grid(lo, hi, tolerance)
-        if grid is None:
+                          hi: float, tolerance: float
+                          ) -> Optional[Tuple[float, float]]:
+        """:meth:`max_frequency_within`'s answer by regula falsi on the
+        bisection's grid, from the kept locus points; None if the grid
+        is uncertified or the search does not close."""
+        locus = self._locus(nominal, lo, hi, tolerance)
+        if locus is None:
             return None
-        cell, cells = grid
-        v_min = self.table.v_min
-        if not cell * nominal * v_min * v_min > 4 * self._locus_error(nominal):
-            return None
-        fits, fails = 0, cells
-        over_fits, over_fails = power_lo - budget, power_hi - budget
+        indices, powers, voltages = locus.indices, locus.powers, locus.voltages
+        # The kept points that fit come before those that do not.
+        split = bisect_right(powers, budget)
+        if split == 0:
+            return 0.0, self.table.v_min
+        if split == len(powers):
+            return hi, voltages[-1]
+        fits, fails = indices[split - 1], indices[split]
+        over_fits = powers[split - 1] - budget
+        over_fails = powers[split] - budget
+        voltage = voltages[split - 1]
+        cell = locus.cell
         kept = 0
         for _ in range(_SEARCH_STEPS):
             if fails - fits == 1:
-                return lo + fits * cell
+                return lo + fits * cell, voltage
             step = int((fails - fits) * (over_fits / (over_fits - over_fails)))
             j = min(max(fits + step, fits + 1), fails - 1)
-            over = self._locus_power(lo + j * cell, nominal) - budget
+            power, probe_voltage = self._locus_point(lo + j * cell, nominal)
+            locus.keep(j, power, probe_voltage)
+            over = power - budget
             if over <= 0:
-                fits, over_fits = j, over
+                fits, over_fits, voltage = j, over, probe_voltage
                 if kept < 0:
                     over_fails *= 0.5
                 kept = -1
@@ -279,6 +339,30 @@ class PulpPowerModel:
                     over_fits *= 0.5
                 kept = 1
         return None
+
+    def _locus(self, nominal: float, lo: float, hi: float,
+               tolerance: float) -> Optional[_Locus]:
+        """The locus points kept for *nominal* on the bisection's grid on
+        [lo, hi] at *tolerance*, or None when the grid is not exact or
+        the monotonicity certificate fails (see
+        :meth:`max_frequency_within`).  A new entry evaluates both ends;
+        past ``_KEPT_LOCI`` entries the oldest is dropped."""
+        key = (nominal, lo, hi, tolerance)
+        if key in self._loci:
+            return self._loci[key]
+        locus = None
+        grid = self._frequency_grid(lo, hi, tolerance)
+        if grid is not None:
+            cell, cells = grid
+            v_min = self.table.v_min
+            if cell * nominal * v_min * v_min > 4 * self._locus_error(nominal):
+                locus = _Locus(cell)
+                locus.keep(0, *self._locus_point(lo, nominal))
+                locus.keep(cells, *self._locus_point(hi, nominal))
+        if len(self._loci) >= _KEPT_LOCI:
+            del self._loci[next(iter(self._loci))]
+        self._loci[key] = locus
+        return locus
 
     def _frequency_grid(self, lo: float, hi: float,
                         tolerance: float) -> Optional[Tuple[float, int]]:
@@ -328,3 +412,4 @@ class PulpPowerModel:
         if frequency > fmax * (1 + 1e-6):
             raise OperatingPointError(
                 f"{frequency:.3e} Hz exceeds f_max {fmax:.3e} Hz at {voltage} V")
+

@@ -93,7 +93,15 @@ class TestParser:
         "    point = pricing.operating_point(system.envelope, 8e6,\n"
         "                                    c.activity)\n"
         "    pricing.price(system.cost_model, c, point, 8e6)",
-    ], ids=["import", "parser", "report", "chaos", "serve", "pricing"])
+        # Capacity planning shares the DSE's record hash and frontier,
+        # not its evaluator.
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['capacity', 'sweep', '--rates', '100,400'])\n"
+        "    main(['capacity', 'plan', '--no-verify', '--max-nodes', '3'])",
+    ], ids=["import", "parser", "report", "chaos", "serve", "pricing",
+            "capacity"])
     def test_paths_without_array_code_load_no_numpy(self, probe):
         # Only the kernels' functional path computes on arrays; the IR,
         # pricing, the paper's experiments and serving never load numpy.

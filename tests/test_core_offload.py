@@ -1,14 +1,21 @@
 """Tests for the offload cost model and the power-envelope solver."""
 
+import random
+
 import pytest
 
 from repro.errors import BudgetError, OffloadError
+from repro.core import pricing
 from repro.core.envelope import (
     DEFAULT_BUDGET,
     FIGURE5A_HOST_FREQUENCIES,
     PowerEnvelopeSolver,
 )
 from repro.core.offload import OffloadCostModel
+from repro.core.system import HeterogeneousSystem
+from repro.experiments.figure5 import FIGURE5B_HOST_FREQUENCIES
+from repro.kernels import all_kernels
+from repro.obs import Telemetry, use_telemetry
 from repro.power.activity import ActivityProfile
 from repro.units import mhz, mw
 
@@ -115,6 +122,101 @@ class TestOffloadTiming:
     def test_invalid_compute(self, cost_model, activity):
         with pytest.raises(OffloadError):
             _timing(cost_model, activity, compute_cycles=0)
+
+
+def _offload_points():
+    """Keyword arguments of every kernel's offload at each of Figure
+    5b's host clocks, both schedules, binary included or not."""
+    system = HeterogeneousSystem()
+    points = []
+    for kernel in all_kernels():
+        characterization = pricing.characterize(system, kernel)
+        for host_frequency in FIGURE5B_HOST_FREQUENCIES:
+            point = pricing.operating_point(
+                system.envelope, host_frequency, characterization.activity)
+            for double_buffered in (False, True):
+                for include_binary in (True, False):
+                    points.append(dict(
+                        binary_bytes=characterization.binary_bytes,
+                        input_bytes=characterization.input_bytes,
+                        output_bytes=characterization.output_bytes,
+                        compute_cycles=characterization.execution.wall_cycles,
+                        pulp_frequency=point.pulp_frequency,
+                        pulp_voltage=point.pulp_voltage,
+                        activity=characterization.activity,
+                        host_frequency=host_frequency,
+                        double_buffered=double_buffered,
+                        include_binary=include_binary))
+    return system, points
+
+
+class TestPhaseCache:
+    """A cost model keeps the last point's phases; a warm model prices
+    every offload exactly as a fresh one does."""
+
+    def _assert_warm_equals_fresh(self, seed, iteration_counts, spans):
+        system, points = _offload_points()
+        rng = random.Random(seed)
+        rng.shuffle(points)
+        warm = OffloadCostModel(system.host, system.link,
+                                system.soc.power_model)
+        warm_hub, fresh_hub = Telemetry(enabled=spans), \
+            Telemetry(enabled=spans)
+        # Four iteration counts per point, every count at least once.
+        counts = iteration_counts * -(-4 * len(points)
+                                      // len(iteration_counts))
+        rng.shuffle(counts)
+        calls = 0
+        for index, point in enumerate(points):
+            for iterations in counts[4 * index:4 * index + 4]:
+                with use_telemetry(warm_hub):
+                    timing = warm.offload_timing(iterations=iterations,
+                                                 **point)
+                with use_telemetry(fresh_hub):
+                    expected = OffloadCostModel(
+                        system.host, system.link,
+                        system.soc.power_model).offload_timing(
+                            iterations=iterations, **point)
+                assert repr(timing) == repr(expected), (point, iterations)
+                assert [repr(phase) for phase in timing.energy.phases] \
+                    == [repr(phase) for phase in expected.energy.phases]
+                calls += 1
+        assert calls == 4 * 10 * len(FIGURE5B_HOST_FREQUENCIES) * 4
+        assert repr(warm_hub.spans) == repr(fresh_hub.spans)
+        assert repr(warm_hub.counters) == repr(fresh_hub.counters)
+
+    def test_warm_model_equals_fresh_model(self):
+        self._assert_warm_equals_fresh(40, list(range(1, 257)), False)
+
+    def test_warm_model_equals_fresh_model_under_telemetry(self):
+        self._assert_warm_equals_fresh(41, [1, 2, 3, 4, 7, 16], True)
+
+    def test_an_iteration_sweep_costs_its_phases_once(self, monkeypatch,
+                                                      cost_model, activity):
+        phases = []
+        cost = OffloadCostModel._cost_phases
+
+        def counted(self, *args):
+            phases.append(args)
+            return cost(self, *args)
+
+        monkeypatch.setattr(OffloadCostModel, "_cost_phases", counted)
+        for double_buffered in (False, True):
+            for iterations in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+                _timing(cost_model, activity, iterations=iterations,
+                        double_buffered=double_buffered)
+        assert len(phases) == 2
+        # An enabled hub sees the link count every transfer.
+        with use_telemetry(Telemetry(enabled=True)):
+            _timing(cost_model, activity, double_buffered=True)
+        assert len(phases) == 3
+
+    def test_keeps_one_point(self, cost_model, activity):
+        attributes = set(vars(cost_model))
+        for cycles in range(1, 400):
+            _timing(cost_model, activity, compute_cycles=1e3 * cycles)
+        assert set(vars(cost_model)) == attributes
+        assert cost_model._point[3] == 399e3
 
 
 class TestPowerEnvelopeSolver:

@@ -7,9 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IsaError, KernelError, SimulationError
-from repro.machine import Machine, Opcode, assemble, decode, encode
+from repro.isa.costs import or10n_costs
+from repro.isa.vop import OpKind
+from repro.machine import (
+    Machine,
+    Opcode,
+    SharedMemoryCluster,
+    assemble,
+    decode,
+    encode,
+)
 from repro.machine.assembler import disassemble
-from repro.machine.encoding import I_TYPE, Instruction
+from repro.machine.encoding import BRANCHES, I_TYPE, LOADS, STORES, Instruction
 from repro.machine.programs import (
     run_dot_product_i8,
     run_matmul_i8,
@@ -439,3 +448,67 @@ class TestIssVsAnalyticModel:
         # ISS pays 2 extra explicit address adds per element.
         assert iss_per_element == pytest.approx(analytic_per_element + 2,
                                                 abs=0.3)
+
+
+#: The OR10N cost-table entry of every opcode the ISS charges a fixed
+#: cost for: memory, scalar ALU and sub-word SIMD lanes (ADD4/SUB4 add
+#: and subtract four int8 lanes in one instruction).
+_TABLE_KINDS = {
+    **{opcode: OpKind.LOAD for opcode in LOADS},
+    **{opcode: OpKind.STORE for opcode in STORES},
+    Opcode.ADD: OpKind.ADD, Opcode.ADDI: OpKind.ADD, Opcode.ADD4: OpKind.ADD,
+    Opcode.SUB: OpKind.SUB, Opcode.SUB4: OpKind.SUB,
+    Opcode.MUL: OpKind.MUL, Opcode.MULI: OpKind.MUL, Opcode.MAC: OpKind.MAC,
+    Opcode.AND: OpKind.LOGIC, Opcode.OR: OpKind.LOGIC,
+    Opcode.XOR: OpKind.LOGIC, Opcode.ANDI: OpKind.LOGIC,
+    Opcode.SLL: OpKind.SHIFT, Opcode.SRA: OpKind.SHIFT,
+    Opcode.SLLI: OpKind.SHIFT, Opcode.SRAI: OpKind.SHIFT,
+    Opcode.MIN: OpKind.MINMAX, Opcode.MAX: OpKind.MINMAX,
+}
+_CHARGED = sorted(_TABLE_KINDS) + [Opcode.HWLOOP]
+
+
+def _table_cycles(opcode):
+    costs = or10n_costs()
+    if opcode is Opcode.HWLOOP:
+        return costs.hwloop_setup_cycles
+    return costs.op_cycles[_TABLE_KINDS[opcode]]
+
+
+def _one_instruction(opcode):
+    """*opcode* alone, then HALT; a zero-trip hardware loop, memory at
+    a valid address."""
+    if opcode is Opcode.HWLOOP:
+        instruction = Instruction(opcode, ra=0, imm=0)
+    elif opcode in LOADS or opcode in STORES:
+        instruction = Instruction(opcode, rd=1, ra=0, imm=0x100)
+    elif opcode in I_TYPE:
+        instruction = Instruction(opcode, rd=1, ra=2, imm=3)
+    else:
+        instruction = Instruction(opcode, rd=1, ra=2, rb=3)
+    return [instruction, Instruction(Opcode.HALT)]
+
+
+class TestIssChargesMatchCostTable:
+    """The ISS charges each instruction the cycles the analytic OR10N
+    table (:func:`~repro.isa.costs.or10n_costs`) gives its op kind, so
+    the two models agree by test, not by docstring."""
+
+    def test_every_opcode_is_charged_or_control_flow(self):
+        control = BRANCHES | {Opcode.HWLOOP, Opcode.BARRIER, Opcode.HALT}
+        assert set(_TABLE_KINDS) | control == set(Opcode)
+
+    @pytest.mark.parametrize("opcode", _CHARGED, ids=lambda op: op.name)
+    def test_interpreter_charge(self, opcode):
+        halt = Machine().run([Instruction(Opcode.HALT)]).cycles
+        cycles = Machine().run(_one_instruction(opcode)).cycles
+        assert cycles - halt == _table_cycles(opcode)
+
+    @pytest.mark.parametrize("opcode", _CHARGED, ids=lambda op: op.name)
+    def test_lockstep_charge(self, opcode):
+        halt = SharedMemoryCluster(cores=1).run(
+            [[Instruction(Opcode.HALT)]]).wall_cycles
+        cycles = SharedMemoryCluster(cores=1).run(
+            [_one_instruction(opcode)]).wall_cycles
+        assert cycles - halt == _table_cycles(opcode)
+

@@ -20,6 +20,7 @@ from repro.obs import (
     render_span_timeline,
     to_chrome_trace,
     use_telemetry,
+    write_chrome_trace,
 )
 from repro.power.activity import ActivityProfile
 from repro.units import mhz
@@ -164,6 +165,29 @@ class TestChromeTraceExport:
         names = {e["args"]["name"] for e in payload["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert {"host", "spi", "pulp"} <= names
+
+    def test_written_file_holds_one_event_per_line(self, tmp_path):
+        from repro.core.system import HeterogeneousSystem
+        from repro.kernels import kernel_by_name
+
+        hub = Telemetry(enabled=True)
+        with use_telemetry(hub):
+            HeterogeneousSystem().offload(kernel_by_name("matmul"),
+                                          iterations=2)
+        path = tmp_path / "trace.json"
+        write_chrome_trace(hub, str(path))
+        trace = to_chrome_trace(hub)
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle) == trace
+        events = trace["traceEvents"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == '{"traceEvents": ['
+        assert [json.loads(line.rstrip(","))
+                for line in lines[1:1 + len(events)]] == events
+        empty = tmp_path / "empty.json"
+        write_chrome_trace(Telemetry(enabled=True), str(empty))
+        assert json.loads(empty.read_text()) \
+            == to_chrome_trace(Telemetry(enabled=True))
 
     def test_partial_overlap_rejected(self):
         hub = Telemetry(enabled=True)

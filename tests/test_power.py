@@ -39,6 +39,7 @@ from repro.power.interpolation import (
     _slope_floor,
     bisection_cell,
 )
+from repro.power import pulp_model
 from repro.power.pulp_model import PULP3_TABLE, V_NOMINAL
 from repro.units import mhz, mw
 
@@ -207,6 +208,11 @@ class TestPulpPowerModel:
         model = PulpPowerModel()
         f, v = model.max_frequency_within(1e-5, ActivityProfile.matmul())
         assert f == 0.0
+
+    def test_nan_budget_returns_zero(self):
+        for model in (PulpPowerModel(), _BisectingModel()):
+            assert model.max_frequency_within(
+                math.nan, ActivityProfile.matmul()) == (0.0, PULP3_TABLE.v_min)
 
     def test_budget_above_maximum_returns_fmax(self):
         model = PulpPowerModel()
@@ -693,6 +699,87 @@ class TestFrequencySearch:
             assert model.max_frequency_within(budget, ActivityProfile.idle()) \
                 == reference.max_frequency_within(budget,
                                                   ActivityProfile.idle())
+
+    def test_shared_evaluations_equal_bisection_in_any_order(self):
+        # One model answers the pairs in three seeded shuffled orders:
+        # each search starts from the points every earlier one kept,
+        # grid-locus ties and their float neighbours included.
+        model, reference = PulpPowerModel(), _BisectingModel()
+        pairs = _budget_pairs(model, seed=27, per_activity=8)
+        for seed in (30, 31, 32):
+            random.Random(seed).shuffle(pairs)
+            for budget, activity in pairs:
+                assert model.max_frequency_within(budget, activity) \
+                    == reference.max_frequency_within(budget, activity), \
+                    (seed, budget, activity.name)
+
+    def test_full_locus_caches_keep_the_answers(self):
+        # Other budgets fill every activity's kept points to their cap
+        # first; searches from a full cache still end on the same cell.
+        model, reference = PulpPowerModel(), _BisectingModel()
+        rng = random.Random(33)
+        for activity in _profiles():
+            for _ in range(200):
+                model.max_frequency_within(mw(rng.uniform(0.3, 16.0)),
+                                           activity)
+        assert {len(locus.indices) for locus in model._loci.values()} \
+            == {pulp_model._KEPT_POINTS}
+        for budget, activity in _budget_pairs(model, seed=34,
+                                              per_activity=6):
+            assert model.max_frequency_within(budget, activity) \
+                == reference.max_frequency_within(budget, activity), \
+                (budget, activity.name)
+
+    def test_a_repeated_search_evaluates_nothing(self, monkeypatch):
+        model = PulpPowerModel()
+        activity = ActivityProfile.matmul()
+        first = model.max_frequency_within(mw(6.5), activity)
+        evaluations = []
+        locus_point = model._locus_point
+
+        def counted(*args):
+            evaluations.append(args)
+            return locus_point(*args)
+
+        monkeypatch.setattr(model, "_locus_point", counted)
+        # Its bracket is kept: both ends of the answer's cell.
+        assert model.max_frequency_within(mw(6.5), activity) == first
+        assert evaluations == []
+        model.max_frequency_within(mw(6.4), activity)
+        assert 0 < len(evaluations) < 8
+
+    def test_uncertified_searches_keep_no_points(self, monkeypatch):
+        bumped = OperatingPointTable([
+            OperatingPoint(p.voltage, p.fmax, mw(leakage))
+            for p, leakage in zip(PULP3_TABLE.points,
+                                  (1.0, 3.0, 1.0, 1.0, 2.0, 3.5))])
+        bisections = []
+        for model, tolerance in ((PulpPowerModel(), 0.5),
+                                 (PulpPowerModel(bumped), 1e3)):
+            reference = model._bisect_frequency
+
+            def counted(*args, reference=reference):
+                bisections.append(args)
+                return reference(*args)
+
+            monkeypatch.setattr(model, "_bisect_frequency", counted)
+            for budget in (mw(2.5), mw(4.0), mw(7.5)):
+                model.max_frequency_within(budget, ActivityProfile.idle(),
+                                           tolerance)
+            assert list(model._loci.values()) == [None]
+        assert len(bisections) == 6
+
+    def test_kept_activities_stop_at_their_cap(self):
+        model = PulpPowerModel()
+        activities = [ActivityProfile.compute(4, intensity / 200)
+                      for intensity in range(pulp_model._KEPT_LOCI + 20)]
+        for activity in activities:
+            model.max_frequency_within(mw(6.0), activity)
+        assert len(model._loci) == pulp_model._KEPT_LOCI
+        # The oldest went first.
+        kept = {nominal for nominal, *_ in model._loci}
+        assert model.nominal_density(activities[0]) not in kept
+        assert model.nominal_density(activities[-1]) in kept
 
     def test_envelope_solve_equals_bisection_on_2000_pairs(self):
         activities = _profiles()

@@ -8,6 +8,7 @@ import pytest
 from repro.core import pricing
 from repro.core.dual_task import DualTaskModel, HostTask
 from repro.core.envelope import PowerEnvelopeSolver
+from repro.core.offload import OffloadCostModel
 from repro.core.sensor import SensorPath, SensorPipeline
 from repro.core.system import HeterogeneousSystem
 from repro.experiments import report
@@ -233,6 +234,32 @@ class TestPaperReproductionPricing:
         # One program per kernel serves both thread counts and the
         # host baseline.
         assert Counter(builds) == Counter(BENCHMARK_NAMES)
+
+
+    def test_report_prices_each_operating_point_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(PulpPowerModel, "_locus_point", "locus")
+        counted(PowerEnvelopeSolver, "solve", "solve")
+        counted(OffloadCostModel, "offload_timing", "offload")
+        counted(OffloadCostModel, "_cost_phases", "phases")
+        report.build_report()
+        # 35 frequency searches over five activities share their locus
+        # evaluations (297 without sharing); Figure 5b's 90 offloads
+        # sweep iterations at five host clocks x two schedules.
+        assert calls["locus"] <= 200
+        assert calls["solve"] == 40
+        assert calls["offload"] == 90
+        assert calls["phases"] <= 10
 
 
 class TestProgramMemo:
