@@ -2,12 +2,14 @@
 
 Every benchmark regenerates one of the paper's tables/figures, asserts
 its headline anchors, times the computation with pytest-benchmark, and
-writes the rendered text into ``results/`` next to this directory so the
-reproduction artifacts survive the run.
+checks the rendered text against its committed record in ``results/``
+next to this directory, so a change that moves any reproduced number
+fails here.
 """
 
 from __future__ import annotations
 
+import difflib
 import pathlib
 
 import pytest
@@ -22,8 +24,26 @@ def results_dir() -> pathlib.Path:
 
 
 def save_result(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Persist one rendered table/figure and echo it."""
+    """Echo one rendered table/figure and check it against its record.
+
+    ``results/<name>.txt`` is the committed record: a rendering that
+    differs from it by one byte fails, with the diff.  A missing record
+    is written from this run, which fails until the file is committed;
+    to re-record a deliberate change, delete the file and run again.
+    """
     path = results_dir / f"{name}.txt"
-    path.write_text(text + "\n", encoding="utf-8")
-    print(f"\n=== {name} (saved to {path}) ===")
+    rendered = text + "\n"
+    print(f"\n=== {name} (recorded in {path}) ===")
     print(text)
+    if not path.exists():
+        path.write_text(rendered, encoding="utf-8")
+        pytest.fail(f"{path.name} had no committed record; this run's "
+                    f"rendering was written there, commit it")
+    recorded = path.read_text(encoding="utf-8")
+    if rendered != recorded:
+        diff = "".join(difflib.unified_diff(
+            recorded.splitlines(keepends=True),
+            rendered.splitlines(keepends=True),
+            f"{path.name} (committed)", f"{path.name} (this run)"))
+        pytest.fail(f"{path.name} differs from its committed record:\n"
+                    f"{diff}")

@@ -301,6 +301,10 @@ def emit_offload_spans(telemetry: Telemetry,
     times the account's per-phase power, so the sum over all spans
     equals the account's total energy (the envelope roll-up) exactly.
 
+    The offload starts where the hub's previous offload ended (at 0 in
+    a hub that holds none), so the offloads of one run share the lanes
+    back to back.
+
     Returns the root span id, or ``None`` when the hub is disabled.
     """
     if not telemetry.enabled:
@@ -311,10 +315,10 @@ def emit_offload_spans(telemetry: Telemetry,
         return duration * power.get(label, 0.0)
 
     schedule = "double-buffered" if timing.double_buffered else "serial"
+    clock = _previous_offload_end(telemetry)
     root = telemetry.span(
-        "offload", "host", 0.0, timing.total_time,
+        "offload", "host", clock, timing.total_time,
         schedule=schedule, iterations=timing.iterations)
-    clock = 0.0
     if timing.binary_time > 0:
         telemetry.span(
             "binary", "spi", clock, timing.binary_time, parent=root,
@@ -341,6 +345,18 @@ def emit_offload_spans(telemetry: Telemetry,
     telemetry.gauge("offload.efficiency", timing.efficiency)
     telemetry.gauge("offload.energy_j", timing.energy.total_energy)
     return root
+
+
+def _previous_offload_end(telemetry: Telemetry) -> float:
+    """End of the last offload emitted into *telemetry*, or 0.
+
+    Each offload starts where the one before ended, so the latest root
+    ``offload`` span ends last; the search walks back from the newest
+    span and stops at it."""
+    for span in reversed(telemetry.spans):
+        if span.name == "offload" and span.parent is None:
+            return span.end
+    return 0.0
 
 
 def _emit_serial(telemetry, timing, root, clock, energy_of,

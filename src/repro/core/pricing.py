@@ -14,9 +14,10 @@ once and looks the rest up:
   program; :func:`host_run` (kernel, host device) memoizes the
   host-only baseline lowering of ``HeterogeneousSystem.run_on_host``
   alongside, and :func:`risc_ops` (kernel) Table I's RISC-op count, the
-  program's instructions on the baseline RISC target.  All three read
-  one program per kernel, built once by ``Kernel.build_program`` and
-  memoized on the kernel (programs are frozen, so sharing one is safe);
+  program's instructions on the baseline RISC target.  These three and
+  :func:`verify` read one program per kernel, built once by
+  ``Kernel.build_program`` and memoized on the kernel (programs are
+  frozen, so sharing one is safe);
 * :func:`operating_point` (budget, link reserve, host device, power
   model, host clock, activity fractions) — ``PowerEnvelopeSolver.solve``;
 * :func:`price` (link, tying, iterations, buffering) —
@@ -119,12 +120,13 @@ def verify(kernel: Kernel) -> Verification:
 
     The round trip runs on a fresh default system, as a cold
     :meth:`~repro.core.system.HeterogeneousSystem.offload` would, with
-    the inputs of seed 0.
+    the inputs of seed 0 and the kernel's memoized program.
     """
     key = kernel.memo_key()
     found = _VERIFIED.get(key)
     if found is None:
-        trip = HeterogeneousSystem().round_trip(kernel)
+        trip = HeterogeneousSystem().round_trip(kernel,
+                                                program=_program(kernel))
         for array in trip.outputs.values():
             array.setflags(write=False)
         found = _VERIFIED[key] = Verification(outputs=trip.outputs,

@@ -273,15 +273,19 @@ class HeterogeneousSystem:
 
     # -- the offload --------------------------------------------------------------
 
-    def round_trip(self, kernel: Kernel, seed: int = 0) -> RoundTrip:
+    def round_trip(self, kernel: Kernel, seed: int = 0,
+                   program: Optional[Program] = None) -> RoundTrip:
         """The functional half of :meth:`offload`.
 
         Marshals real bytes through the wire protocol into the
         accelerator's L2, runs the kernel, reads the results back and
         verifies them against a direct computation.  The binary travels
         only if it is not already resident, and stays resident after.
+        *program* is *kernel*'s program when the caller has already
+        built it (programs are frozen); by default it is built here.
         """
-        program = kernel.build_program()
+        if program is None:
+            program = kernel.build_program()
         inputs = kernel.generate_inputs(seed)
         input_payload = kernel.serialize_inputs(inputs)
         if len(input_payload) != program.input_bytes:

@@ -48,7 +48,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.kernels.base import Kernel
 from repro.link.protocol import Command, Frame
-from repro.obs.telemetry import get_telemetry
+from repro.obs.telemetry import Telemetry, get_telemetry
 from repro.power.activity import ActivityProfile
 from repro.power.energy import EnergyAccount
 from repro.pulp.binary import KernelBinary
@@ -143,6 +143,23 @@ class ResilientDriver(OffloadDriver):
         self._pulp_idle_power = 0.0
         self._attempt_extra_bytes = 0
         self._model_time = 0.0
+        #: Hub time of model time 0 on the ``resilient`` lane; set by
+        #: the first span (see :meth:`_lane_span`).
+        self._lane_origin: Optional[float] = None
+
+    def _lane_span(self, telemetry: Telemetry, name: str, start: float,
+                   duration: float, **attrs) -> None:
+        """A span on the ``resilient`` lane at model time *start*.
+
+        Every driver's model time starts at 0, so a driver places its
+        spans after those the hub's lane already holds (the drivers of
+        one campaign run one after another)."""
+        if self._lane_origin is None:
+            self._lane_origin = next(
+                (span.end for span in reversed(telemetry.spans)
+                 if span.lane == "resilient"), 0.0)
+        telemetry.span(name, "resilient", self._lane_origin + start,
+                       duration, **attrs)
 
     # -- cost helpers ------------------------------------------------------------
 
@@ -269,8 +286,8 @@ class ResilientDriver(OffloadDriver):
                 wasted_energy += lost_energy
                 self._model_time = start_time + lost_time
                 if telemetry.enabled:
-                    telemetry.span(
-                        f"attempt[{mode}]", "resilient", start_time,
+                    self._lane_span(
+                        telemetry, f"attempt[{mode}]", start_time,
                         lost_time, energy=lost_energy, outcome="failed",
                         error=type(exc).__name__, detail=str(exc))
                     telemetry.count("faults.attempts_failed")
@@ -300,8 +317,8 @@ class ResilientDriver(OffloadDriver):
                 timing.energy.add("recovery", wasted_time,
                                   wasted_energy / wasted_time)
             if telemetry.enabled:
-                telemetry.span(
-                    f"attempt[{mode}]", "resilient", self._model_time,
+                self._lane_span(
+                    telemetry, f"attempt[{mode}]", self._model_time,
                     timing.total_time - wasted_time, outcome="success")
                 telemetry.count("faults.attempts_succeeded")
             self._model_time += timing.total_time - wasted_time
@@ -412,8 +429,8 @@ class ResilientDriver(OffloadDriver):
             energy=energy)
         telemetry = get_telemetry()
         if telemetry.enabled:
-            telemetry.span(
-                "host-fallback", "resilient", self._model_time,
+            self._lane_span(
+                telemetry, "host-fallback", self._model_time,
                 timing.total_time - wasted_time,
                 energy=iterations * host_run.time * host_run.power,
                 outcome="host-fallback")

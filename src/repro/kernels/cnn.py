@@ -157,25 +157,42 @@ class CnnKernel(Kernel):
         return tanh_q15(x)
 
     def _conv1(self, image: np.ndarray, w1: np.ndarray) -> np.ndarray:
-        """conv1 accumulators of all maps: one contraction over every
-        5x5 window of the image (exact int64 sums)."""
+        """conv1 accumulators of all maps: one float64 GEMM of the maps'
+        weights with every 5x5 window of the image.
+
+        Exact in any summation order: each product of two int16-range
+        values is below 2**30, so every partial sum of the 25 taps is an
+        integer below 2**35 < 2**53."""
         import numpy as np
         from numpy.lib.stride_tricks import sliding_window_view
 
-        windows = sliding_window_view(image, (KERNEL_SIZE, KERNEL_SIZE))
-        return np.einsum("yxij,mij->myx", windows, w1.astype(np.int64))
+        windows = sliding_window_view(image.astype(np.float64),
+                                      (KERNEL_SIZE, KERNEL_SIZE))
+        weights = w1.reshape(CONV1_MAPS, -1).astype(np.float64)
+        acc = weights @ windows.reshape(-1, KERNEL_SIZE ** 2).T
+        return acc.astype(np.int64).reshape(CONV1_MAPS, _CONV1_OUT,
+                                            _CONV1_OUT)
 
     def _conv2(self, pool1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """conv2 accumulators of all maps in one contraction; weights
+        """conv2 accumulators of all maps in one float64 GEMM; weights
         the connection table drops are masked to zero, so they add
-        exact zeros."""
+        exact zeros.  Exact in any summation order: the 8 x 25 products
+        per output are each below 2**30, so every partial sum is an
+        integer below 2**38 < 2**53."""
         import numpy as np
         from numpy.lib.stride_tricks import sliding_window_view
 
-        windows = sliding_window_view(pool1, (KERNEL_SIZE, KERNEL_SIZE),
+        windows = sliding_window_view(pool1.astype(np.float64),
+                                      (KERNEL_SIZE, KERNEL_SIZE),
                                       axis=(1, 2))
-        weights = w2.astype(np.int64) * self._connections[:, :, None, None]
-        return np.einsum("cyxij,ocij->oyx", windows, weights)
+        # [in_map, y, x, i, j] -> one row of in_map x 5 x 5 taps per pixel.
+        windows = windows.transpose(1, 2, 0, 3, 4).reshape(
+            _CONV2_OUT * _CONV2_OUT, -1)
+        weights = (w2 * self._connections[:, :, None, None]).reshape(
+            CONV2_MAPS, -1).astype(np.float64)
+        acc = weights @ windows.T
+        return acc.astype(np.int64).reshape(CONV2_MAPS, _CONV2_OUT,
+                                            _CONV2_OUT)
 
     def _conv1_per_map(self, image: np.ndarray,
                        w1: np.ndarray) -> np.ndarray:

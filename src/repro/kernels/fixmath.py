@@ -153,12 +153,24 @@ _CORDIC_GAIN = math.prod([1.0 / math.sqrt(1 + 2.0 ** (-2 * i))
                           for i in range(CORDIC_ITERATIONS)])
 #: Inverse gain in Q1.15 used to de-scale magnitudes.
 CORDIC_INV_GAIN_Q15 = int(round(_CORDIC_GAIN * Q15_ONE))
+_HALF_PI_Q16 = int(round(math.pi / 2 * Q16_ONE))
 
 
 @functools.cache
 def _cordic_angles_q16() -> np.ndarray:
     return _table([int(round(math.atan(2.0 ** (-i)) * Q16_ONE))
                    for i in range(CORDIC_ITERATIONS)])
+
+
+@functools.cache
+def cordic_angle_steps() -> int:
+    """Iterations that still move a Q16.16 angle.
+
+    The angle table is zero from this step on (``atan(2**-17)`` rounds
+    to 0), so later iterations refine only the magnitude: a caller that
+    needs only the angle runs this many and gets the angle of all
+    :data:`CORDIC_ITERATIONS`."""
+    return int(_cordic_angles_q16().nonzero()[0][-1]) + 1
 
 
 def cordic_vectoring(x: np.ndarray, y: np.ndarray,
@@ -168,58 +180,70 @@ def cordic_vectoring(x: np.ndarray, y: np.ndarray,
 
     Inputs are integer vectors (e.g. Q16.16 gradients).  Returns
     ``(magnitude, angle_q16)`` where magnitude is in the input scale
-    (gain-corrected) and the angle is radians in Q16.16, in [-pi, pi].
+    (gain-corrected, int64) and the angle is radians in Q16.16, in
+    [-pi, pi].  Two int32 inputs are rotated in int32 lanes, which
+    hold every rotation exactly while ``|x|, |y| < 2**29`` (the
+    rotations grow the vector by less than 2.4x); anything else runs in
+    int64.
     """
-    x, y, angle = _cordic_prerotate(x, y, iterations)
-    angles = _cordic_angles_q16()
-    for i in range(iterations):
-        # +1 rotates clockwise (y >= 0), -1 counter-clockwise.
-        sign = (y >= 0).astype("int64") * 2 - 1
+    import numpy as np
+
+    x, y = _cordic_lanes(x, y, iterations)
+    sign_bit = 8 * x.dtype.itemsize - 1
+    # Rotate the left half plane by +-pi/2 onto the right one: +1
+    # rotates clockwise (y >= 0), -1 counter-clockwise.
+    sign = (y >> sign_bit) | 1
+    left = x < 0
+    x, y = np.where(left, sign * y, x), np.where(left, -sign * x, y)
+    angle = sign * left * _HALF_PI_Q16
+    # Python int steps keep the angle arithmetic in the lanes' width.
+    for i, step in enumerate(_cordic_angles_q16()[:iterations].tolist()):
+        sign = (y >> sign_bit) | 1
         x, y = x + sign * (y >> i), y - sign * (x >> i)
-        angle = angle + sign * angles[i]
-    magnitude = (x * CORDIC_INV_GAIN_Q15) >> 15
+        angle += sign * step
+    magnitude = (x.astype(np.int64) * CORDIC_INV_GAIN_Q15) >> 15
     return magnitude, angle
 
 
 def cordic_vectoring_select(x: np.ndarray, y: np.ndarray,
                             iterations: int = CORDIC_ITERATIONS
                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference twin of :func:`cordic_vectoring`: each iteration picks
-    both rotations' results with ``np.where`` instead of multiplying by
-    the rotation sign.  The tests hold the two equal bit for bit."""
+    """Reference twin of :func:`cordic_vectoring`: the pre-rotation and
+    each iteration pick both rotations' results with ``np.where``
+    instead of multiplying by the rotation sign.  The tests hold the two
+    equal bit for bit."""
     import numpy as np
 
-    x, y, angle = _cordic_prerotate(x, y, iterations)
-    angles = _cordic_angles_q16()
-    for i in range(iterations):
+    x, y = _cordic_lanes(x, y, iterations)
+    negative_x = x < 0
+    y_positive = y >= 0
+    x, y = (np.where(negative_x, np.where(y_positive, y, -y), x),
+            np.where(negative_x, np.where(y_positive, -x, x), y))
+    angle = np.where(negative_x,
+                     np.where(y_positive, _HALF_PI_Q16, -_HALF_PI_Q16),
+                     0).astype(x.dtype)
+    for i, step in enumerate(_cordic_angles_q16()[:iterations].tolist()):
         shift_x = x >> i
         shift_y = y >> i
         rotate_down = y >= 0
         x = np.where(rotate_down, x + shift_y, x - shift_y)
         y = np.where(rotate_down, y - shift_x, y + shift_x)
-        angle = np.where(rotate_down, angle + angles[i], angle - angles[i])
-    magnitude = (x * CORDIC_INV_GAIN_Q15) >> 15
+        angle = np.where(rotate_down, angle + step, angle - step)
+    magnitude = (x.astype(np.int64) * CORDIC_INV_GAIN_Q15) >> 15
     return magnitude, angle
 
 
-def _cordic_prerotate(x: np.ndarray, y: np.ndarray, iterations: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate, then rotate into the right half plane by +-pi/2."""
+def _cordic_lanes(x: np.ndarray, y: np.ndarray, iterations: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate; *x* and *y* as arrays of the lanes they rotate in."""
     import numpy as np
 
     if iterations < 1 or iterations > CORDIC_ITERATIONS:
         raise FixedPointError(f"unsupported iteration count {iterations}")
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    half_pi_q16 = int(round(math.pi / 2 * Q16_ONE))
-    negative_x = x < 0
-    y_positive = y >= 0
-    new_x = np.where(negative_x, np.where(y_positive, y, -y), x)
-    new_y = np.where(negative_x, np.where(y_positive, -x, x), y)
-    angle = np.where(negative_x,
-                     np.where(y_positive, half_pi_q16, -half_pi_q16),
-                     0)
-    return new_x, new_y, angle
+    x = np.asarray(x)
+    y = np.asarray(y)
+    lanes = np.int32 if x.dtype == y.dtype == np.int32 else np.int64
+    return x.astype(lanes, copy=False), y.astype(lanes, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -232,37 +256,58 @@ def _powers_of_two() -> np.ndarray:
 
 
 def bit_length(values: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of each non-negative int64 value: the count of
-    powers of two not above it.  Exact over the whole int64 range,
-    unlike ``np.frexp``, whose float64 conversion rounds above 2**53."""
-    return _powers_of_two().searchsorted(values, side="right")
+    """``int.bit_length`` of each non-negative int64 value.
+
+    Read off the float64 exponent, which is exact below 2**53; values
+    holding a larger one, whose conversion may round up to the next
+    power of two, count the powers of two not above each value instead.
+    Exact over the whole int64 range."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and values.max() >= 1 << 53:
+        return _powers_of_two().searchsorted(values, side="right")
+    return np.frexp(values)[1]
+
+
+#: 1/sqrt(2) in Q16.16.
+_INV_SQRT2_Q16 = 46341
+
+
+@functools.cache
+def _rsqrt_seeds() -> np.ndarray:
+    """The Newton seed of :func:`rsqrt_q16` per input bit length.
+
+    An input of bit length ``b`` is about ``2**(b - 17)`` in real value,
+    so its seed is ``2**(-(b - 17) / 2)`` in Q16.16; the odd-exponent
+    correction by 1/sqrt(2) keeps it within ~29 % of the true value,
+    safely inside the Newton convergence basin (v*y^2 < 3)."""
+    seeds = []
+    for bits in range(64):
+        shift = bits - 17
+        half = shift // 2
+        seed = (Q16_ONE >> min(half, 31) if half >= 0
+                else Q16_ONE << min(-half, 15))
+        if shift % 2:
+            seed = (seed * _INV_SQRT2_Q16) >> 16
+        seeds.append(max(seed, 1))
+    return _table(seeds)
 
 
 def rsqrt_q16(values: np.ndarray, iterations: int = 4) -> np.ndarray:
     """``1/sqrt(v)`` for positive Q16.16 inputs, Q16.16 output.
 
-    Seeds from the float estimate's exponent (a bit-trick stand-in) and
-    refines with Newton steps performed entirely in integer arithmetic —
-    exactly the structure the embedded port uses for HOG normalization.
+    Seeds from the input's exponent (a bit-trick stand-in, looked up per
+    bit length) and refines with Newton steps performed entirely in
+    integer arithmetic — exactly the structure the embedded port uses
+    for HOG normalization.
     """
     import numpy as np
 
     v = np.asarray(values, dtype=np.int64)
     if np.any(v <= 0):
         raise FixedPointError("rsqrt_q16 requires positive inputs")
-    # Seed from the exponent: v ~ 2^(bits-17) in real value, so
-    # rsqrt(v) ~ 2^(-(bits-17)/2).  The odd-exponent correction by
-    # 1/sqrt(2) keeps the seed within ~29 % of the true value, safely
-    # inside the Newton convergence basin (v*y^2 < 3).
-    shift = bit_length(v) - 17
-    half = np.floor_divide(shift, 2)
-    y = np.where(half >= 0,
-                 Q16_ONE >> np.clip(half, 0, 31),
-                 Q16_ONE << np.clip(-half, 0, 15))
-    odd = np.mod(shift, 2) == 1
-    inv_sqrt2 = 46341  # 1/sqrt(2) in Q16.16
-    y = np.where(odd, (y * inv_sqrt2) >> 16, y)
-    y = np.maximum(y, 1)
+    y = _rsqrt_seeds()[bit_length(v)]
     for _ in range(iterations):
         # y = y * (3 - v*y*y) / 2, all Q16.16.  v*y goes first: squaring
         # a small y would underflow the Q16.16 intermediate to zero.

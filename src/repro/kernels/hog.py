@@ -3,9 +3,10 @@
 A fixed-point port of the VLFeat/Dalal-Triggs HOG pipeline on a 128x128
 8-bit image, cell size 8, 2x2-cell blocks, 9 unsigned orientation bins:
 
-1. **gradients** — central differences, then CORDIC vectoring (24
-   iterations, on software 64-bit words) gives magnitude and angle in
-   Q16.16;
+1. **gradients** — central differences, then CORDIC vectoring (32
+   iterations on software 64-bit words, of which the angle needs the
+   first 17) gives the angle, and a Newton square root the magnitude,
+   in Q16.16;
 2. **blocks** — every 2x2-cell block (15x15 of them, 16x16 pixels each)
    re-accumulates its Gaussian-weighted cell histograms with bilinear
    orientation interpolation, the accumulators being the paper's
@@ -38,6 +39,7 @@ from repro.kernels.fixmath import (
     CORDIC_ITERATIONS,
     Q15_ONE,
     Q16_ONE,
+    cordic_angle_steps,
     cordic_vectoring,
     rsqrt_q16,
 )
@@ -78,6 +80,57 @@ def gaussian_window_q15() -> np.ndarray:
     return window
 
 
+@functools.cache
+def cell_pairs() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (cell, block pixel) pairs of non-zero spatial weight.
+
+    Returns, grouped by cell, each pair's pixel (flat in the 16x16
+    block) and Q16.16 weight, and ``[bx, pair]`` its histogram slot in
+    a row of blocks: ``(bx * 4 + cell) * BINS``.  A cell's weight is
+    zero from the other cell's center (pixel 11.5 or 3.5) outwards, so
+    it keeps an 11- or 12-pixel side: 529 of the block's 1024 pairs.
+    Built once per process and shared write-protected."""
+    import numpy as np
+
+    weights = HogKernel._cell_weights_q16().reshape(4, -1)
+    cells, pixels = np.nonzero(weights)
+    slots = (np.arange(BLOCKS)[:, None] * 4 + cells) * BINS
+    pairs = (pixels, weights[cells, pixels], slots)
+    for array in pairs:
+        array.setflags(write=False)
+    return pairs
+
+
+@functools.cache
+def descriptor_sources() -> np.ndarray:
+    """Which block-normalized cell fills each descriptor slot.
+
+    ``[cy, cx, slot]`` holds the row ``(by * BLOCKS + bx) * 4 + cell``
+    of the normalized histograms that :meth:`HogKernel.compute_per_block`
+    writes there: block (by, bx) holds cell (by + cell // 2,
+    bx + cell % 2) at slot ``3 - cell``, and a boundary cell, which
+    belongs to fewer than four blocks, replicates its first filled slot
+    into the empty ones.  Built once per process and shared
+    write-protected."""
+    import numpy as np
+
+    normalized_rows = np.arange(BLOCKS * BLOCKS * 4).reshape(BLOCKS,
+                                                            BLOCKS, 4)
+    sources = np.zeros((CELLS, CELLS, 4), dtype=np.int64)
+    filled = np.zeros((CELLS, CELLS, 4), dtype=bool)
+    for cell in range(4):
+        rows = slice(cell // 2, cell // 2 + BLOCKS)
+        cols = slice(cell % 2, cell % 2 + BLOCKS)
+        sources[rows, cols, 3 - cell] = normalized_rows[:, :, cell]
+        filled[rows, cols, 3 - cell] = True
+    # Every cell lies in a block; an empty slot copies the first filled.
+    first = np.take_along_axis(sources, filled.argmax(axis=2)[:, :, None],
+                               axis=2)
+    sources = np.where(filled, sources, first)
+    sources.setflags(write=False)
+    return sources
+
+
 class HogKernel(Kernel):
     """HOG feature extraction in 32-bit fixed point."""
 
@@ -105,34 +158,32 @@ class HogKernel(Kernel):
 
     def _gradients(self, image: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Magnitude and angle (Q16.16) per pixel, zero at the border.
+        """Magnitude and angle (Q16.16, int64) per pixel, zero at the
+        border.
 
         The angle comes from CORDIC vectoring; the magnitude from an
         integer Newton square root of the 64-bit squared norm (the
         CORDIC gain-correction path loses too much precision at the
         dynamic range HOG needs — this is the paper's "SW-emulated
-        64-bit" hotspot).
+        64-bit" hotspot).  The CORDIC magnitude is thrown away, so only
+        the iterations that move the angle (:func:`cordic_angle_steps`)
+        run, in int32 lanes: uint8 differences shifted to Q16.16 stay
+        below 2**24.
         """
         import numpy as np
 
-        img = image.astype(np.int64)
-        dx = np.zeros_like(img)
-        dy = np.zeros_like(img)
-        dx[:, 1:-1] = img[:, 2:] - img[:, :-2]
-        dy[1:-1, :] = img[2:, :] - img[:-2, :]
-        _, angle = cordic_vectoring(dx << 16, dy << 16, CORDIC_ITERATIONS)
-        norm_q16 = (dx * dx + dy * dy) << 16
-        positive = norm_q16 > 0
-        magnitude = np.zeros_like(norm_q16)
-        if np.any(positive):
-            values = norm_q16[positive]
-            # sqrt(v) = v * rsqrt(v), all Q16.16 Newton arithmetic.
-            magnitude[positive] = (values * rsqrt_q16(values, iterations=5)) >> 16
-        border = np.zeros_like(img, dtype=bool)
-        border[0, :] = border[-1, :] = True
-        border[:, 0] = border[:, -1] = True
-        magnitude = np.where(border, 0, magnitude)
-        angle = np.where(border, 0, angle)
+        img = image.astype(np.int32)
+        dx = img[1:-1, 2:] - img[1:-1, :-2]
+        dy = img[2:, 1:-1] - img[:-2, 1:-1]
+        magnitude = np.zeros(img.shape, dtype=np.int64)
+        angle = np.zeros(img.shape, dtype=np.int64)
+        _, angle[1:-1, 1:-1] = cordic_vectoring(dx << 16, dy << 16,
+                                                cordic_angle_steps())
+        norm_q16 = (dx * dx + dy * dy).astype(np.int64) << 16
+        # sqrt(v) = v * rsqrt(v), all Q16.16 Newton arithmetic; a zero
+        # norm zeroes the product whatever its stand-in rsqrt(1) is.
+        magnitude[1:-1, 1:-1] = (norm_q16 * rsqrt_q16(
+            np.maximum(norm_q16, 1), iterations=5)) >> 16
         return magnitude, angle
 
     @staticmethod
@@ -173,9 +224,12 @@ class HogKernel(Kernel):
         """The 2x2x9 histograms of all 15x15 blocks, ``[by, bx, cell, bin]``.
 
         Each plane is viewed, without a copy, as its overlapping 16x16
-        blocks; every row of 15 blocks is then scatter-added at once, so
-        no temporary grows past 4 cells x 15 blocks x 256 pixels.  The
-        sums are exact int64: at most 256 pixels of at most 2**24.5.
+        blocks, and one row of 15 blocks is scatter-added at a time,
+        once for the lower bins and once for the upper ones.  Each cell
+        gathers only the block pixels of non-zero spatial weight
+        (:func:`cell_pairs`): the rest would add exact zeros.  No
+        temporary grows past 15 blocks x 529 pairs.  The sums are exact
+        int64: at most 256 pixels of at most 2**24.5.
         """
         import numpy as np
         from numpy.lib.stride_tricks import sliding_window_view
@@ -186,22 +240,22 @@ class HogKernel(Kernel):
             return sliding_window_view(plane, (side, side))[::CELL, ::CELL]
 
         bin_low, frac = self._orientation_q16(angle)
-        bin_low, frac, magnitude = blocks(bin_low), blocks(frac), \
-            blocks(magnitude)
-        spatial = self._cell_weights_q16()[:, None]      # [cell, 1, y, x]
-        # Offset of bin 0 of each cell of each block in a row of blocks.
-        offsets = (np.arange(4).reshape(4, 1, 1, 1) * BINS
-                   + np.arange(BLOCKS).reshape(BLOCKS, 1, 1) * (4 * BINS))
+        # The lower bin takes the 1 - frac share, the next bin frac.
+        shares = ((blocks(bin_low), blocks(Q16_ONE - frac)),
+                  (blocks((bin_low + 1) % BINS), blocks(frac)))
+        magnitude = blocks(magnitude)
+        pixels, weights, slots = cell_pairs()
         histograms = np.zeros((BLOCKS, BLOCKS * 4 * BINS), dtype=np.int64)
         for block_y in range(BLOCKS):
             weighted = (magnitude[block_y] * self._window) >> 15
-            fraction = frac[block_y]
-            low = bin_low[block_y]
-            for bins, contribution in (
-                    (low, (weighted * (Q16_ONE - fraction)) >> 16),
-                    ((low + 1) % BINS, (weighted * fraction) >> 16)):
-                np.add.at(histograms[block_y], (bins + offsets).ravel(),
-                          ((contribution * spatial) >> 16).ravel())
+            for bins, share in shares:
+                contribution = ((weighted * share[block_y]) >> 16
+                                ).reshape(BLOCKS, -1)
+                values = (contribution.take(pixels, axis=1) * weights) >> 16
+                index = bins[block_y].reshape(BLOCKS, -1).take(
+                    pixels, axis=1) + slots
+                np.add.at(histograms[block_y], index.ravel(),
+                          values.ravel())
         return histograms.reshape(BLOCKS, BLOCKS, 4, BINS)
 
     def compute(self, inputs: Arrays) -> Arrays:
@@ -213,18 +267,7 @@ class HogKernel(Kernel):
             + EPSILON_Q16
         norm = rsqrt_q16(energy)[:, :, None, None]
         normalized = np.minimum((histograms * norm) >> 16, CLIP_Q16)
-        # descriptor[cy, cx, slot, bin]; slot = cell position in block.
-        descriptor = np.zeros((CELLS, CELLS, 4, BINS), dtype=np.int64)
-        filled = np.zeros((CELLS, CELLS, 4), dtype=bool)
-        for slot in range(4):
-            # Block (by, bx) holds cell (by + slot // 2, bx + slot % 2);
-            # the cell's position inside the block indexes the
-            # descriptor slot (top-left block -> slot 3, etc).
-            rows = slice(slot // 2, slot // 2 + BLOCKS)
-            cols = slice(slot % 2, slot % 2 + BLOCKS)
-            descriptor[rows, cols, 3 - slot] = normalized[:, :, slot]
-            filled[rows, cols, 3 - slot] = True
-        self._fill_boundary(descriptor, filled)
+        descriptor = normalized.reshape(-1, BINS)[descriptor_sources()]
         return {"descriptor": descriptor.astype(np.int32)}
 
     # -- per-block reference twin ------------------------------------------------

@@ -90,13 +90,16 @@ class MatmulKernel(Kernel):
             # Per-product renormalization with round-half-up, then a
             # 32-bit accumulate and a final saturation (the sequence the
             # fixed-point C kernel executes).
-            # products[i, k, j] = a[i, k] * b[k, j]; with int16 operands
+            # products[k, i, j] = a[i, k] * b[k, j]; with int16 operands
             # |a * b| <= 2**30, so product plus rounding term stays below
-            # 2**31 and int32 holds them exactly.  The k sum is int64.
-            products = (a.astype(np.int32)[:, :, None]
-                        * b.astype(np.int32)[None, :, :])
-            renormalized = (products + (1 << (shift - 1))) >> shift
-            acc = renormalized.sum(axis=1, dtype=np.int64)
+            # 2**31 and int32 holds them exactly.  They are renormalized
+            # in place, and k-major order makes the int64 k sum add
+            # whole contiguous (i, j) planes.
+            products = (a.T.astype(np.int32)[:, :, None]
+                        * b.astype(np.int32)[:, None, :])
+            products += 1 << (shift - 1)
+            products >>= shift
+            acc = products.sum(axis=0, dtype=np.int64)
             return {"c": _saturate(acc, np_dtype)}
         acc = a.astype(np.int64) @ b.astype(np.int64)
         rescaled = (acc + (1 << (shift - 1))) >> shift

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import FAULTS_EXIT_DEGRADED, build_parser, main
 
 
 def _parser_surface(parser, path=()):
@@ -333,5 +333,17 @@ class TestFaultsCommand:
         out = tmp_path / "faults-trace.json"
         assert main(["faults", "--scenarios", "2",
                      "--trace", str(out)]) == 0
+        trace = json.loads(out.read_text())
+        assert trace["traceEvents"]
+
+    @pytest.mark.parametrize("flags", [[], ["--scenarios", "11",
+                                            "--seed", "1"]])
+    def test_trace_export_of_degraded_campaigns(self, capsys, tmp_path,
+                                                flags):
+        # Scenarios whose offloads and recovery attempts take different
+        # times: the hub holds them back to back on shared lanes.
+        out = tmp_path / "faults-trace.json"
+        assert main(["faults", *flags, "--trace", str(out)]) \
+            == FAULTS_EXIT_DEGRADED
         trace = json.loads(out.read_text())
         assert trace["traceEvents"]

@@ -16,6 +16,7 @@ from repro.kernels.fixmath import (
     Q15_ONE,
     Q16_ONE,
     bit_length,
+    cordic_angle_steps,
     cordic_vectoring,
     cordic_vectoring_select,
     cube_q15,
@@ -169,6 +170,43 @@ class TestCordic:
             assert got.dtype == expected.dtype == np.int64
             assert np.array_equal(got, expected)
 
+    def test_angle_steps_end_where_the_angle_table_turns_zero(self):
+        angles = fixmath._cordic_angles_q16()
+        steps = cordic_angle_steps()
+        assert steps == 17
+        assert angles[steps - 1] != 0
+        assert not angles[steps:].any()
+
+    @pytest.mark.parametrize("lanes", [np.int64, np.int32])
+    def test_angle_steps_give_the_full_angle_on_every_uint8_gradient(
+            self, lanes):
+        # Every central difference of a uint8 image, in Q16.16:
+        # 511**2 = 261 121 (dx, dy) pairs, axes and diagonals included.
+        dx, dy = np.meshgrid(np.arange(-255, 256), np.arange(-255, 256))
+        x, y = dx.ravel() << 16, dy.ravel() << 16
+        assert x.size == 261_121
+        _, full = cordic_vectoring(x, y)
+        _, angle = cordic_vectoring(x.astype(lanes), y.astype(lanes),
+                                    cordic_angle_steps())
+        assert angle.dtype == lanes
+        assert np.array_equal(angle, full)
+
+    @pytest.mark.parametrize("iterations", [1, 17, CORDIC_ITERATIONS])
+    def test_int32_lanes_match_int64_lanes_below_the_bound(self, iterations):
+        rng = np.random.default_rng(iterations)
+        bound = 1 << 29
+        edges = np.array([-bound + 1, -1, 0, 1, bound - 1])
+        x, y = np.concatenate([
+            rng.integers(-bound + 1, bound, (2, 20_000)),
+            np.stack(np.meshgrid(edges, edges)).reshape(2, -1)], axis=1)
+        wide = cordic_vectoring(x, y, iterations)
+        for vectoring in (cordic_vectoring, cordic_vectoring_select):
+            magnitude, angle = vectoring(x.astype(np.int32),
+                                         y.astype(np.int32), iterations)
+            assert magnitude.dtype == np.int64 and angle.dtype == np.int32
+            assert np.array_equal(magnitude, wide[0])
+            assert np.array_equal(angle, wide[1])
+
     def test_sign_multiply_matches_select_twin_on_planes(self):
         rng = np.random.default_rng(7)
         x, y = rng.integers(-255, 256, (2, 128, 128)) << 16
@@ -201,6 +239,40 @@ class TestBitLength:
 
 
 class TestRsqrt:
+    @staticmethod
+    def _closed_form_seeded(values, iterations):
+        """Reference twin: the Newton iteration from its closed-form
+        seed, with Python's ``int.bit_length``."""
+        v = np.asarray(values, dtype=np.int64)
+        shift = np.array([int(x).bit_length() for x in v.tolist()]) - 17
+        half = np.floor_divide(shift, 2)
+        y = np.where(half >= 0,
+                     Q16_ONE >> np.clip(half, 0, 31),
+                     Q16_ONE << np.clip(-half, 0, 15))
+        y = np.where(np.mod(shift, 2) == 1, (y * 46341) >> 16, y)
+        y = np.maximum(y, 1)
+        for _ in range(iterations):
+            vy = (v * y) >> 16
+            vy2 = (vy * y) >> 16
+            y = (y * ((3 << 16) - vy2)) >> 17
+            y = np.maximum(y, 1)
+        return y
+
+    @pytest.mark.parametrize("iterations", [0, 4, 5])
+    def test_seed_table_matches_the_closed_form_seed(self, iterations):
+        rng = np.random.default_rng(iterations)
+        powers = [1 << k for k in range(63)]
+        values = np.concatenate([
+            # HOG's squared gradient norms: every (dx^2 + dy^2) << 16.
+            np.arange(1, 2 * 255 ** 2 + 1, dtype=np.int64) << 16,
+            np.array(powers + [p - 1 for p in powers[1:]]
+                     + [p + 1 for p in powers[:-1]]
+                     + [np.iinfo(np.int64).max], dtype=np.int64),
+            (2.0 ** rng.uniform(0, 62.9, 20_000)).astype(np.int64) + 1,
+        ])
+        assert np.array_equal(rsqrt_q16(values, iterations),
+                              self._closed_form_seeded(values, iterations))
+
     @pytest.mark.parametrize("value", [0.01, 0.5, 1.0, 7.0, 100.0, 5e4, 2e6])
     def test_matches_float(self, value):
         raw = int(value * Q16_ONE)

@@ -196,6 +196,25 @@ class TestChromeTraceExport:
         with pytest.raises(ObservabilityError):
             chrome_trace_events(hub)
 
+    def test_offloads_in_one_hub_run_back_to_back(self):
+        hub = Telemetry(enabled=True)
+        for timing in (offload_timing(iterations=2),
+                       offload_timing(True, iterations=5),
+                       offload_timing(iterations=3)):
+            emit_offload_spans(hub, timing)
+        roots = [s for s in hub.spans if s.name == "offload"]
+        assert len(roots) == 3 and roots[0].start == 0.0
+        for before, after in zip(roots, roots[1:]):
+            assert after.start == before.end
+        # Each offload's phase spans follow its root and lie inside it.
+        for span in hub.spans:
+            if span.name == "offload":
+                root = span
+            else:
+                assert root.start <= span.start
+                assert span.end <= root.end * (1 + 1e-12)
+        assert chrome_trace_events(hub)  # no partial overlap on a lane
+
     def test_cycles_domain_maps_to_second_process(self):
         hub = Telemetry(enabled=True)
         hub.span("compute", "cluster.core0", 0.0, 10.0, domain=CYCLES)

@@ -11,6 +11,7 @@ from repro.core.envelope import PowerEnvelopeSolver
 from repro.core.offload import OffloadCostModel
 from repro.core.sensor import SensorPath, SensorPipeline
 from repro.core.system import HeterogeneousSystem
+from repro.dse import ExplorationEngine, ParameterSpace
 from repro.experiments import report
 from repro.faults import FaultPlan, ResilientDriver
 from repro.isa import BaselineRiscTarget, Target
@@ -272,6 +273,31 @@ class TestProgramMemo:
         pricing.characterize(HeterogeneousSystem(threads=1),
                              kernel_by_name("cnn"))
         assert builds == ["cnn"]
+
+    def test_cold_sweep_builds_each_program_once(self, monkeypatch):
+        # Verification, characterization and the host baseline all read
+        # the one memoized program of each kernel.
+        builds = _count_builds(monkeypatch)
+        space = ParameterSpace(grid={"kernel": list(BENCHMARK_NAMES),
+                                     "host_mhz": [8.0, 16.0],
+                                     "cluster_size": [2, 4]})
+        result = ExplorationEngine(cache=None, jobs=1).run(space)
+        assert len(result.records) == 4 * len(BENCHMARK_NAMES)
+        assert Counter(builds) == Counter(BENCHMARK_NAMES)
+
+    def test_verify_round_trips_the_memoized_program(self, monkeypatch):
+        seen = []
+        round_trip = HeterogeneousSystem.round_trip
+
+        def spy(self, kernel, seed=0, program=None):
+            seen.append(program)
+            return round_trip(self, kernel, seed, program)
+
+        monkeypatch.setattr(HeterogeneousSystem, "round_trip", spy)
+        kernel = kernel_by_name("svm (RBF)")
+        pricing.verify(kernel)
+        assert seen == [pricing._program(kernel)]
+        assert seen[0] is pricing._program(kernel_by_name("svm (RBF)"))
 
     def test_clear_empties_the_program_memo(self, monkeypatch):
         builds = _count_builds(monkeypatch)
