@@ -24,17 +24,22 @@ def results_dir() -> pathlib.Path:
 
 
 def save_result(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Echo one rendered table/figure and check it against its record.
-
-    ``results/<name>.txt`` is the committed record: a rendering that
-    differs from it by one byte fails, with the diff.  A missing record
-    is written from this run, which fails until the file is committed;
-    to re-record a deliberate change, delete the file and run again.
-    """
+    """Echo one rendered table/figure and check it against its record
+    ``results/<name>.txt`` (see :func:`check_record`)."""
     path = results_dir / f"{name}.txt"
-    rendered = text + "\n"
     print(f"\n=== {name} (recorded in {path}) ===")
     print(text)
+    check_record(path, text + "\n")
+
+
+def check_record(path: pathlib.Path, rendered: str) -> None:
+    """Check this run's *rendered* text against its committed record.
+
+    A rendering that differs from *path* by one byte fails, with the
+    diff.  A missing record is written from this run, which fails until
+    the file is committed; to re-record a deliberate change, delete the
+    file and run again.
+    """
     if not path.exists():
         path.write_text(rendered, encoding="utf-8")
         pytest.fail(f"{path.name} had no committed record; this run's "

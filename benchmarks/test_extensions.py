@@ -1,18 +1,16 @@
 """Benches for the extension models: DES executor validation, noisy-link
-overhead, DVFS policies, and the ISS-vs-model bridge."""
+overhead, the multicore ISS, the MCU efficiency grid, and the ISS-vs-model
+bridge."""
 
 import numpy as np
 
-from repro.core.dvfs import DvfsController, DvfsPolicy
 from repro.isa.or10n import Or10nTarget
 from repro.kernels.matmul import MatmulKernel
 from repro.kernels.svm import SvmKernel
 from repro.link.noise import NoisyChannel, RetransmittingSender
 from repro.link.protocol import Command, Frame
 from repro.machine.programs import run_matmul_i8
-from repro.power.activity import ActivityProfile
 from repro.pulp.executor import CycleLevelExecutor
-from repro.units import mw
 
 from .conftest import save_result
 
@@ -65,34 +63,6 @@ def test_noisy_link_overhead(benchmark, results_dir):
     overheads = [overhead for _, overhead in rows]
     assert overheads[0] <= overheads[-1]
     assert overheads[0] < 0.05
-
-
-def test_dvfs_policies(benchmark, results_dir):
-    """Race-to-idle vs pace-to-deadline across deadline slack."""
-    controller = DvfsController()
-    activity = ActivityProfile.matmul()
-    cycles = 2e6
-
-    def run():
-        rows = []
-        for period in (12e-3, 25e-3, 50e-3, 100e-3):
-            race = controller.evaluate(DvfsPolicy.RACE_TO_IDLE, cycles,
-                                       period, activity, power_budget=mw(10))
-            pace = controller.evaluate(DvfsPolicy.PACE_TO_DEADLINE, cycles,
-                                       period, activity)
-            rows.append((period, race.energy, pace.energy))
-        return rows
-
-    rows = benchmark(run)
-    lines = ["DVFS: energy per period, 2M cycles of work:",
-             f"  {'period':>8s} {'race-to-idle':>14s} {'pace':>10s} {'winner':>8s}"]
-    for period, race, pace in rows:
-        winner = "pace" if pace < race else "race"
-        lines.append(f"  {period * 1e3:6.0f}ms {race * 1e6:12.1f}uJ "
-                     f"{pace * 1e6:8.1f}uJ {winner:>8s}")
-    save_result(results_dir, "extension_dvfs", "\n".join(lines))
-    # With slack, pacing at low voltage always wins on this leakage model.
-    assert rows[-1][2] < rows[-1][1]
 
 
 def test_multicore_iss_parallel_speedup(benchmark, results_dir):

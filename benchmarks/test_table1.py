@@ -4,15 +4,17 @@ import pytest
 
 from repro.experiments import table1
 
-from .conftest import save_result
+from .conftest import check_record, save_result
 
 
-def test_table1(benchmark, results_dir):
+def test_table1(benchmark, results_dir, tmp_path):
     rows = benchmark(table1.run)
     save_result(results_dir, "table1", table1.render(rows))
     from repro.experiments.store import save_results
-    save_results(rows, results_dir / "table1.json",
-                 metadata={"experiment": "table1"})
+    document = tmp_path / "table1.json"
+    save_results(rows, document, metadata={"experiment": "table1"})
+    check_record(results_dir / "table1.json",
+                 document.read_text(encoding="utf-8"))
 
     by_name = {row.name: row for row in rows}
     # RISC-op anchors from the paper (hog is the documented deviation).

@@ -4,16 +4,13 @@
 Shows the library's two lowest abstraction levels agreeing with each
 other: a hand-written assembly matmul runs instruction-by-instruction on
 the OR10N-mini machine and reproduces `MatmulKernel("char")` bit-exactly,
-while the loop-nest IR of the same kernel is pretty-printed with the
-analytic OR10N cost annotations.
+and the ISS's cycles are set against the analytic OR10N cost table.
 
 Run:  python examples/assembly_playground.py
 """
 
 import numpy as np
 
-from repro.isa.or10n import Or10nTarget
-from repro.isa.pretty import render_program
 from repro.kernels import MatmulKernel
 from repro.machine import MATMUL_I8, Machine, assemble
 from repro.machine.assembler import disassemble
@@ -75,16 +72,8 @@ def custom_kernel() -> None:
     print()
 
 
-def ir_view() -> None:
-    print("4) the same kernel one level up: loop-nest IR with OR10N costs")
-    program = MatmulKernel("char", n=12).build_program()
-    print("   " + render_program(program, Or10nTarget())
-          .replace("\n", "\n   "))
-    print()
-
-
 def iss_vs_model() -> None:
-    print("5) ISS cycles vs the analytic cost table (dot product)")
+    print("4) ISS cycles vs the analytic cost table (dot product)")
     a = np.ones(256, dtype=np.int8)
     _, result = run_dot_product_i8(a, a)
     per_element = result.cycles / 256
@@ -100,7 +89,6 @@ def main() -> None:
     matmul_bit_exactness()
     disassembly_sample()
     custom_kernel()
-    ir_view()
     iss_vs_model()
 
 

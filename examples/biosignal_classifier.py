@@ -6,15 +6,13 @@ compare its references on biomedical ULP processing): feature vectors
 arrive in batches from a biosignal front-end, and the node classifies
 them with the fixed-point SVM.  The script compares all three SVM
 kernels (linear / polynomial / RBF) under the 10 mW envelope, sweeping
-the host frequency to find the most energy-efficient configuration, and
-estimates battery life for a duty-cycled deployment.
+the host frequency to find the most energy-efficient configuration.
 
 Run:  python examples/biosignal_classifier.py
 """
 
 from repro.core import HeterogeneousSystem
 from repro.kernels import SvmKernel
-from repro.power.battery import CR2032, DutyCycle, lifetime_years
 from repro.units import format_seconds, mhz
 
 #: One classification batch (24 windows) arrives each second.
@@ -38,22 +36,15 @@ def main() -> None:
                                     iterations=1)
             energy = result.timing.energy.total_energy
             if best is None or energy < best[1]:
-                best = (host_frequency, energy, result)
+                best = (host_frequency, energy)
             print(f"  host {host_frequency / 1e6:5.1f} MHz: "
                   f"batch in {format_seconds(result.timing.total_time)}, "
                   f"{energy * 1e6:7.1f} uJ, "
                   f"speedup {result.compute_speedup:4.1f}x, "
                   f"verified={result.verified}")
-        host_frequency, energy, result = best
-        # Between batches the node sleeps in the host's stop mode.
-        cycle = DutyCycle(period=BATCH_PERIOD,
-                          sleep_power=system.host.sleep_power)
-        cycle.add("classify", energy=energy,
-                  duration=result.timing.total_time)
-        years = lifetime_years(CR2032, cycle)
+        host_frequency, energy = best
         print(f"  -> best at host {host_frequency / 1e6:.0f} MHz: "
-              f"{cycle.energy_per_period * 1e6:.1f} uJ/batch incl. sleep, "
-              f"~{years:.1f} years on a {CR2032.name}")
+              f"{energy * 1e6:.1f} uJ/batch")
         print()
 
 

@@ -3,19 +3,16 @@
 
 Walks through designing a sub-10 mW sensing node the way Section V of
 the paper reasons: choose the kernel working set, plan which binaries
-stay resident in the accelerator's L2, place the pipeline stages, and
-inspect where the time and energy actually go.
+stay resident in the accelerator's L2, and inspect where the time and
+energy actually go.
 
 Run:  python examples/node_designer.py
 """
 
-from repro.app import Pipeline, Stage
-from repro.app.pipeline import render_pipeline
 from repro.core import HeterogeneousSystem
 from repro.core.library import LibraryPlanner, render_plan
-from repro.core.trace import render_gantt, trace_offload
 from repro.kernels import CnnKernel, HogKernel, SvmKernel
-from repro.power.breakdown import breakdown_offload, render_breakdown
+from repro.obs import Telemetry, render_span_timeline, use_telemetry
 from repro.units import mhz
 
 HOST_FREQUENCY = mhz(8)
@@ -42,23 +39,22 @@ def main() -> None:
                       spi_clock=system.host.spi_clock(HOST_FREQUENCY)))
     print()
 
-    print("=== 3. pipeline placement and steady state ===")
-    pipeline = Pipeline([Stage(detector), Stage(classifier),
-                         Stage(activity_monitor)], system=system)
-    report = pipeline.analyze(HOST_FREQUENCY)
-    print(render_pipeline(report))
-    print()
-
-    print("=== 4. where does the energy go? (cnn stage) ===")
+    print("=== 3. where does the energy go? (cnn, 16 frames) ===")
     result = system.offload(classifier, host_frequency=HOST_FREQUENCY,
                             iterations=16, double_buffered=True)
-    print(render_breakdown(breakdown_offload(result.timing)))
+    energy = result.timing.energy
+    print(f"  total {energy.total_energy * 1e6:.1f} uJ")
+    for label, joules in energy.energy_by_label().items():
+        print(f"  {label:12s} {joules * 1e6:9.2f} uJ "
+              f"({joules / energy.total_energy:6.1%})")
     print()
 
-    print("=== 5. what does one offload look like on the wire? ===")
-    serial = system.offload(SvmKernel("RBF"),
-                            host_frequency=HOST_FREQUENCY, iterations=2)
-    print(render_gantt(trace_offload(serial.timing, max_iterations=2)))
+    print("=== 4. what does one offload look like on the wire? ===")
+    hub = Telemetry(enabled=True)
+    with use_telemetry(hub):
+        system.offload(SvmKernel("RBF"), host_frequency=HOST_FREQUENCY,
+                       iterations=2)
+    print(render_span_timeline(hub, domain="wall"))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ paper's tables/figures has a ``run()``/``render()`` pair and a benchmark
 under ``benchmarks/`` that asserts the published anchors.
 """
 
-from repro.app import Pipeline, Stage
 from repro.core import HeterogeneousSystem, OffloadCostModel, PowerEnvelopeSolver
 from repro.kernels import (
     CnnKernel,
@@ -44,8 +43,6 @@ __all__ = [
     "HeterogeneousSystem",
     "OffloadCostModel",
     "PowerEnvelopeSolver",
-    "Pipeline",
-    "Stage",
     "Kernel",
     "MatmulKernel",
     "StrassenKernel",

@@ -1,8 +1,8 @@
 """ASCII rendering over unified telemetry spans.
 
-The repo's original offload Gantt (:mod:`repro.core.trace`) is now one
-renderer over the unified event model; this module is the generic one:
-per-lane bars for any span set, in either time domain.
+Per-lane bars for the leaf spans of one time domain: the offload's
+``host``/``spi``/``pulp`` lanes in seconds, or the DES cluster's and
+OpenMP model's lanes in cycles.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import WALL, Telemetry
 
 #: Bar glyph per phase base name; idle spans render as dots.
 _PHASE_GLYPHS = {
@@ -31,12 +31,21 @@ _PHASE_GLYPHS = {
 
 def render_span_timeline(telemetry: Telemetry, domain: Optional[str] = None,
                          width: int = 72) -> str:
-    """Per-lane ASCII timeline of the hub's leaf spans."""
+    """Per-lane ASCII timeline of the hub's leaf spans.
+
+    Seconds and cycles share no axis: without a *domain*, the leaf spans
+    must all lie in one, or the call raises.
+    """
     if width < 10:
         raise ObservabilityError(f"timeline width too small: {width}")
     leaves = [s for s in telemetry.leaf_spans(domain) if s.duration >= 0]
     if not leaves:
         return "(no spans recorded)"
+    domains = sorted({s.domain for s in leaves})
+    if len(domains) > 1:
+        raise ObservabilityError(
+            f"leaf spans mix the {' and '.join(domains)} time domains; "
+            f"pass domain= to render one")
     start = min(s.start for s in leaves)
     end = max(s.end for s in leaves)
     extent = max(end - start, 1e-30)
@@ -55,7 +64,7 @@ def render_span_timeline(telemetry: Telemetry, domain: Optional[str] = None,
             for column in range(first, max(first, last) + 1):
                 row[column] = glyph
         lines.append(f"{lane:<{label_width}} |{''.join(row)}|")
-    unit = "s" if (domain or leaves[0].domain) == "wall" else "cycles"
+    unit = "s" if domains[0] == WALL else "cycles"
     lines.append(f"{'':<{label_width}}  {start:g} .. {end:g} {unit}, "
                  f"{len(leaves)} spans")
     return "\n".join(lines)

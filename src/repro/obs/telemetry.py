@@ -2,7 +2,7 @@
 
 One event model for every layer: the offload cost model, the SPI
 link, the OpenMP runtime and the DES cluster emit into the active hub,
-and the offload Gantt of :mod:`repro.core.trace` and the per-PC
+and the ASCII timeline of :mod:`repro.obs.render` and the per-PC
 profiler of :mod:`repro.machine.profiler` render from or feed it.  A
 :class:`Span` is a named, timed interval on an actor *lane* (``host``,
 ``spi``, ``cluster.core2``, ``tcdm.bank5`` ...), optionally

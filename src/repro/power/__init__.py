@@ -13,7 +13,6 @@ Implements the paper's Section IV-A methodology:
 """
 
 from repro.power.activity import ActivityProfile, PulpComponent
-from repro.power.battery import AA_PAIR, CR2032, Battery, DutyCycle, lifetime_years
 from repro.power.interpolation import PolynomialInterpolator
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
 from repro.power.pulp_model import PULP3_TABLE, PulpPowerModel
@@ -28,9 +27,4 @@ __all__ = [
     "PulpPowerModel",
     "PULP3_TABLE",
     "EnergyAccount",
-    "Battery",
-    "DutyCycle",
-    "lifetime_years",
-    "CR2032",
-    "AA_PAIR",
 ]

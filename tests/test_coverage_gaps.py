@@ -7,7 +7,6 @@ from repro.cli import main
 from repro.core.envelope import PowerEnvelopeSolver
 from repro.errors import (
     BudgetError,
-    ConfigurationError,
     OffloadError,
     KernelError,
 )
@@ -121,11 +120,6 @@ class TestErrorPaths:
             pipeline.evaluate(MatmulKernel("char"),
                               SensorPath.THROUGH_HOST,
                               host_frequency=mhz(32))
-
-    def test_trace_requires_positive_width(self):
-        from repro.core.trace import render_gantt, TracePhase
-        with pytest.raises(ConfigurationError):
-            render_gantt([TracePhase("x", 0.0, 1.0)], width=2)
 
     def test_fll_tracks_hops(self):
         from repro.pulp.fll import FrequencyLockedLoop

@@ -35,7 +35,6 @@ def test_smart_camera(capsys):
 
 def test_biosignal_classifier(capsys):
     out = _run_example("biosignal_classifier", capsys)
-    assert "years on a CR2032" in out
     assert out.count("best at host") == 3
 
 
@@ -56,5 +55,4 @@ def test_assembly_playground(capsys):
 def test_node_designer(capsys):
     out = _run_example("node_designer", capsys)
     assert "library plan" in out
-    assert "bottleneck" in out
     assert "total" in out

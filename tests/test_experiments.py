@@ -1,9 +1,9 @@
-"""Tests for the experiment harness — the paper's tables/figures and
-their headline anchors."""
+"""Tests for the experiment harness — the paper's tables/figures, their
+headline anchors, the anchor report and the calibration sensitivity."""
 
 import pytest
 
-from repro.experiments import figure3, figure4, figure5, table1
+from repro.experiments import figure3, figure4, figure5, sensitivity, table1
 from repro.units import mhz
 
 
@@ -182,3 +182,58 @@ class TestFigure5b:
     def test_render(self, result):
         text = figure5.render_figure5b(result)
         assert "serial" in text and "double-buffered" in text
+
+
+class TestSensitivity:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return sensitivity.run(factors=(0.8, 1.0, 1.25))
+
+    def test_grid_complete(self, rows):
+        assert len(rows) == 9  # 3 knobs x 3 factors
+
+    def test_nominal_matches_paper_anchor(self, rows):
+        nominal = [r for r in rows if r.factor == 1.0]
+        for row in nominal:
+            assert row.peak_efficiency == pytest.approx(304, rel=0.08)
+            assert row.arch_speedup == pytest.approx(2.38, abs=0.05)
+
+    def test_density_scaling_inverts_efficiency(self, rows):
+        density = {r.factor: r for r in rows if r.knob == "dynamic densities"}
+        assert density[0.8].peak_efficiency > density[1.25].peak_efficiency
+        # Densities do not touch the timing model.
+        assert density[0.8].arch_speedup == density[1.25].arch_speedup
+
+    def test_simd_overhead_moves_arch_speedup(self, rows):
+        simd = {r.factor: r for r in rows if r.knob == "simd overhead"}
+        assert simd[0.8].arch_speedup > simd[1.25].arch_speedup
+
+    def test_leakage_second_order(self, rows):
+        leakage = {r.factor: r for r in rows if r.knob == "leakage"}
+        density = {r.factor: r for r in rows
+                   if r.knob == "dynamic densities"}
+        leak_spread = abs(leakage[0.8].efficiency_shift()
+                          - leakage[1.25].efficiency_shift())
+        density_spread = abs(density[0.8].efficiency_shift()
+                             - density[1.25].efficiency_shift())
+        assert leak_spread < density_spread
+
+    def test_render(self, rows):
+        text = sensitivity.render(rows)
+        assert "GOPS/W" in text and "simd overhead" in text
+
+
+class TestReport:
+    def test_all_anchors_pass(self):
+        from repro.experiments.report import anchor_summary
+        passed, total = anchor_summary()
+        assert total >= 15
+        assert passed == total
+
+    def test_report_structure(self):
+        from repro.experiments.report import build_report
+        report = build_report()
+        for section in ("Table I", "Figure 3", "Figure 4",
+                        "Figure 5a", "Figure 5b"):
+            assert f"## {section}" in report
+        assert "[FAIL]" not in report

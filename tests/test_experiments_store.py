@@ -1,5 +1,7 @@
 """Tests for the experiment result store and diff tooling."""
 
+import dataclasses
+import enum
 import math
 
 import pytest
@@ -32,10 +34,17 @@ class TestSaveLoad:
         assert len(document["results"]["points"]) == 13
 
     def test_enum_flattening(self, tmp_path):
-        from repro.app.pipeline import StageReport, Placement
+        class Placement(enum.Enum):
+            HOST = "host"
+
+        @dataclasses.dataclass(frozen=True)
+        class StageReport:
+            name: str
+            placement: Placement
+            time_per_item: float
+
         report = StageReport(name="x", placement=Placement.HOST,
-                             time_per_item=1.0, energy_per_item=2.0,
-                             speedup_vs_host=1.0)
+                             time_per_item=1.0)
         path = tmp_path / "stage.json"
         save_results(report, path)
         assert load_results(path)["results"]["placement"] == "host"

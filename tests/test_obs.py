@@ -6,7 +6,9 @@ from collections import defaultdict
 import pytest
 
 from repro.core.offload import OffloadCostModel, emit_offload_spans
+from repro.core.system import HeterogeneousSystem
 from repro.errors import ObservabilityError
+from repro.kernels import MatmulKernel
 from repro.obs import (
     CYCLES,
     Telemetry,
@@ -465,6 +467,19 @@ class TestRenderers:
             render_span_timeline(hub, width=3)
         assert render_span_timeline(Telemetry(enabled=True)) \
             == "(no spans recorded)"
+        # An offload under a hub leaves wall (host/spi/pulp) and cycle
+        # (omp) leaf spans, which share no axis.
+        mixed = Telemetry(enabled=True)
+        with use_telemetry(mixed):
+            HeterogeneousSystem().offload(MatmulKernel("char"),
+                                          host_frequency=mhz(8),
+                                          iterations=2)
+        with pytest.raises(ObservabilityError, match="cycles and wall"):
+            render_span_timeline(mixed)
+        assert render_span_timeline(mixed, domain=WALL).endswith(
+            " s, 10 spans")
+        assert render_span_timeline(mixed, domain=CYCLES).endswith(
+            " cycles, 1 spans")
 
     def test_collapsed_stacks_format(self):
         from repro.machine.programs import profile_builtin
@@ -479,29 +494,28 @@ class TestRenderers:
             assert int(count) >= 1
 
 
-class TestLegacyGanttEquivalence:
-    """core.trace is now a renderer over unified events — the phase
-    timelines must still be contiguous and sum to the model's totals."""
+class TestOffloadSpanTiling:
+    """The offload's wall-domain leaf spans lay out its schedule: the
+    serial phases tile the run, and both schedules end at its total."""
 
-    def test_serial_phases_contiguous_and_complete(self):
-        from repro.core.trace import trace_offload
-
+    def test_serial_leaf_spans_tile_the_run(self):
+        hub = Telemetry(enabled=True)
         timing = offload_timing(iterations=2)
-        phases = trace_offload(timing)
-        labels = [p.label for p in phases]
-        assert labels[0] == "binary"
-        assert "in[0]" in labels and "compute[1]" in labels
-        for previous, current in zip(phases, phases[1:]):
+        emit_offload_spans(hub, timing)
+        spans = sorted(hub.leaf_spans(WALL),
+                       key=lambda s: (s.start, s.span_id))
+        names = [s.name for s in spans]
+        assert names[0] == "binary" and spans[0].start == 0.0
+        assert "input[0]" in names and "compute[1]" in names
+        for previous, current in zip(spans, spans[1:]):
             assert current.start == pytest.approx(previous.end, rel=1e-12)
-        assert phases[-1].end == pytest.approx(timing.total_time, rel=1e-9)
+        assert spans[-1].end == pytest.approx(timing.total_time, rel=1e-9)
 
-    def test_double_buffered_phase_structure(self):
-        from repro.core.trace import trace_offload
-
+    def test_double_buffered_leaf_spans_end_at_total(self):
+        hub = Telemetry(enabled=True)
         timing = offload_timing(double_buffered=True, iterations=3)
-        phases = trace_offload(timing)
-        labels = [p.label for p in phases]
-        assert "prologue(in)" in labels
-        assert "period[0]" in labels and "period[2]" in labels
-        assert labels[-1] == "epilogue(out)"
-        assert phases[-1].end == pytest.approx(timing.total_time, rel=1e-9)
+        emit_offload_spans(hub, timing)
+        assert {"period[0]", "period[2]", "output[2]"} \
+            <= {s.name for s in hub.spans}
+        end = max(s.end for s in hub.leaf_spans(WALL))
+        assert end == pytest.approx(timing.total_time, rel=1e-9)

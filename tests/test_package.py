@@ -1,11 +1,83 @@
-"""Package-level tests: exception hierarchy, public exports, metadata."""
+"""Package-level tests: exception hierarchy, public exports, metadata,
+and the modules the CLI reaches."""
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
 import repro
 from repro import errors
+
+#: The ``src/repro`` modules outside the CLI's import closure, each with
+#: what keeps it.
+UNREACHED_BY_CLI = {
+    "repro.core.dual_task":
+        "docs/PAPER_MAP.md: the concurrent host task (DualTaskModel)",
+    "repro.core.library":
+        "docs/PAPER_MAP.md: library vs single-kernel offload "
+        "(LibraryPlanner)",
+    "repro.core.sensor":
+        "docs/PAPER_MAP.md: Figure 1's sensor paths (SensorPipeline)",
+    "repro.power.pmu":
+        "docs/PAPER_MAP.md: the performance monitoring unit "
+        "(PerformanceMonitor)",
+    "repro.pulp.executor":
+        "the DES twin: benchmarks/test_extensions.py::"
+        "test_des_executor_validation, tests/test_cross_validation.py",
+    "repro.experiments.sensitivity": "benchmarks/test_sensitivity.py",
+    "repro.experiments.mcu_grid":
+        "benchmarks/test_extensions.py::test_mcu_efficiency_grid",
+    "repro.experiments.cycle_breakdown": "benchmarks/test_ablations.py",
+    "repro.kernels.data":
+        "the fixture of the semantic kernel checks in "
+        "tests/test_kernels_data.py",
+}
+
+
+def module_files(src, package):
+    """Dotted module name -> source file, for every module of *package*
+    under the directory *src*."""
+    files = {}
+    for path in (src / package).rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def imported_names(name, path):
+    """Every dotted name the module *name* imports, at any depth, with
+    relative imports resolved; ``from pkg import x`` yields ``pkg`` and
+    ``pkg.x``, since *x* may be a submodule."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def import_closure(files, roots):
+    """The modules of *files* that importing *roots* can load: a module
+    loads its parent packages first, then everything it imports."""
+    reached = set()
+    todo = list(roots)
+    while todo:
+        parts = todo.pop().split(".")
+        for depth in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:depth])
+            if prefix in files and prefix not in reached:
+                reached.add(prefix)
+                todo.extend(imported_names(prefix, files[prefix]))
+    return reached
 
 
 class TestErrorHierarchy:
@@ -66,3 +138,42 @@ class TestPublicApi:
                        repro.machine, repro.mcu, repro.power, repro.pulp,
                        repro.runtime, repro.sim):
             assert module.__doc__ and len(module.__doc__) > 40, module
+
+
+class TestCliReachability:
+    def test_unreached_modules_are_exactly_the_allowlist(self):
+        # src/ imports nothing by computed name, so the static closure
+        # is exact.
+        files = module_files(pathlib.Path(repro.__file__).parents[1],
+                             "repro")
+        unreached = set(files) - import_closure(
+            files, ["repro.cli", "repro.__main__"])
+        unlisted = sorted(unreached - set(UNREACHED_BY_CLI))
+        stale = sorted(set(UNREACHED_BY_CLI) - unreached)
+        assert not unlisted and not stale, (
+            f"unreached, not allowlisted: {unlisted}; "
+            f"allowlisted, but reached or gone: {stale}")
+
+    def test_closure_follows_every_import_form(self, tmp_path):
+        sources = {
+            "pkg/__init__.py": "from pkg.top import x\n",
+            "pkg/top.py": "",
+            "pkg/cli.py": ("def run():\n"
+                           "    from . import lazy\n"
+                           "    from .sub import mod\n"),
+            "pkg/lazy.py": "import pkg.deep.leaf\n",
+            "pkg/sub/__init__.py": "",
+            "pkg/sub/mod.py": "from ..rel import y\nfrom . import sibling\n",
+            "pkg/sub/sibling.py": "",
+            "pkg/rel.py": "",
+            "pkg/deep/__init__.py": "",
+            "pkg/deep/leaf.py": "",
+            "pkg/orphan.py": "import pkg.top\n",
+        }
+        for name, text in sources.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        files = module_files(tmp_path, "pkg")
+        assert set(files) - import_closure(files, ["pkg.cli"]) \
+            == {"pkg.orphan"}
