@@ -113,9 +113,10 @@ def blend_shapes(fast: Sequence[KernelShape], eco: Sequence[KernelShape],
 
 # -- batch coalescing ------------------------------------------------------------
 
-def batch_sizes(shapes: Sequence[KernelShape], queue_length: float,
-                max_batch: int) -> Dict[str, float]:
-    """Expected coalesced batch size per lead kernel.
+def batch_sizes(probabilities: Sequence[float], queue_length: float,
+                max_batch: int) -> List[float]:
+    """Expected coalesced batch size per lead kernel, given each
+    kernel's mix share (in that order).
 
     The scheduler pulls every queued same-kernel request (up to
     ``max_batch``) behind the lead; with ``Lq`` requests queued on
@@ -123,10 +124,9 @@ def batch_sizes(shapes: Sequence[KernelShape], queue_length: float,
     """
     if max_batch < 1:
         raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-    return {shape.kernel: 1.0 + min(float(max_batch - 1),
-                                    max(0.0, queue_length)
-                                    * shape.probability)
-            for shape in shapes}
+    room = float(max_batch - 1)
+    length = max(0.0, queue_length)
+    return [1.0 + min(room, length * p) for p in probabilities]
 
 
 def switch_probability(shape: KernelShape) -> float:

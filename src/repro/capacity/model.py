@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -48,6 +48,7 @@ from repro.capacity.queueing import (
     MMkQueue,
     allen_cunneen_factor,
     batch_drain_factor,
+    mmk_wait,
 )
 from repro.serve.fleet import ServiceBook
 from repro.serve.workload import DEFAULT_MIX
@@ -123,17 +124,32 @@ class CapacityPrediction:
 
     def survival(self, t: float) -> float:
         """``P(latency > t)`` under the closed-form sojourn law."""
+        return self.survival_law()(t)
+
+    def survival_law(self) -> Callable[[float], float]:
+        """:meth:`survival` as a function of ``t``, for callers that
+        evaluate it many times: the per-atom products are taken once.
+
+        ``p * C * exp(-theta x)`` multiplies left to right, so the atom
+        weight ``p * C`` is the same float whether taken here or per call.
+        """
         if not self.stable:
-            return 1.0
-        total = 0.0
-        for atom in self.atoms:
-            x = t - atom.latency_s
-            if x < 0:
-                total += atom.probability
-            elif self.delay_rate > 0:
-                total += atom.probability * self.wait_probability \
-                    * math.exp(-self.delay_rate * x)
-        return total
+            return lambda t: 1.0
+        rate = self.delay_rate
+        atoms = [(atom.latency_s, atom.probability,
+                  atom.probability * self.wait_probability)
+                 for atom in self.atoms]
+
+        def survival(t: float) -> float:
+            total = 0.0
+            for latency_s, probability, tail in atoms:
+                x = t - latency_s
+                if x < 0:
+                    total += probability
+                elif rate > 0:
+                    total += tail * math.exp(-rate * x)
+            return total
+        return survival
 
     def percentile(self, q: float) -> float:
         """The q-quantile (q in [0, 1)) of latency, by bisection."""
@@ -141,15 +157,16 @@ class CapacityPrediction:
             raise ConfigurationError(f"quantile out of range: {q}")
         if not self.stable or not self.atoms:
             return math.inf
+        survival = self.survival_law()
         target = 1.0 - q
         lo, hi = 0.0, max(atom.latency_s for atom in self.atoms)
-        while self.survival(hi) > target:
+        while survival(hi) > target:
             hi *= 2.0
             if hi > 1e9:
                 return math.inf
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            if self.survival(mid) > target:
+            if survival(mid) > target:
                 lo = mid
             else:
                 hi = mid
@@ -233,17 +250,15 @@ class CapacityModel:
         queue: Optional[MMkQueue] = None
         for _ in range(_ECO_ROUNDS):
             shapes = blend_shapes(fast, eco, eco_share)
-            solved = self._solve_queue(shapes, lam, servers, stretch,
-                                       inputs.max_batch)
-            if solved is None:
+            wq, queue_len, occupancy, sizes = self._solve_queue(
+                shapes, lam, servers, stretch, inputs.max_batch)
+            if not math.isfinite(wq):
                 # Saturated even at full batching: the true capacity
                 # limit, not the singleton-batch one.
-                occ_fb = self._occupancy(
-                    shapes, self._full_sizes(shapes, inputs.max_batch),
-                    stretch)
                 return self._saturated(inputs, faults, servers=servers,
-                                       occupancy=occ_fb)
-            wq, queue_len, occupancy, queue, sizes = solved
+                                       occupancy=occupancy)
+            queue = MMkQueue(arrival_rate=lam, service_rate=1.0 / occupancy,
+                             servers=servers)
             # Refresh the eco split against the expected concurrency.
             cap = power_cap_effect(inputs.power_budget_w,
                                    self.book.host_power,
@@ -322,47 +337,6 @@ class CapacityModel:
         prediction.latency_p95_s = prediction.percentile(0.95)
         return prediction
 
-    @staticmethod
-    def _full_sizes(shapes: Tuple[KernelShape, ...],
-                    max_batch: int) -> Dict[str, float]:
-        return {s.kernel: float(max_batch) for s in shapes}
-
-    @staticmethod
-    def _occupancy(shapes: Tuple[KernelShape, ...], sizes: Dict[str, float],
-                   stretch: float) -> float:
-        """Per-request server occupancy: warm service plus the cold
-        start amortized over the coalesced batch."""
-        return sum(s.probability * (s.warm_at(stretch)
-                                    + switch_probability(s) * s.cold_s
-                                    / sizes[s.kernel])
-                   for s in shapes)
-
-    def _wait_at(self, shapes: Tuple[KernelShape, ...], lam: float,
-                 servers: int, stretch: float, max_batch: int,
-                 queue_len: float):
-        """``(wq, occupancy, queue, sizes)`` at an assumed queue length.
-
-        The wait is the M/M/k mean scaled by Allen–Cunneen (the
-        deterministic per-kernel mixture's variability) and by the
-        calibrated batch-drain factor; infinite when the class is
-        unstable at these batch sizes.
-        """
-        sizes = batch_sizes(shapes, queue_len, max_batch)
-        occupancy = self._occupancy(shapes, sizes, stretch)
-        queue = MMkQueue(arrival_rate=lam, service_rate=1.0 / occupancy,
-                         servers=servers)
-        if not queue.stable:
-            return math.inf, occupancy, queue, sizes
-        values = [(s.probability,
-                   s.warm_at(stretch) + switch_probability(s) * s.cold_s
-                   / sizes[s.kernel]) for s in shapes]
-        mean = sum(p * v for p, v in values)
-        var = sum(p * (v - mean) ** 2 for p, v in values)
-        scv = var / (mean * mean) if mean > 0 else 0.0
-        wq = queue.mean_wait * allen_cunneen_factor(1.0, scv) \
-            * batch_drain_factor(servers, queue.utilization)
-        return wq, occupancy, queue, sizes
-
     def _solve_queue(self, shapes: Tuple[KernelShape, ...], lam: float,
                      servers: int, stretch: float, max_batch: int):
         """Self-consistent ``(wait, queue length)`` under coalescing.
@@ -376,35 +350,61 @@ class CapacityModel:
         every kernel's batch is capped the wait is constant and the
         root is ``lam Wq`` directly.
 
-        Returns ``None`` when the class is saturated even at full
-        batching — the true capacity limit.  A queue unstable at
-        singleton batches may still stabilize itself by coalescing;
-        that metastable high-load regime is exactly where the DES keeps
-        completing while a naive M/M/k check declares overload.
+        Returns ``(wq, queue length, occupancy, sizes)``.  The wait is
+        infinite when the class is saturated even at full batching —
+        the true capacity limit, priced by that occupancy.  A queue
+        unstable at singleton batches may still stabilize itself by
+        coalescing; that metastable high-load regime is exactly where
+        the DES keeps completing while a naive M/M/k check declares
+        overload.
         """
-        min_p = min(s.probability for s in shapes)
-        cap_len = (max_batch - 1) / min_p + 1.0
-        wq_fb, _, _, _ = self._wait_at(shapes, lam, servers, stretch,
-                                       max_batch, cap_len)
-        if not math.isfinite(wq_fb):
-            return None
-        if lam * wq_fb >= cap_len:
-            queue_len = lam * wq_fb
-        else:
-            lo, hi = 0.0, cap_len
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                wq_mid = self._wait_at(shapes, lam, servers, stretch,
-                                       max_batch, mid)[0]
-                if lam * wq_mid > mid:
-                    lo = mid
-                else:
-                    hi = mid
-            # Converge onto the stable side of the root.
-            queue_len = hi
-        wq, occupancy, queue, sizes = self._wait_at(
-            shapes, lam, servers, stretch, max_batch, queue_len)
-        return wq, queue_len, occupancy, queue, sizes
+        probabilities = [s.probability for s in shapes]
+        # Per shape, what no queue length changes: its mix share, warm
+        # service and switch-weighted cold start (what a batch amortizes).
+        terms = [(s.probability, s.warm_at(stretch),
+                  switch_probability(s) * s.cold_s) for s in shapes]
+
+        def wait_at(queue_len: float):
+            """``(wq, occupancy, sizes)`` at an assumed queue length.
+
+            The occupancy is the per-request server time: warm service
+            plus the cold start amortized over the coalesced batch.  The
+            wait is the M/M/k mean scaled by Allen–Cunneen (the
+            deterministic per-kernel mixture's variability) and by the
+            calibrated batch-drain factor; infinite when the class is
+            unstable at these batch sizes.
+            """
+            sizes = batch_sizes(probabilities, queue_len, max_batch)
+            values = [(p, warm + cold / size)
+                      for (p, warm, cold), size in zip(terms, sizes)]
+            occupancy = sum(p * v for p, v in values)
+            utilization, wait = mmk_wait(lam, 1.0 / occupancy, servers)
+            if not utilization < 1.0:
+                return math.inf, occupancy, sizes
+            var = sum(p * (v - occupancy) ** 2 for p, v in values)
+            scv = var / (occupancy * occupancy) if occupancy > 0 else 0.0
+            return wait * allen_cunneen_factor(1.0, scv) \
+                * batch_drain_factor(servers, utilization), occupancy, sizes
+
+        cap_len = (max_batch - 1) / min(probabilities) + 1.0
+        queue_len = cap_len
+        wq, occupancy, sizes = wait_at(cap_len)
+        if math.isfinite(wq):
+            if lam * wq >= cap_len:
+                queue_len = lam * wq
+            else:
+                lo, hi = 0.0, cap_len
+                for _ in range(_BISECT_ITERS):
+                    mid = 0.5 * (lo + hi)
+                    if lam * wait_at(mid)[0] > mid:
+                        lo = mid
+                    else:
+                        hi = mid
+                # Converge onto the stable side of the root.
+                queue_len = hi
+            wq, occupancy, sizes = wait_at(queue_len)
+        return wq, queue_len, occupancy, \
+            {s.kernel: size for s, size in zip(shapes, sizes)}
 
     def _saturated(self, inputs: CapacityInputs, faults: FaultEffect,
                    servers: int,

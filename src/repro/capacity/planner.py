@@ -241,9 +241,10 @@ class FleetPlanner:
             predictions: List[Tuple[str, int, float, CapacityPrediction]],
             q: float) -> float:
         """Fleet latency quantile off the share-weighted survival mix."""
+        laws = [(share, p.survival_law()) for _, _, share, p in predictions]
+
         def survival(t: float) -> float:
-            return sum(share * p.survival(t)
-                       for _, _, share, p in predictions)
+            return sum(share * law(t) for share, law in laws)
 
         target = 1.0 - q
         hi = max(p.latency_p95_s for _, _, _, p in predictions) + 1e-6

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 
@@ -105,6 +106,22 @@ def batch_drain_factor(servers: int, utilization: float) -> float:
                / servers ** DRAIN_SERVER_EXP)
 
 
+def mmk_wait(arrival_rate: float, service_rate: float,
+             servers: int) -> Tuple[float, float]:
+    """``(utilization, mean wait)`` of an M/M/k station.
+
+    :class:`MMkQueue`'s ``utilization`` and ``mean_wait``, computed in
+    one pass without building (and validating) the station: the
+    capacity model's bisections evaluate thousands of them.
+    """
+    offered = arrival_rate / service_rate
+    utilization = offered / servers
+    if not utilization < 1.0:
+        return utilization, math.inf
+    return utilization, erlang_c(servers, offered) \
+        / (servers * service_rate - arrival_rate)
+
+
 @dataclass(frozen=True)
 class MMkQueue:
     """One M/M/k station: Poisson(lambda) arrivals, k Exp(mu) servers."""
@@ -151,9 +168,8 @@ class MMkQueue:
     @property
     def mean_wait(self) -> float:
         """Mean queueing delay ``Wq = C / theta`` (infinite if unstable)."""
-        if not self.stable:
-            return math.inf
-        return self.wait_probability / self.delay_rate
+        return mmk_wait(self.arrival_rate, self.service_rate,
+                        self.servers)[1]
 
     @property
     def mean_queue_length(self) -> float:

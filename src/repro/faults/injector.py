@@ -47,6 +47,11 @@ class FaultInjector:
         self._rng = Lcg(seed)
         self.events: List[str] = []
         self._budgets = {spec.kind: spec.count for spec in plan.specs}
+        #: Whether :meth:`boot_fails` / :meth:`kernel_hangs` can fire at
+        #: all: a plan without the kind never fires it nor draws for it,
+        #: so a caller may skip the hook.
+        self.boots_can_fail = plan.has(FaultKind.BOOT_FAILURE)
+        self.kernels_can_hang = plan.has(FaultKind.KERNEL_HANG)
 
     # -- randomness --------------------------------------------------------------
 
@@ -113,15 +118,18 @@ class FaultInjector:
 
     def boot_fails(self) -> bool:
         """Whether this attempt's boot never comes up (one budget unit)."""
-        return self._attempt_fault(FaultKind.BOOT_FAILURE)
+        return self.boots_can_fail \
+            and self._attempt_fault(FaultKind.BOOT_FAILURE)
 
     def kernel_hangs(self) -> bool:
         """Whether this attempt's kernel never raises EOC."""
-        return self._attempt_fault(FaultKind.KERNEL_HANG)
+        return self.kernels_can_hang \
+            and self._attempt_fault(FaultKind.KERNEL_HANG)
 
     def _attempt_fault(self, kind: FaultKind) -> bool:
+        """Draw one attempt fault of a kind the plan holds."""
         assert kind in ATTEMPT_FAULTS
-        if self.plan.has(kind) and self._fires(self.plan.spec_for(kind)):
+        if self._fires(self.plan.spec_for(kind)):
             self._record(kind)
             return True
         return False

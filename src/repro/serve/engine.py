@@ -154,6 +154,7 @@ class ServeEngine:
             groups=groups)
         self.res = ResilienceRuntime(config.resilience) \
             if config.resilience is not None else None
+        self._hedging = self.res is not None and self.res.config.hedging
         self.records: List[RequestRecord] = []
         self.submitted = 0
         self.in_flight = 0
@@ -170,6 +171,8 @@ class ServeEngine:
         #: (kernel, iterations) -> book estimate, filled on first use.
         self._estimates: Dict[Tuple[str, int], float] = {}
         self._requeues: Dict[int, int] = {}
+        #: Only closed-loop clients issue follow-ups after a request ends.
+        self._closed_loop = config.workload.closed_loop
         self._stream: List[Request] = []
         self._arrivals_open = True
         #: Waiting for a fire: the next one schedules a dispatch step.
@@ -323,10 +326,9 @@ class ServeEngine:
             self._issue_next(request)
 
     def _issue_next(self, request: Request) -> None:
-        workload = self.config.workload
-        if not workload.closed_loop or request.client is None:
+        if not self._closed_loop or request.client is None:
             return
-        follow = workload.next_request(
+        follow = self.config.workload.next_request(
             request.client, self.simulator.now, self._estimator)
         if follow is not None:
             if self.res is not None and self.res.overload.level > 0:
@@ -345,16 +347,11 @@ class ServeEngine:
             self._idle = False
             self.simulator.schedule(0.0, self._dispatch_step)
 
-    def _done(self) -> bool:
-        return (not self._arrivals_open
-                and self.submitted >= self._total_expected
-                and not self.scheduler.queue
-                and self.in_flight == 0)
-
     def _dispatch_step(self) -> None:
         """One dispatcher wake: dispatch, then drain or go idle."""
         self._dispatch_ready()
-        if not self._done():
+        if self._arrivals_open or self.submitted < self._total_expected \
+                or self.scheduler.queue or self.in_flight:
             self._idle = True
             return
         for hook in self.drain_hooks:
@@ -376,7 +373,7 @@ class ServeEngine:
         nodes = self.fleet.nodes
         usable = [node for node in nodes if node.available]
         res = self.res
-        if res is not None:
+        if usable and res is not None:
             usable = res.usable(usable, self.simulator.now)
         if usable or not self.fleet.host.available:
             return usable
@@ -465,7 +462,7 @@ class ServeEngine:
                 self._defer(batch)
                 break
             self._launch(node, batch, tier)
-        if res is not None and res.config.hedging:
+        if self._hedging:
             self._maybe_hedge()
 
     def _defer(self, batch: List[Request]) -> None:
@@ -488,9 +485,8 @@ class ServeEngine:
         self.in_flight += len(batch)
         if self.res is not None:
             self._flights[id(batch)] = flight = _Flight(
-                batch=batch, node_name=node.name,
-                expected_end=self._expected_end(node, batch, tier))
-            if self.res.config.hedging:
+                batch, node.name, self._expected_end(node, batch, tier))
+            if self._hedging:
                 heapq.heappush(self._hedge_heap, (
                     flight.expected_end, batch[0].request_id,
                     self._launches, flight))
@@ -644,38 +640,36 @@ class ServeEngine:
 
     def _record(self, outcome: ServiceOutcome) -> None:
         """Fold a served batch into one record per request."""
-        res = self.res
         batch = outcome.batch
-        now = self.simulator.now
         self.in_flight -= len(batch)
         start_s = outcome.start_s
         end_s = outcome.end_s
         node = outcome.node.name
         tier = outcome.tier
-        share = 1.0 / len(batch)
-        energy_j = outcome.energy_j * share
-        requeues = self._requeues
+        energy_j = outcome.energy_j * (1.0 / len(batch))
+        requeued = self._requeues.pop
         append = self.records.append
-        for index, request in enumerate(batch):
-            if res is not None:
-                res.slo.record_completion(
-                    request.kernel, end_s - request.arrival_s,
-                    self._estimator(request.kernel, request.iterations), now)
-                res.completed += 1
-            append(RequestRecord(
-                request=request,
-                start_s=start_s,
-                end_s=end_s,
-                node=node,
-                tier=tier,
-                requeues=requeues.pop(request.request_id, 0),
-                # Ladder stats land on the batch lead so report-level
-                # sums stay exact.
-                fault_attempts=outcome.fault_attempts if index == 0 else 0,
-                wasted_time_s=outcome.wasted_time_s if index == 0 else 0.0,
-                wasted_energy_j=(outcome.wasted_energy_j
-                                 if index == 0 else 0.0),
-                energy_j=energy_j))
+        # Ladder stats land on the batch lead so report-level sums stay
+        # exact.
+        attempts = outcome.fault_attempts
+        wasted_s = outcome.wasted_time_s
+        wasted_j = outcome.wasted_energy_j
+        slo = self.res.slo if self.res is not None else None
+        now = self.simulator.now
+        kernel = batch[0].kernel
+        iterations = None
+        for request in batch:
+            if slo is not None:
+                if request.iterations != iterations:
+                    # One estimate per run of equal iteration counts.
+                    iterations = request.iterations
+                    estimate = self._estimator(kernel, iterations)
+                slo.record_completion(kernel, end_s - request.arrival_s,
+                                      estimate, now)
+            append(RequestRecord(request, start_s, end_s, node, tier,
+                                 requeued(request.request_id, 0), attempts,
+                                 wasted_s, wasted_j, energy_j))
+            attempts, wasted_s, wasted_j = 0, 0.0, 0.0
             self._issue_next(request)
 
     # -- reporting ---------------------------------------------------------------

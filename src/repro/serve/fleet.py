@@ -361,6 +361,7 @@ class Node:
         # chaos brownouts scale the *current* droop from this base.
         self.base_droop = self.injector.brownout_droop()
         self.droop = self.base_droop
+        self._mailbox: Optional[Tuple[List[Request], str]] = None
         self.state = NodeState.IDLE
         self.resident: Optional[str] = None
         self.on_outcome = on_outcome
@@ -370,7 +371,6 @@ class Node:
         self.energy_j = 0.0
         self.reboots = 0
         self.process = None
-        self._mailbox: Optional[Tuple[List[Request], str]] = None
         self._wake = None
         self._wake_name = f"{self.name}.wake"
         self._shutdown = False
@@ -379,14 +379,19 @@ class Node:
             tracker.set_draw(self.name, book.idle_power)
 
     @property
-    def alive(self) -> bool:
-        """Whether the node can still take work."""
-        return self.state is not NodeState.DEAD
+    def state(self) -> NodeState:
+        """Where the node is in its life; setting it also settles
+        :attr:`available`."""
+        return self._state
+
+    @state.setter
+    def state(self, state: NodeState) -> None:
+        self._set_state(state)
 
     @property
-    def available(self) -> bool:
-        """Idle, alive, and not already holding an assignment."""
-        return self.state is NodeState.IDLE and self._mailbox is None
+    def alive(self) -> bool:
+        """Whether the node can still take work."""
+        return self._state is not NodeState.DEAD
 
     def assign(self, batch: List[Request], tier: str) -> None:
         """Hand the node a batch (engine-side; node must be available).
@@ -431,7 +436,7 @@ class Node:
         started; recovery on a live node just clears a pending crash.
         """
         self._chaos_down = False
-        if self.is_host or self.state is not NodeState.DEAD:
+        if self.is_host or self._state is not NodeState.DEAD:
             return
         if self._shutdown:
             return  # the run drained while the node was down
@@ -443,9 +448,16 @@ class Node:
         self.process = self.simulator.add_process(
             self.run(), name=f"{self.name}.r{self.reboots}")
 
-    def _set_state(self, state: NodeState, draw_w: float) -> None:
-        self.state = state
-        if not self.is_host:
+    def _set_state(self, state: NodeState,
+                   draw_w: Optional[float] = None) -> None:
+        """Enter *state*, drawing *draw_w* when given (the host's draw
+        is not tracked)."""
+        self._state = state
+        #: Idle, alive, and not already holding an assignment.  Only
+        #: assign() fills the mailbox, and it leaves IDLE at once; the
+        #: mailbox empties only while BUSY or before a reboot's IDLE.
+        self.available = state is NodeState.IDLE and self._mailbox is None
+        if draw_w is not None and not self.is_host:
             self.tracker.set_draw(self.name, draw_w)
 
     # -- the process -------------------------------------------------------------
@@ -479,7 +491,7 @@ class Node:
                 return
             yield from (self._serve_host(batch) if self.is_host
                         else self._serve(batch, tier))
-            if self.state is NodeState.DEAD:
+            if self._state is NodeState.DEAD:
                 return
 
     def _serve_host(self, batch: List[Request]):
@@ -511,6 +523,7 @@ class Node:
         wasted_energy = 0.0
         failures = 0
         recovery: List[str] = []
+        injector = self.injector
         self._set_state(NodeState.BUSY, active_power)
         try:
             for rung in LADDER:
@@ -526,13 +539,13 @@ class Node:
                     wasted_energy += self.retry.boot_timeout_s \
                         * self.book.idle_power
                     self._set_state(NodeState.BUSY, active_power)
-                if self.injector.boot_fails():
+                if injector.boots_can_fail and injector.boot_fails():
                     failures += 1
                     yield Timeout(self.retry.boot_timeout_s)
                     wasted_time += self.retry.boot_timeout_s
                     wasted_energy += self.retry.boot_timeout_s * active_power
                     continue
-                if self.injector.kernel_hangs():
+                if injector.kernels_can_hang and injector.kernel_hangs():
                     failures += 1
                     compute = self.book.batch_compute(batch, tier, self.droop)
                     watchdog = max(self.retry.watchdog_floor_s,
@@ -558,11 +571,9 @@ class Node:
                 self.served_batches += 1
                 self.energy_j += energy + wasted_energy
                 self._deliver(ServiceOutcome(
-                    node=self, batch=batch, tier=tier, start_s=start,
-                    end_s=self.simulator.now, fault_attempts=failures,
-                    recovery_actions=tuple(recovery),
-                    wasted_time_s=wasted_time, wasted_energy_j=wasted_energy,
-                    energy_j=energy + wasted_energy, died=False))
+                    self, batch, tier, start, self.simulator.now, failures,
+                    tuple(recovery), wasted_time, wasted_energy,
+                    energy + wasted_energy, False))
                 return
         except Interrupt:
             # Chaos crash mid-service: everything since batch start was

@@ -42,7 +42,7 @@ is bit-identical to a plain serve run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -267,6 +267,7 @@ class OverloadController:
 
     def __init__(self, config: ResilienceConfig):
         self._config = config
+        self._high, self._low = config.queue_high, config.queue_low
         self.level = 0
         self.peak_level = 0
         self.escalations = 0
@@ -275,9 +276,9 @@ class OverloadController:
 
     def observe(self, queue_depth: int) -> Optional[int]:
         """One dispatcher wake; returns the new level on a change."""
-        if queue_depth > self._config.queue_high:
+        if queue_depth > self._high:
             return self._note_pressure()
-        if queue_depth < self._config.queue_low:
+        if queue_depth < self._low:
             self._pressure = 0
             self._relief += 1
             if self.level > 0 \
@@ -346,10 +347,6 @@ class _KernelSlo:
         #: (objective, threshold) keys that have alerted so far.
         self.alerted: set = set()
 
-    @property
-    def samples(self) -> int:
-        return self.completed + self.dropped
-
 
 class SloTracker:
     """Per-kernel SLO error budgets with run-scope burn.
@@ -367,6 +364,9 @@ class SloTracker:
         self.policy = policy
         self._kernels: Dict[str, _KernelSlo] = {}
         self.alerts: List[AlertEvent] = []
+        # The error budgets, fixed for the run: burn = share / budget.
+        self._latency_budget = 1.0 - policy.latency_objective
+        self._availability_budget = 1.0 - policy.availability_objective
 
     def _slot(self, kernel: str) -> _KernelSlo:
         slot = self._kernels.get(kernel)
@@ -389,21 +389,24 @@ class SloTracker:
         slot.dropped += 1
         self._check(kernel, slot, now)
 
+    def _burns(self, slot: _KernelSlo) -> Tuple[float, float]:
+        """``(latency, availability)`` burn of one kernel's tallies
+        (each 0 with no samples)."""
+        samples = slot.completed + slot.dropped
+        return (slot.violations / slot.completed / self._latency_budget
+                if slot.completed else 0.0,
+                slot.dropped / samples / self._availability_budget
+                if samples else 0.0)
+
     def latency_burn(self, kernel: str) -> float:
         """Latency error-budget burn for *kernel* (0 with no samples)."""
         slot = self._kernels.get(kernel)
-        if slot is None or slot.completed == 0:
-            return 0.0
-        share = slot.violations / slot.completed
-        return share / (1.0 - self.policy.latency_objective)
+        return 0.0 if slot is None else self._burns(slot)[0]
 
     def availability_burn(self, kernel: str) -> float:
         """Availability error-budget burn for *kernel*."""
         slot = self._kernels.get(kernel)
-        if slot is None or slot.samples == 0:
-            return 0.0
-        share = slot.dropped / slot.samples
-        return share / (1.0 - self.policy.availability_objective)
+        return 0.0 if slot is None else self._burns(slot)[1]
 
     def worst_burn(self) -> float:
         """The highest burn across every kernel and both objectives."""
@@ -414,18 +417,18 @@ class SloTracker:
         return worst
 
     def _check(self, kernel: str, slot: _KernelSlo, now: float) -> None:
-        if slot.samples < self.policy.min_samples:
+        if slot.completed + slot.dropped < self.policy.min_samples:
             return
         alerted = slot.alerted
         if len(alerted) == 2 * len(self.THRESHOLDS):
             return  # both objectives alerted at every threshold
-        for objective, burn in (("latency", self.latency_burn(kernel)),
-                                ("availability",
-                                 self.availability_burn(kernel))):
+        latency, availability = self._burns(slot)
+        for objective, burn in (("latency", latency),
+                                ("availability", availability)):
             for threshold, severity in self.THRESHOLDS:
-                key = (objective, threshold)
-                if burn >= threshold and key not in alerted:
-                    alerted.add(key)
+                if burn >= threshold \
+                        and (objective, threshold) not in alerted:
+                    alerted.add((objective, threshold))
                     self.alerts.append(AlertEvent(
                         t_s=now, severity=severity, source="slo",
                         subject=kernel,
@@ -480,7 +483,6 @@ class ResilienceRuntime:
         self.eco_degrades = 0
         self.sheds = 0
         self.backpressure_events = 0
-        self.completed = 0
         self._probe_handle: Optional[int] = None
 
     # -- breakers ---------------------------------------------------------------

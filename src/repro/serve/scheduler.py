@@ -136,6 +136,14 @@ class Scheduler:
         self._requeued: set = set()
         #: FIFO order (plain or power-capped): the head always goes next.
         self._fifo = policy in (Policy.FIFO, Policy.POWER_CAP)
+        # Fixed for the run, so the per-dispatch paths read them once.
+        budget = config.power_budget_w
+        #: The power gate's limit (None = ungated).
+        self._limit_w = None if budget is None \
+            else budget * (1.0 + POWER_EPSILON)
+        self._eco = policy is Policy.POWER_CAP
+        self._drop_late = config.drop_late
+        self._room = config.max_batch - 1
 
     # -- admission ---------------------------------------------------------------
 
@@ -233,7 +241,7 @@ class Scheduler:
         exact pre-routing behavior.
         """
         late: List[Request] = []
-        if self.config.drop_late:
+        if self._drop_late:
             keep = []
             for request in self.queue:
                 if request.deadline_s is not None \
@@ -263,7 +271,7 @@ class Scheduler:
         lead = queue.pop(pick)
         kernel = lead.kernel
         batch = [lead]
-        room = self.config.max_batch - 1
+        room = self._room
         index = 0
         while room and index < len(queue):
             if queue[index].kernel == kernel:
@@ -282,11 +290,8 @@ class Scheduler:
         *current_w* is the fleet draw right now, *idle_w* the candidate
         node's current (idle) draw, *active_w* its draw while serving.
         """
-        budget = self.config.power_budget_w
-        if budget is None:
-            return True
-        projected = current_w - idle_w + active_w
-        return projected <= budget * (1.0 + POWER_EPSILON)
+        limit = self._limit_w
+        return limit is None or current_w - idle_w + active_w <= limit
 
     def tier_for(self, current_w: float, idle_w: float,
                  fast_w: float, eco_w: float) -> Optional[str]:
@@ -294,13 +299,12 @@ class Scheduler:
 
         Prefers the full-speed envelope point; falls back to the
         throttled *eco* point; ``None`` defers the dispatch entirely.
-        Without a budget every dispatch runs fast.
+        Without a budget every dispatch runs fast.  Decides exactly as
+        :meth:`power_allows` at each tier, with the same float order.
         """
-        if self.config.power_budget_w is None:
+        limit = self._limit_w
+        if limit is None or current_w - idle_w + fast_w <= limit:
             return "fast"
-        if self.power_allows(current_w, idle_w, fast_w):
-            return "fast"
-        if self.config.policy is Policy.POWER_CAP \
-                and self.power_allows(current_w, idle_w, eco_w):
+        if self._eco and current_w - idle_w + eco_w <= limit:
             return "eco"
         return None

@@ -22,7 +22,9 @@ service time, resolved against a service estimator at generation time.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -60,13 +62,15 @@ class Request:
 
 
 def _validate_mix(mix: Dict[str, float]) -> Tuple[List[str], List[float]]:
+    """The mix's names and running weight totals, left to right."""
     if not mix:
         raise ConfigurationError("workload kernel mix is empty")
     names = list(mix)
     weights = [float(mix[name]) for name in names]
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
+    totals = list(accumulate(weights))
+    if any(w < 0 for w in weights) or totals[-1] <= 0:
         raise ConfigurationError(f"bad kernel mix weights: {mix}")
-    return names, weights
+    return names, totals
 
 
 class Workload:
@@ -91,7 +95,7 @@ class _GeneratedWorkload(Workload):
                  deadline_factor: Optional[float] = 25.0,
                  iterations: int = 1, seed: int = 1):
         self.mix = dict(mix) if mix is not None else dict(DEFAULT_MIX)
-        self._names, self._weights = _validate_mix(self.mix)
+        self._names, self._totals = _validate_mix(self.mix)
         if deadline_factor is not None and deadline_factor <= 0:
             raise ConfigurationError(
                 f"deadline factor must be > 0: {deadline_factor}")
@@ -103,13 +107,17 @@ class _GeneratedWorkload(Workload):
 
     def _request(self, rng: Lcg, request_id: int, t: float,
                  estimator: Estimator) -> Request:
-        kernel = rng.weighted_choice(self._names, self._weights)
+        # A draw proportional to weight: the first name whose running
+        # total exceeds the mark (zero weights never win).
+        totals = self._totals
+        mark = rng.uniform() * totals[-1]
+        kernel = self._names[min(bisect_right(totals, mark),
+                                 len(totals) - 1)]
         deadline = None
         if self.deadline_factor is not None:
             deadline = t + self.deadline_factor \
                 * estimator(kernel, self.iterations)
-        return Request(request_id=request_id, kernel=kernel, arrival_s=t,
-                       deadline_s=deadline, iterations=self.iterations)
+        return Request(request_id, kernel, t, deadline, self.iterations)
 
 
 class PoissonWorkload(_GeneratedWorkload):

@@ -9,7 +9,7 @@ say ``mhz(32)`` instead of ``32e6`` and so that reports can render
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -125,20 +125,6 @@ class Lcg:
             raise ConfigurationError(f"exponential rate must be > 0: {rate}")
         # 1 - u is in (0, 1]: log never sees zero.
         return -math.log(1.0 - self.uniform()) / rate
-
-    def weighted_choice(self, items: Sequence[str],
-                        weights: Sequence[float]) -> str:
-        """One item drawn with probability proportional to its weight."""
-        total = ordered_sum(weights)
-        if total <= 0:
-            raise ConfigurationError("weights must sum to > 0")
-        mark = self.uniform() * total
-        acc = 0.0
-        for item, weight in zip(items, weights):
-            acc += weight
-            if mark < acc:
-                return item
-        return items[-1]
 
 
 def gops(ops: float, seconds: float) -> float:

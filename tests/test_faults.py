@@ -90,6 +90,20 @@ class TestFaultInjector:
         assert not injector.kernel_hangs()
         assert injector.events == ["kernel-hang", "kernel-hang"]
 
+    def test_attempt_hooks_never_draw_for_kinds_the_plan_lacks(self):
+        # The flags say which attempt hooks can fire; a hook of a kind
+        # the plan lacks draws nothing, so skipping it changes no fault.
+        plan = FaultPlan.drop_frames(rate=0.5)
+        probed = FaultInjector(plan, seed=5)
+        plain = FaultInjector(plan, seed=5)
+        assert not probed.boots_can_fail and not probed.kernels_can_hang
+        for _ in range(8):
+            assert not probed.boot_fails() and not probed.kernel_hangs()
+        assert [probed.mangle_transmission(b"ab") for _ in range(16)] \
+            == [plain.mangle_transmission(b"ab") for _ in range(16)]
+        hangs = FaultInjector(FaultPlan.kernel_hang(1), seed=5)
+        assert hangs.kernels_can_hang and not hangs.boots_can_fail
+
     def test_dropped_transmission_reaches_receiver_as_nothing(self):
         injector = FaultInjector(FaultPlan.drop_frames(count=1), seed=1)
         channel = injector.channel()

@@ -15,7 +15,7 @@ from repro.dse import ExplorationEngine, ParameterSpace
 from repro.experiments import report
 from repro.faults import FaultPlan, ResilientDriver
 from repro.isa import BaselineRiscTarget, Target
-from repro.kernels import BENCHMARK_NAMES, Kernel, kernel_by_name
+from repro.kernels import BENCHMARK_NAMES, Kernel, MatmulKernel, kernel_by_name
 from repro.mcu.catalog import mcu_by_name
 from repro.mcu.stm32l476 import UntiedSpiHost
 from repro.power.activity import ActivityProfile, PulpComponent
@@ -298,6 +298,36 @@ class TestProgramMemo:
         pricing.verify(kernel)
         assert seen == [pricing._program(kernel)]
         assert seen[0] is pricing._program(kernel_by_name("svm (RBF)"))
+
+    def test_verify_matches_a_fresh_system_and_every_trip_is_cold(
+            self, monkeypatch):
+        # Each trip ships the binary, and each Verification is the one a
+        # fresh system gives.  The second kernel's binary has the name
+        # of the first's, so a system kept between trips would skip it.
+        kernels = [kernel_by_name(name) for name in BENCHMARK_NAMES]
+        kernels.insert(1, MatmulKernel(n=32))
+        fresh = [HeterogeneousSystem().round_trip(
+            kernel, program=pricing._program(kernel)) for kernel in kernels]
+        trips = []
+        round_trip = HeterogeneousSystem.round_trip
+
+        def spy(self, kernel, seed=0, program=None):
+            trips.append(round_trip(self, kernel, seed, program))
+            return trips[-1]
+
+        monkeypatch.setattr(HeterogeneousSystem, "round_trip", spy)
+        for kernel, cold in zip(kernels, fresh):
+            verification = pricing.verify(kernel)
+            assert verification.verified is cold.verified is True
+            assert verification.outputs.keys() == cold.outputs.keys()
+            for key, array in cold.outputs.items():
+                assert verification.outputs[key].dtype == array.dtype
+                assert (verification.outputs[key] == array).all(), \
+                    kernel.name
+        assert len(trips) == len(kernels)
+        assert all(trip.include_binary for trip in trips)
+        assert [trip.binary_bytes for trip in trips] \
+            == [cold.binary_bytes for cold in fresh]
 
     def test_clear_empties_the_program_memo(self, monkeypatch):
         builds = _count_builds(monkeypatch)

@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -40,10 +41,15 @@ from repro.serve.chaos import (
     pinned_campaign_plans,
     run_campaign,
 )
-from repro.serve.fleet import PowerTracker, ServiceBook
+from repro.serve.fleet import NodeState, PowerTracker, ServiceBook
 from repro.serve.metrics import percentile
-from repro.serve.resilience import ResilienceConfig
-from repro.serve.scheduler import Policy, Scheduler, SchedulerConfig
+from repro.serve.resilience import ResilienceConfig, SloPolicy
+from repro.serve.scheduler import (
+    POWER_EPSILON,
+    Policy,
+    Scheduler,
+    SchedulerConfig,
+)
 from repro.serve.workload import DEFAULT_MIX, Lcg
 from repro.sim import Simulator
 from repro.units import ordered_sum
@@ -269,6 +275,75 @@ class TestScheduler:
         assert scheduler.tier_for(4e-3, 1e-3, 6e-3, 3e-3) == "fast"
         assert scheduler.tier_for(6e-3, 1e-3, 6e-3, 3e-3) == "eco"
         assert scheduler.tier_for(9e-3, 1e-3, 6e-3, 3e-3) is None
+
+
+def _landing(target, current_w, idle_w):
+    """A draw with ``current_w - idle_w + draw == target`` exactly."""
+    base = current_w - idle_w
+    draw = target - base
+    for _ in range(8):
+        if base + draw == target:
+            return draw
+        draw = math.nextafter(draw, math.inf if base + draw < target
+                              else -math.inf)
+    raise AssertionError(f"no draw lands on {target!r}")
+
+
+class TestPowerGateEdge:
+    """``tier_for`` decides as ``power_allows`` around the gate's limit.
+
+    Draws land exactly on ``budget * (1 + POWER_EPSILON)``, one ulp
+    below and one ulp above it, at both tiers; the limit itself passes.
+    """
+
+    BUDGET_W = 0.0123
+
+    @pytest.mark.parametrize("policy,budget", [
+        (Policy.FIFO, BUDGET_W), (Policy.POWER_CAP, BUDGET_W),
+        (Policy.FIFO, None)], ids=["fifo-budget", "power-cap", "no-budget"])
+    @pytest.mark.parametrize("current_w,idle_w",
+                             [(0.0, 0.0), (4.1e-3, 1.3e-3)])
+    def test_tier_matches_power_allows(self, policy, budget, current_w,
+                                       idle_w):
+        scheduler = Scheduler(
+            SchedulerConfig(policy=policy, power_budget_w=budget), None)
+        limit = self.BUDGET_W * (1.0 + POWER_EPSILON)
+        targets = (math.nextafter(limit, 0.0), limit,
+                   math.nextafter(limit, math.inf))
+        draws = [_landing(target, current_w, idle_w) for target in targets]
+        allows = [scheduler.power_allows(current_w, idle_w, draw)
+                  for draw in draws]
+        assert allows == ([True, True, False] if budget is not None
+                          else [True, True, True])
+        for fast_w, fast_ok in zip(draws, allows):
+            for eco_w, eco_ok in zip(draws, allows):
+                expected = "fast" if fast_ok else (
+                    "eco" if eco_ok and policy is Policy.POWER_CAP
+                    else None)
+                assert scheduler.tier_for(current_w, idle_w, fast_w,
+                                          eco_w) == expected
+
+
+class TestNodeAvailability:
+    def test_available_follows_state_writes_and_assignments(self, book):
+        config = ServeConfig(
+            workload=PoissonWorkload(rate=100.0, requests=4, seed=1),
+            nodes=2, book=book)
+        engine = ServeEngine(config)
+        node, host = engine.fleet.nodes[0], engine.fleet.host
+        assert node.available and host.available
+        node.state = NodeState.REBOOTING
+        assert node.alive and not node.available
+        node.state = NodeState.IDLE
+        assert node.available
+        for backend in (node, host):
+            backend.assign([Request(0, "matmul", 0.0, None, 1)], "fast")
+            assert backend.state is NodeState.BUSY
+            assert not backend.available
+        served = ServeEngine(config)
+        served.run()
+        assert all(backend.available for backend in
+                   served.fleet.nodes + [served.fleet.host])
 
 
 class TestPercentile:
@@ -918,6 +993,21 @@ def _golden_config(name):
                                         requests_per_client=40, seed=6),
             nodes=2, seed=6, book=book,
             scheduler=SchedulerConfig(max_batch=3))
+    if name == "resilience-branches":
+        # Two nodes die on their first batch: each death trips a
+        # one-failure breaker, a hedge covers one of them, and the
+        # batches no hedge covers find a zero retry budget and are shed
+        # (their closed-loop clients think again).
+        return ServeConfig(
+            workload=ClosedLoopWorkload(clients=6, think_s=0.002,
+                                        requests_per_client=30, seed=7),
+            nodes=4, seed=7, book=book,
+            scheduler=SchedulerConfig(max_batch=3),
+            fault_plans=[FaultPlan.kernel_hang(99), FaultPlan.clean(),
+                         FaultPlan.boot_failure(99), FaultPlan.clean()],
+            resilience=ResilienceConfig(breaker_failures=1, retry_budget=0,
+                                        retry_ratio=0.0,
+                                        hedge_margin_s=0.0005))
     if name == "mmpp":
         return ServeConfig(
             workload=MmppWorkload(requests=300, seed=12), nodes=3, seed=12,
@@ -971,6 +1061,8 @@ GOLDEN_SERVE = {
         "93f7819a95c3e7cdc54d06abe6d307d0fb71b5cd27856bd1322345b88f4ea24d",
     "closed-loop":
         "50ffe109f58e1756d41aeeb7a02f39286d5e81a733eaaf147afc0d9b36dee67f",
+    "resilience-branches":
+        "585fa706842d54553eea5ff4804e6baa61546c13b5568dd13594189c15095c24",
     "mmpp":
         "8b9e6ed4b1ceafe1c1b3f3b21d00751f21656ca23b42372e00c14ba797c9c88a",
     "trace":
@@ -988,6 +1080,45 @@ class TestServeGoldens:
         report = ServeEngine(_golden_config(name)).run()
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == GOLDEN_SERVE[name], name
+
+    def test_resilience_branches_are_covered(self):
+        # The pinned chaos campaign and the other goldens never trip a
+        # breaker, deny a retry token or cover a failure with a hedge;
+        # this golden must keep doing all three.
+        report = ServeEngine(_golden_config("resilience-branches")).run()
+        res = report.resilience
+        assert res["breakers"]["trips"] > 0
+        assert res["retry_budget"]["denied"] > 0
+        assert res["hedging"]["covered_failures"] > 0
+        assert report.dropped and all(reason == "retry-budget"
+                                      for _, reason in report.dropped)
+
+
+class TestSloEstimates:
+    def test_each_request_meets_its_own_iterations_estimate(self, book):
+        # Batches of four same-kernel requests mixing 1, 2 and 3
+        # iterations: each completion is judged against the estimate of
+        # its own iteration count, not its batch lead's.
+        rows = [{"t": 0.05 * (index // 4), "kernel": "matmul",
+                 "iterations": 1 + (index * 2) % 3} for index in range(24)]
+        factor = 4.0
+        config = ServeConfig(
+            workload=TraceWorkload(rows), nodes=1, book=book,
+            scheduler=SchedulerConfig(max_batch=4),
+            resilience=ResilienceConfig(slo=SloPolicy(
+                latency_factor=factor, min_samples=1)))
+        report = ServeEngine(config).run()
+        batches = {}
+        for record in report.records:
+            batches.setdefault(record.start_s, set()).add(
+                record.request.iterations)
+        assert all(len(counts) > 1 for counts in batches.values())
+        expected = sum(1 for record in report.records
+                       if record.latency_s
+                       > factor * book.estimate(record.request))
+        slo = report.resilience["slo"]["kernels"]["matmul"]
+        assert slo["latency_violations"] == expected
+        assert 0 < expected < report.completed
 
 
 class TestOrderedSum:
@@ -1164,6 +1295,7 @@ EVENT_STREAMS = {
     "routed": [(1362, 0, 0.7369526873071469)],
     "routed-resilient-edf": [(1272, 1, 0.7657347510123476)],
     "routed-closed-loop": [(731, 1, 0.5996595781008189)],
+    "resilience-branches": [(1124, 1, 0.5704136153787851)],
     # The pinned chaos campaign at seed 6, one entry per scenario.
     "chaos-seed-6": [(1117, 1, 0.5568069388759728),
                      (1161, 7, 0.8319030807692411),
