@@ -76,9 +76,9 @@ class CapacityInputs:
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
+        if not 0 < self.arrival_rate < math.inf:
             raise ConfigurationError(
-                f"arrival rate must be positive, got {self.arrival_rate}")
+                f"arrival rate must be finite and positive, got {self.arrival_rate}")
         if self.requests < 1:
             raise ConfigurationError(
                 f"need >= 1 requests, got {self.requests}")

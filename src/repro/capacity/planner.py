@@ -107,9 +107,9 @@ class FleetPlanner:
                  mix: Optional[Dict[str, float]] = None,
                  requests: int = 2000, max_batch: int = 8,
                  iterations: int = 1, headroom: float = 0.85):
-        if arrival_rate <= 0:
+        if not 0 < arrival_rate < math.inf:
             raise ConfigurationError(
-                f"arrival rate must be positive, got {arrival_rate}")
+                f"arrival rate must be finite and positive, got {arrival_rate}")
         if not 0.0 < headroom <= 1.0:
             raise ConfigurationError(
                 f"headroom must be in (0, 1], got {headroom}")

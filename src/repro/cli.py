@@ -970,7 +970,7 @@ def _parse_rates(spec: str):
         return _parse_values(spec, float, "capacity --rates")
     try:
         lo, hi, step = (float(part) for part in spec.split(":"))
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ValueError(spec)
     except ValueError:
         raise SystemExit(f"capacity: bad --rates {spec!r} (want lo:hi:step)")
@@ -1439,6 +1439,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # argparse's float() takes "nan", which passes every range check
+    # and every exit gate; no command has a use for it.
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and math.isnan(value):
+            raise SystemExit(f"{args.command}: --{dest.replace('_', '-')} "
+                             f"must be a number, got nan")
     try:
         print(args.handler(args))
     except ReproError as exc:

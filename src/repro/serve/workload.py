@@ -130,8 +130,8 @@ class PoissonWorkload(_GeneratedWorkload):
     def __init__(self, rate: float, requests: Optional[int] = None,
                  duration: Optional[float] = None, **kwargs):
         super().__init__(**kwargs)
-        if rate <= 0:
-            raise ConfigurationError(f"arrival rate must be > 0: {rate}")
+        if not 0 < rate < float("inf"):
+            raise ConfigurationError(f"arrival rate must be finite and > 0: {rate}")
         if requests is None and duration is None:
             raise ConfigurationError(
                 "Poisson workload needs a request count or a duration")
@@ -175,9 +175,9 @@ class MmppWorkload(_GeneratedWorkload):
         super().__init__(**kwargs)
         if len(rates) != 2 or len(dwell_s) != 2:
             raise ConfigurationError("MMPP needs exactly two states")
-        if min(rates) <= 0 or min(dwell_s) <= 0:
+        if not all(0 < rate < float("inf") for rate in rates) or min(dwell_s) <= 0:
             raise ConfigurationError(
-                f"MMPP rates/dwells must be > 0: {rates} / {dwell_s}")
+                f"MMPP rates must be finite and > 0, dwells > 0: {rates} / {dwell_s}")
         if requests is None and duration is None:
             raise ConfigurationError(
                 "MMPP workload needs a request count or a duration")

@@ -127,6 +127,13 @@ class TestModel:
         second = model.predict(inputs).to_json_dict()
         assert first == second
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            CapacityInputs(arrival_rate=rate)
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            FleetPlanner(CompositionSpace(), arrival_rate=rate)
+
     def test_latency_grows_with_load(self, model):
         latencies = [model.predict(CapacityInputs(
             arrival_rate=rate, requests=500, nodes=4)).mean_latency_s
@@ -170,6 +177,7 @@ class TestValidation:
     def test_pinned_grid_passes_the_gate(self):
         report = run_validation()
         assert report["passed"], json.dumps(report["points"], indent=2)
+        assert len(report["points"]) >= 10
         assert report["worst_error"]["mean_latency_ms"] <= 0.10
         assert report["worst_error"]["throughput_rps"] <= 0.10
 
@@ -396,7 +404,7 @@ class TestCapacityCli:
 
     def test_plan_verify_and_json_shape(self, capsys):
         argv = ["capacity", "plan", "--arrival-rate", "300",
-                "--power-budget", "40", "--max-nodes", "4", "--json"]
+                "--power-budget", "40", "--max-nodes", "5", "--json"]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["frontier"]

@@ -35,6 +35,7 @@ from repro.serve import (
 from repro.serve.fleet import NodeState
 from repro.serve.workload import ClosedLoopWorkload
 from repro.sim import Simulator
+from tests.invariants import assert_served
 
 
 def _flat_estimate(kernel, iterations):
@@ -472,10 +473,9 @@ class TestChaosEngine:
         run = run_scenario(pinned_campaign_config(), plan)
         assert run.scorecard["verdict"] == "collapsed"
         assert run.scorecard["sheds"] > 0
-        # Conservation still holds under collapse: the engine would have
-        # raised SimulationError otherwise, and the card adds up.
-        card = run.scorecard
-        assert card["completed"] + card["dropped"] == card["submitted"]
+        # Conservation still holds under collapse: every requested
+        # request completed or was shed.
+        assert_served(run.report, 240)
 
     def test_exhausted_retry_budget_sheds_instead_of_requeueing(self):
         resilience = ResilienceConfig(retry_budget=0, retry_ratio=0.0,
@@ -509,7 +509,7 @@ class TestChaosEngine:
         assert res["hedging"]["issued"] > 0
         assert res["hedging"]["wins"] > 0
         assert res["hedging"]["waste_time_s"] > 0
-        assert report.completed + len(report.dropped) == report.arrivals
+        assert_served(report, 60)
 
     def test_alert_stream_is_ordered_and_rendered(self):
         run = run_scenario(
@@ -573,27 +573,21 @@ class TestChaosFuzz:
                 workload = PoissonWorkload(
                     rate=rng.choice([150.0, 300.0, 500.0]),
                     requests=rng.choice([40, 80, 120]), seed=seed)
+                requested = workload.requests
             else:
                 workload = ClosedLoopWorkload(
                     clients=rng.randint(2, 6), think_s=0.005,
                     requests_per_client=rng.randint(5, 15), seed=seed)
+                requested = workload.total_requests
             config = dataclasses.replace(
                 pinned_campaign_config(seed=seed), workload=workload)
             plan = self._random_plan(rng)
             chaos_seed = rng.randint(1, 1000)
             run = run_scenario(config, plan, chaos_seed=chaos_seed)
             report = run.report
-            # Conservation (the engine also asserts this internally).
-            assert report.completed + len(report.dropped) \
-                == report.arrivals, plan.describe()
-            # Nothing physical goes negative.
-            assert report.fleet_energy_j >= 0.0
-            assert all(record.latency_s >= 0.0
-                       for record in report.records)
-            assert all(record.energy_j >= 0.0
-                       for record in report.records)
-            assert all(value >= 0.0
-                       for value in report.node_energy_j.values())
+            # Conservation of the requested count; nothing physical goes
+            # negative.
+            assert_served(report, requested)
             assert 0.0 <= run.scorecard["availability"] <= 1.0
             # Reruns of the same scenario stay bit-identical.
             again = run_scenario(config, plan, chaos_seed=chaos_seed)
@@ -612,17 +606,6 @@ class TestChaosCli:
                      "--serve-json", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text() == serve_payload
-
-    def test_pinned_campaign_exit_and_determinism(self, capsys):
-        assert main(["chaos", "--json"]) == 3
-        first = capsys.readouterr().out
-        assert main(["chaos", "--json"]) == 3
-        second = capsys.readouterr().out
-        assert first == second
-        payload = json.loads(first)
-        assert payload["verdict"] == "slo-exhausted"
-        assert payload["exit_code"] == 3
-        assert len(payload["scenarios"]) == 5
 
     def test_collapse_exit_code(self, tmp_path, capsys):
         plan = {"name": "total-outage", "events": [

@@ -100,8 +100,21 @@ class TestParser:
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['capacity', 'sweep', '--rates', '100,400'])\n"
         "    main(['capacity', 'plan', '--no-verify', '--max-nodes', '3'])",
+        # The commands themselves, with their exit codes.
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "for argv, code in [(['--help'], 0), (['table1'], 0),\n"
+        "                   (['report'], 0), (['serve'], 0), (['chaos'], 3),\n"
+        "                   (['capacity', 'sweep'], 0)]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            exit_code = main(argv)\n"
+        "        except SystemExit as exited:\n"
+        "            exit_code = exited.code\n"
+        "    assert exit_code == code, (argv, exit_code)\n"
+        "    assert 'numpy' not in sys.modules, argv",
     ], ids=["import", "parser", "report", "chaos", "serve", "pricing",
-            "capacity"])
+            "capacity", "commands"])
     def test_paths_without_array_code_load_no_numpy(self, probe):
         # Only the kernels' functional path computes on arrays; the IR,
         # pricing, the paper's experiments and serving never load numpy.
@@ -225,15 +238,17 @@ class TestCommands:
         out = tmp_path / "trace.json"
         flame = tmp_path / "flame.txt"
         code = main(["trace", "matmul", "--out", str(out),
-                     "--flame", str(flame), "--iterations", "2"])
+                     "--flame", str(flame), "--iterations", "2", "--ascii"])
         assert code == 0
         assert "wrote Chrome trace" in capsys.readouterr().out
         trace = json.loads(out.read_text())
-        lanes = {e["args"]["name"] for e in trace["traceEvents"]
+        lanes = {e["args"]["name"]: e["pid"] for e in trace["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert "host" in lanes and "spi" in lanes
-        assert sum(1 for lane in lanes
-                   if lane.startswith("cluster.core")) >= 4
+        # The DES cluster's lanes sit under the cycle-domain process.
+        for lane in ("cluster.core0", "cluster.core1", "cluster.core2",
+                     "cluster.core3", "tcdm.bank0", "dma.ch0"):
+            assert lanes.get(lane) == 2, (lane, lanes)
         assert flame.read_text().startswith("matmul_i8;pc_")
 
     def test_metrics(self, capsys):
@@ -247,6 +262,11 @@ class TestCommands:
         assert payload["kernel"] == "matmul"
         assert payload["span_count"] > 0
         assert "spi.payload_bytes" in payload["counters"]
+        # The DES replay counts exactly the spans its lanes hold.
+        routed = payload["counters"]["cluster.trace_events"]["value"]
+        spans = sum(lane["spans"] for name, lane in payload["lanes"].items()
+                    if name.startswith(("cluster.", "tcdm.", "dma.")))
+        assert routed == spans > 0
 
 
 class TestUnwritableOutput:

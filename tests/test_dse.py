@@ -709,7 +709,7 @@ class TestCliDse:
         assert cold["stats"]["cache_misses"] == 4
         assert warm["stats"]["cache_hits"] == 4
         assert warm["stats"]["hit_rate"] == 1.0
-        assert warm["pareto"] == cold["pareto"]
+        assert warm["pareto"] == cold["pareto"] and cold["pareto"]
         assert warm["records"] == cold["records"]
 
     def test_spec_file(self, tmp_path, capsys):

@@ -44,6 +44,7 @@ from repro.serve import (
     register_policy,
     registered_policies,
 )
+from tests.invariants import assert_served
 
 
 @pytest.fixture(scope="session")
@@ -371,14 +372,6 @@ class TestLearnCli:
         assert main(["learn", "eval", "--dataset", str(dataset_path),
                      "--max-regret", "0.0"]) == LEARN_EXIT_REGRET
 
-    def test_eval_output_is_deterministic(self, dataset_path, capsys):
-        assert main(["learn", "eval", "--dataset", str(dataset_path),
-                     "--json"]) == 0
-        first = capsys.readouterr().out
-        assert main(["learn", "eval", "--dataset", str(dataset_path),
-                     "--json"]) == 0
-        assert capsys.readouterr().out == first
-
     def test_missing_dataset_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot load dataset"):
             main(["learn", "train", "--dataset", "/nonexistent.json"])
@@ -412,5 +405,4 @@ class TestLearnCli:
                      "--requests", "60", "--seed", "7", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["policy"] == "predicted"
-        assert payload["completed"] + payload["dropped"] \
-            == payload["arrivals"]
+        assert_served(payload, 60)
