@@ -2,13 +2,14 @@
 
 The paper's claims are throughput and energy numbers, so the repo
 tracks its own speed the way it tracks correctness goldens: a pinned
-workload per engine hot path (:mod:`repro.bench.workloads`), a runner
-that times them under the shared monotonic clock with a determinism
-guard and per-phase profiling (:mod:`repro.bench.runner`), and a
-numbered ``BENCH_<n>.json`` trajectory with schema validation and
-regression gating (:mod:`repro.bench.report`).  ``python -m repro
-bench`` is the CLI face; ``docs/BENCHMARKS.md`` documents the schema
-and the regression policy.
+workload per engine hot path that ``perfbench/`` does not time
+(:mod:`repro.bench.workloads`), a runner that times them under the
+shared monotonic clock with a determinism guard
+(:mod:`repro.bench.runner`), and a numbered ``BENCH_<n>.json``
+trajectory with schema validation and regression gating
+(:mod:`repro.bench.report`).  ``python -m repro bench`` is the CLI
+face; ``docs/BENCHMARKS.md`` documents the schema and the regression
+policy.
 """
 
 from repro.bench.report import (

@@ -20,9 +20,7 @@ One benchmark run produces a numbered, schema-validated document::
           "timing": {
             "wall_s": [...one entry per repeat...],
             "median_wall_s": ..., "min_wall_s": ...,
-            "throughput": ...,      # units_per_run / median_wall_s
-            "phases_s": {...PhaseProfiler totals...},
-            "phase_calls": {...}
+            "throughput": ...       # units_per_run / median_wall_s
           }
         }, ...
       }
@@ -125,8 +123,7 @@ def _require(condition: bool, message: str) -> None:
 
 _SUITE_KEYS = ("units", "spec", "units_per_run", "fingerprint", "counters",
                "timing")
-_TIMING_KEYS = ("wall_s", "median_wall_s", "min_wall_s", "throughput",
-                "phases_s", "phase_calls")
+_TIMING_KEYS = ("wall_s", "median_wall_s", "min_wall_s", "throughput")
 
 
 def validate_report(doc: Any) -> Dict[str, Any]:
@@ -207,9 +204,7 @@ def build_report(suites: Dict[str, Dict[str, Any]], *, repeats: int,
     return validate_report(doc)
 
 
-def suite_timing(wall_s: List[float], units: float,
-                 phases_s: Dict[str, float],
-                 phase_calls: Dict[str, int]) -> Dict[str, Any]:
+def suite_timing(wall_s: List[float], units: float) -> Dict[str, Any]:
     """The per-suite ``timing`` block from raw repeat measurements."""
     median = statistics.median(wall_s)
     return {
@@ -217,9 +212,6 @@ def suite_timing(wall_s: List[float], units: float,
         "median_wall_s": round(median, 9),
         "min_wall_s": round(min(wall_s), 9),
         "throughput": round(units / median, 6),
-        "phases_s": {name: round(value, 9)
-                     for name, value in phases_s.items()},
-        "phase_calls": dict(phase_calls),
     }
 
 

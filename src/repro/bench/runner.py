@@ -9,11 +9,10 @@ For every selected suite the runner:
 2. asserts the suite's deterministic fingerprint and unit count are
    bit-identical across repeats (a drift is a :class:`BenchmarkError`:
    the workload was not pinned);
-3. runs one extra *instrumented* pass under an enabled hub with a
-   :class:`~repro.obs.profile.PhaseProfiler`, collecting the per-phase
-   real-time breakdown, the engine's telemetry counters, and — when
-   asked — a per-suite Chrome trace plus a collapsed-stack flamegraph
-   through :mod:`repro.obs.export`.
+3. runs one extra *instrumented* pass under an enabled hub, collecting
+   the engine's telemetry counters and — when asked — a per-suite
+   Chrome trace of the engine's own lanes through
+   :mod:`repro.obs.export`.
 
 The instrumented pass is excluded from the timing statistics but must
 reproduce the timed passes' fingerprint, which doubles as the proof
@@ -27,14 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import BenchmarkError, ObservabilityError
-from repro.obs import (
-    PhaseProfiler,
-    Telemetry,
-    collapsed_totals,
-    monotonic,
-    use_telemetry,
-    write_chrome_trace,
-)
+from repro.obs import Telemetry, monotonic, use_telemetry, write_chrome_trace
 
 from repro.bench import report as _report
 from repro.bench.workloads import BenchSuite, SuiteResult, default_suites
@@ -54,26 +46,10 @@ class BenchOptions:
     suites: Optional[Sequence[str]] = None
     #: Write one Chrome trace per suite, derived from this path.
     profile_path: Optional[str] = None
-    #: Write a collapsed-stack flamegraph of all phase totals here.
-    flame_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.repeats < 1:
             raise BenchmarkError(f"repeats must be >= 1, got {self.repeats}")
-
-
-def _suite_profile_path(base: str, suite: str) -> str:
-    """``bench.json`` -> ``bench.sim.json`` for per-suite traces."""
-    stem, extension = os.path.splitext(base)
-    return f"{stem}.{suite}{extension or '.json'}"
-
-
-def _bench_only(hub: Telemetry, lane: str) -> Telemetry:
-    """A hub holding only the profiler lane's spans plus all counters."""
-    reduced = Telemetry(enabled=True)
-    reduced.spans = [span for span in hub.spans if span.lane == lane]
-    reduced.counters = hub.counters
-    return reduced
 
 
 class BenchRunner:
@@ -81,61 +57,58 @@ class BenchRunner:
 
     def __init__(self, options: Optional[BenchOptions] = None):
         self.options = options if options is not None else BenchOptions()
+        names = self.options.suites
+        #: The selected suites, in report order.
+        self.suites = default_suites(None if names is None else list(names))
         #: Paths of profile artifacts written by the last run.
         self.artifacts: List[str] = []
 
+    def profile_path(self, suite: str) -> Optional[str]:
+        """Where *suite*'s Chrome trace goes (``bench.json`` ->
+        ``bench.sim.json``); None when no profile was asked for."""
+        base = self.options.profile_path
+        if not base:
+            return None
+        stem, extension = os.path.splitext(base)
+        return f"{stem}.{suite}{extension or '.json'}"
+
     def run(self, index: int = _report.FIRST_INDEX) -> Dict[str, Any]:
         """Execute the selected suites; returns the validated document."""
-        options = self.options
-        suites = default_suites(
-            list(options.suites) if options.suites is not None else None)
         self.artifacts = []
-        suite_docs: Dict[str, Dict[str, Any]] = {}
-        flame_totals: Dict[str, float] = {}
-        for suite in suites:
-            suite_docs[suite.name] = self._run_suite(suite, flame_totals)
-        if options.flame_path:
-            with open(options.flame_path, "w", encoding="utf-8") as handle:
-                text = collapsed_totals(flame_totals, root="bench")
-                handle.write(text + ("\n" if text else ""))
-            self.artifacts.append(options.flame_path)
-        return _report.build_report(suite_docs, repeats=options.repeats,
-                                    quick=options.quick, index=index)
+        suite_docs = {suite.name: self._run_suite(suite)
+                      for suite in self.suites}
+        return _report.build_report(suite_docs, repeats=self.options.repeats,
+                                    quick=self.options.quick, index=index)
 
     # -- one suite ---------------------------------------------------------------
 
-    def _run_suite(self, suite: BenchSuite,
-                   flame_totals: Dict[str, float]) -> Dict[str, Any]:
+    def _run_suite(self, suite: BenchSuite) -> Dict[str, Any]:
         wall_s: List[float] = []
         reference: Optional[SuiteResult] = None
         # Timed passes: a disabled hub guarantees the engines run their
         # no-telemetry fast path, whatever hub the caller installed.
-        quiet = Telemetry(enabled=False)
-        off_profiler = PhaseProfiler(quiet)
-        with use_telemetry(quiet):
+        with use_telemetry(Telemetry(enabled=False)):
             for _ in range(self.options.repeats):
-                state = suite.prepare(off_profiler)
+                state = suite.prepare()
                 try:
                     started = monotonic()
-                    result = suite.execute(state, off_profiler)
+                    result = suite.execute(state)
                     wall_s.append(monotonic() - started)
                 finally:
                     suite.cleanup(state)
                 reference = self._checked(suite, reference, result)
-        # Instrumented pass: phase breakdown + engine counters.
+        # Instrumented pass: the engine's counters and lanes.
         hub = Telemetry(enabled=True)
-        profiler = PhaseProfiler(hub, lane="bench")
         with use_telemetry(hub):
-            state = suite.prepare(profiler)
+            state = suite.prepare()
             try:
-                result = suite.execute(state, profiler)
+                result = suite.execute(state)
             finally:
                 suite.cleanup(state)
         self._checked(suite, reference, result)
-        if self.options.profile_path:
-            self._export_profile(suite.name, hub)
-        for phase, seconds in profiler.totals_s.items():
-            flame_totals[phase] = flame_totals.get(phase, 0.0) + seconds
+        path = self.profile_path(suite.name)
+        if path is not None:
+            self._export_profile(hub, path)
         return {
             "units": suite.units,
             "spec": dict(suite.spec),
@@ -143,8 +116,7 @@ class BenchRunner:
             "fingerprint": dict(reference.fingerprint),
             "counters": {name: counter.value for name, counter
                          in sorted(hub.counters.items())},
-            "timing": _report.suite_timing(
-                wall_s, reference.units, profiler.totals_s, profiler.calls),
+            "timing": _report.suite_timing(wall_s, reference.units),
         }
 
     def _checked(self, suite: BenchSuite, reference: Optional[SuiteResult],
@@ -159,13 +131,13 @@ class BenchRunner:
                 f"produced {result.fingerprint} != {reference.fingerprint}")
         return reference
 
-    def _export_profile(self, suite_name: str, hub: Telemetry) -> None:
-        path = _suite_profile_path(self.options.profile_path, suite_name)
+    def _export_profile(self, hub: Telemetry, path: str) -> None:
         try:
             write_chrome_trace(hub, path)
         except ObservabilityError:
             # Engine spans that overlap on a lane (model-time streams
             # from repeated sub-runs) cannot serialize as B/E pairs;
-            # fall back to the profiler's own lane plus the counters.
-            write_chrome_trace(_bench_only(hub, "bench"), path)
+            # fall back to the counters alone.
+            hub.spans = []
+            write_chrome_trace(hub, path)
         self.artifacts.append(path)

@@ -210,10 +210,9 @@ class FaultEffect:
 
 
 def fault_effect(plans: Optional[List[FaultPlan]], servers: int,
-                 retry: Optional[RetryPolicy],
-                 batch_compute_s: float,
-                 mean_active_w: float) -> FaultEffect:
-    """Price the fleet's fault plans the way the node ladder replays them.
+                 batch_compute_s: float, mean_active_w: float) -> FaultEffect:
+    """Price the fleet's fault plans the way the node ladder replays them,
+    with the same default :class:`RetryPolicy` timeouts.
 
     Plans cycle across node indices exactly as
     :class:`~repro.serve.fleet.Fleet` assigns them.  Attempt faults
@@ -223,11 +222,11 @@ def fault_effect(plans: Optional[List[FaultPlan]], servers: int,
     smaller budgets cost watchdog/boot timeouts once per run.  Brownout
     droop stretches every surviving node's compute for the whole run.
     """
-    retry = retry if retry is not None else RetryPolicy()
     if not plans:
         return FaultEffect(dead_nodes=0, compute_stretch=1.0,
                            overhead_s=0.0, overhead_energy_j=0.0,
                            requeued_batches=0)
+    retry = RetryPolicy()
     dead = 0
     stretches = []
     overhead_s = 0.0

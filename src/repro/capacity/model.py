@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
-from repro.faults.resilient import RetryPolicy
 from repro.capacity.corrections import (
     FaultEffect,
     KernelShape,
@@ -73,7 +72,6 @@ class CapacityInputs:
     max_batch: int = 8
     power_budget_w: Optional[float] = None
     fault_plans: Optional[List[FaultPlan]] = None
-    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.arrival_rate < math.inf:
@@ -225,7 +223,7 @@ class CapacityModel:
         mean_compute = sum(s.probability * s.warm_compute_s for s in fast)
         mean_active = sum(s.probability * s.active_w for s in fast)
         faults = fault_effect(inputs.fault_plans, inputs.nodes,
-                              inputs.retry, mean_compute, mean_active)
+                              mean_compute, mean_active)
         alive = inputs.nodes - faults.dead_nodes
         if alive < 1:
             return self._saturated(inputs, faults, servers=0)

@@ -83,12 +83,12 @@ and ``sweep`` answers what-if arrival-rate questions in milliseconds.
 ``validate`` (and ``plan``, unless ``--no-verify``) exits 3 when a
 tolerance is breached.
 
-``bench`` times every engine's hot path under pinned seeds and writes
-the next ``BENCH_<n>.json`` trajectory entry (see
-``docs/BENCHMARKS.md``).  ``--check`` compares the fresh run against
-the latest committed entry and exits 5 when any suite's median
-throughput regressed by more than ``--threshold`` (default 20%);
-``--compare OLD NEW`` judges two existing files without running.
+``bench`` times the engine hot paths that ``perfbench/`` does not
+under pinned seeds and writes the next ``BENCH_<n>.json`` trajectory
+entry (see ``docs/BENCHMARKS.md``).  ``--check`` compares the fresh
+run against the latest committed entry and exits 5 when any suite's
+median throughput regressed by more than ``--threshold`` (default
+20%); ``--compare OLD NEW`` judges two existing files without running.
 """
 
 from __future__ import annotations
@@ -741,6 +741,7 @@ def _cmd_bench(args) -> str:
         BenchRunner,
         DEFAULT_REPEATS,
         QUICK_REPEATS,
+        bench_path,
         compare,
         latest_bench,
         load_report,
@@ -772,8 +773,18 @@ def _cmd_bench(args) -> str:
     baseline_path = args.baseline or latest_bench(args.out_dir)
     runner = BenchRunner(BenchOptions(
         repeats=repeats, quick=args.quick, suites=suites,
-        profile_path=args.profile, flame_path=args.flame))
-    doc = runner.run(index=next_index(args.out_dir))
+        profile_path=args.profile))
+    index = next_index(args.out_dir)
+    entry = None
+    if not args.no_write:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ReproError(f"cannot write {args.out_dir}: {exc.strerror}")
+        entry = bench_path(args.out_dir, index)
+    _check_writable(entry, *(runner.profile_path(suite.name)
+                             for suite in runner.suites))
+    doc = runner.run(index=index)
     lines = [render_report(doc)]
     path = None
     if not args.no_write:
@@ -1278,8 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit timed repeats per suite")
     bench.add_argument("--suites", default=None,
                        help="comma-separated suite subset (default: all; "
-                            "sim,serve,dse_cold,dse_cached,faults,analysis,"
-                            "learn,chaos,capacity)")
+                            "sim,dse_cached,faults,analysis,learn,capacity)")
     bench.add_argument("--out-dir", default="benchmarks/results",
                        metavar="DIR",
                        help="trajectory directory for BENCH_<n>.json")
@@ -1302,9 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-suite Chrome traces of the "
                             "instrumented pass (PATH gets the suite name "
                             "inserted)")
-    bench.add_argument("--flame", default=None, metavar="PATH",
-                       help="write a collapsed-stack flamegraph of the "
-                            "per-phase totals")
     bench.add_argument("--json", action="store_true",
                        help="machine-readable JSON instead of tables")
 

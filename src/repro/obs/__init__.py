@@ -6,12 +6,10 @@ The public surface of the telemetry subsystem:
   (``Telemetry.timed`` wraps a block in a real-elapsed-time span);
 - :func:`get_telemetry` / :func:`use_telemetry` — the active hub;
 - :func:`monotonic` — the shared monotonic clock every framework-time
-  measurement (DSE batches, benchmarks, profiled phases) reads;
-- :class:`PhaseProfiler` — per-phase real-time profiling hooks with a
-  near-zero-cost disabled path;
+  measurement (DSE batches, benchmarks) reads;
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` — Perfetto export;
-- :func:`collapsed_stacks` / :func:`collapsed_totals` /
-  :func:`write_flamegraph` — flamegraph export;
+- :func:`collapsed_stacks` / :func:`write_flamegraph` — flamegraph
+  export;
 - :func:`metrics_snapshot` / :func:`render_metrics` — metrics surface;
 - :class:`TraceAnalyzer` — utilization / critical path / overlap;
 - :func:`render_span_timeline` — ASCII lanes of any domain.
@@ -29,14 +27,12 @@ from repro.obs.clock import monotonic
 from repro.obs.export import (
     chrome_trace_events,
     collapsed_stacks,
-    collapsed_totals,
     metrics_snapshot,
     render_metrics,
     to_chrome_trace,
     write_chrome_trace,
     write_flamegraph,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.obs.render import render_span_timeline
 from repro.obs.telemetry import (
     CYCLES,
@@ -55,14 +51,12 @@ __all__ = [
     "Counter",
     "LaneStats",
     "NOOP_CONTEXT",
-    "PhaseProfiler",
     "Span",
     "Telemetry",
     "TraceAnalyzer",
     "WALL",
     "chrome_trace_events",
     "collapsed_stacks",
-    "collapsed_totals",
     "get_telemetry",
     "metrics_snapshot",
     "monotonic",

@@ -3,10 +3,10 @@
 Model time (seconds computed by the analytic layers, cycles counted by
 the DES) is deterministic and never touches this module.  *Framework*
 time — how long the tooling itself took: a DSE evaluation batch, a
-benchmark repeat, a profiled phase — must come from a single monotonic
-clock so the numbers written into ``BENCH_<n>.json`` are comparable
-across engines.  ``repro.dse.engine``, :mod:`repro.obs.profile` and
-:mod:`repro.bench` all read this clock and nothing else.
+benchmark repeat — must come from a single monotonic clock so the
+numbers written into ``BENCH_<n>.json`` are comparable across engines.
+``repro.dse.engine`` and :mod:`repro.bench` both read this clock and
+nothing else.
 """
 
 from __future__ import annotations

@@ -177,29 +177,6 @@ def write_flamegraph(profiled, path: str, root: str = "program") -> None:
         handle.write(text + ("\n" if text else ""))
 
 
-def collapsed_totals(totals: Dict[str, float], root: str = "profile",
-                     scale: float = 1e6) -> str:
-    """Collapsed-stack flamegraph text from a ``{path: seconds}`` mapping.
-
-    The dual of :func:`collapsed_stacks` for aggregated phase totals
-    (e.g. :attr:`repro.obs.profile.PhaseProfiler.totals_s`): keys may
-    carry ``;``-separated frame paths (``"serve;run"``), values are
-    scaled to integer sample counts (microseconds by default), and every
-    line is rooted under *root* for flamegraph.pl / speedscope.
-    """
-    lines: List[str] = []
-    for name in sorted(totals):
-        seconds = totals[name]
-        if seconds < 0:
-            raise ObservabilityError(
-                f"negative phase total {seconds} for {name!r}")
-        frames = ";".join(
-            fragment.strip().replace(" ", "_")
-            for fragment in f"{root};{name}".split(";") if fragment.strip())
-        lines.append(f"{frames} {max(1, int(round(seconds * scale)))}")
-    return "\n".join(lines)
-
-
 # -- metrics snapshot -------------------------------------------------------------
 
 

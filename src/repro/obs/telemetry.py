@@ -19,10 +19,9 @@ The :class:`Telemetry` hub is a no-op when disabled: every emission
 method returns immediately after one attribute check — no span or
 counter objects are allocated, no dict lookups happen, and
 :meth:`Telemetry.timed` hands back one shared do-nothing context
-manager — so always-on instrumentation (including the
-:mod:`repro.obs.profile` hooks in benchmark hot loops) costs ~nothing
-and produces bit-identical results with telemetry off.  A module-level
-hub (:func:`get_telemetry`) lets deep call paths emit without parameter
+manager — so always-on instrumentation costs ~nothing and produces
+bit-identical results with telemetry off.  A module-level hub
+(:func:`get_telemetry`) lets deep call paths emit without parameter
 threading; :func:`use_telemetry` installs a hub for a scope.
 """
 
@@ -99,9 +98,8 @@ class _NoopContext:
         return False
 
 
-#: One module-wide instance: a disabled hub's ``timed`` (and the
-#: disabled :class:`repro.obs.profile.PhaseProfiler`) return this very
-#: object, so the fast path allocates nothing per call.
+#: One module-wide instance: a disabled hub's ``timed`` returns this
+#: very object, so the fast path allocates nothing per call.
 NOOP_CONTEXT = _NoopContext()
 
 

@@ -53,7 +53,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.faults.plan import FaultPlan
-from repro.faults.resilient import RetryPolicy
 from repro.serve.archetype import FleetSpec
 from repro.serve.fleet import (
     AnalyticServiceBook,
@@ -89,7 +88,6 @@ class ServeConfig:
     #: Per-node fault plans, cycled across the fleet (None = fault-free).
     fault_plans: Optional[List[FaultPlan]] = None
     seed: int = 1
-    retry: Optional[RetryPolicy] = None
     #: Pricing backend; None builds the calibrated analytic book.
     book: Optional[ServiceBook] = None
     #: Fleet robustness machinery; None = plain engine (bit-identical
@@ -150,8 +148,7 @@ class ServeEngine:
         self.fleet = Fleet(
             self.simulator, self.book, config.nodes,
             plans=config.fault_plans, seed=config.seed,
-            retry=config.retry, on_outcome=self._on_outcome,
-            groups=groups)
+            on_outcome=self._on_outcome, groups=groups)
         self.res = ResilienceRuntime(config.resilience) \
             if config.resilience is not None else None
         self._hedging = self.res is not None and self.res.config.hedging

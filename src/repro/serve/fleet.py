@@ -57,6 +57,10 @@ TIER_BUDGETS: Dict[str, float] = {"fast": DEFAULT_BUDGET, "eco": mw(6.5)}
 #: The resilient ladder replayed at fleet granularity (then: node dead).
 LADDER = ("initial", "re-arm", "reboot")
 
+#: The ladder's boot timeout and watchdog: the resilient runtime's
+#: defaults, which ``capacity.corrections.fault_effect`` prices too.
+_RETRY = RetryPolicy()
+
 
 @dataclass(frozen=True)
 class ServiceProfile:
@@ -341,7 +345,6 @@ class Node:
     def __init__(self, index: int, book: ServiceBook, simulator: Simulator,
                  tracker: PowerTracker,
                  plan: Optional[FaultPlan] = None, seed: int = 1,
-                 retry: Optional[RetryPolicy] = None,
                  on_outcome: Optional[Callable[[ServiceOutcome], None]] = None,
                  is_host: bool = False, archetype: Optional[str] = None):
         self.index = index
@@ -352,7 +355,6 @@ class Node:
         self.archetype = archetype
         self.simulator = simulator
         self.tracker = tracker
-        self.retry = retry if retry is not None else RetryPolicy()
         self.is_host = is_host
         self.injector = FaultInjector(
             plan if plan is not None else FaultPlan.clean(), seed=seed)
@@ -534,22 +536,22 @@ class Node:
                     self.reboots += 1
                     self.resident = None
                     self._set_state(NodeState.REBOOTING, self.book.idle_power)
-                    yield Timeout(self.retry.boot_timeout_s)
-                    wasted_time += self.retry.boot_timeout_s
-                    wasted_energy += self.retry.boot_timeout_s \
+                    yield Timeout(_RETRY.boot_timeout_s)
+                    wasted_time += _RETRY.boot_timeout_s
+                    wasted_energy += _RETRY.boot_timeout_s \
                         * self.book.idle_power
                     self._set_state(NodeState.BUSY, active_power)
                 if injector.boots_can_fail and injector.boot_fails():
                     failures += 1
-                    yield Timeout(self.retry.boot_timeout_s)
-                    wasted_time += self.retry.boot_timeout_s
-                    wasted_energy += self.retry.boot_timeout_s * active_power
+                    yield Timeout(_RETRY.boot_timeout_s)
+                    wasted_time += _RETRY.boot_timeout_s
+                    wasted_energy += _RETRY.boot_timeout_s * active_power
                     continue
                 if injector.kernels_can_hang and injector.kernel_hangs():
                     failures += 1
                     compute = self.book.batch_compute(batch, tier, self.droop)
-                    watchdog = max(self.retry.watchdog_floor_s,
-                                   self.retry.watchdog_factor * compute)
+                    watchdog = max(_RETRY.watchdog_floor_s,
+                                   _RETRY.watchdog_factor * compute)
                     yield Timeout(watchdog)
                     recovery.append("watchdog")
                     wasted_time += watchdog
@@ -619,7 +621,7 @@ class Fleet:
 
     def __init__(self, simulator: Simulator, book: ServiceBook,
                  nodes: int, plans: Optional[List[FaultPlan]] = None,
-                 seed: int = 1, retry: Optional[RetryPolicy] = None,
+                 seed: int = 1,
                  on_outcome: Optional[Callable[[ServiceOutcome], None]] = None,
                  groups: Optional[
                      List[Tuple[Optional[str], ServiceBook, int]]] = None):
@@ -645,12 +647,11 @@ class Fleet:
                     plan = plans[index % len(plans)]
                 self.nodes.append(Node(
                     index, group_book, simulator, self.tracker, plan=plan,
-                    seed=seed * 1000 + index * 7919 + 1, retry=retry,
+                    seed=seed * 1000 + index * 7919 + 1,
                     on_outcome=on_outcome, archetype=archetype))
                 index += 1
         self.host = Node(nodes, book, simulator, self.tracker,
-                         seed=seed, retry=retry, on_outcome=on_outcome,
-                         is_host=True)
+                         seed=seed, on_outcome=on_outcome, is_host=True)
 
     def start(self) -> None:
         """Launch every node process (plus the host backend)."""

@@ -105,6 +105,20 @@ class _GeneratedWorkload(Workload):
         self.iterations = iterations
         self.seed = seed
 
+    def _set_bound(self, requests: Optional[int],
+                   duration: Optional[float]) -> None:
+        """Store the stream's bound, which must be finite: ``requests``
+        >= 1, or without it a duration in (0, inf)."""
+        if requests is not None:
+            if requests < 1:
+                raise ConfigurationError(f"need >= 1 requests, got {requests}")
+        elif duration is None or not 0 < duration < float("inf"):
+            raise ConfigurationError(
+                f"{type(self).__name__} needs >= 1 requests or a finite "
+                f"duration > 0, got duration={duration}")
+        self.requests = requests
+        self.duration = duration
+
     def _request(self, rng: Lcg, request_id: int, t: float,
                  estimator: Estimator) -> Request:
         # A draw proportional to weight: the first name whose running
@@ -124,7 +138,7 @@ class PoissonWorkload(_GeneratedWorkload):
     """Memoryless open-loop arrivals at a fixed rate.
 
     Generation stops after *requests* arrivals or at *duration* seconds,
-    whichever comes first (at least one bound must be given).
+    whichever comes first (at least one finite bound must be given).
     """
 
     def __init__(self, rate: float, requests: Optional[int] = None,
@@ -132,14 +146,8 @@ class PoissonWorkload(_GeneratedWorkload):
         super().__init__(**kwargs)
         if not 0 < rate < float("inf"):
             raise ConfigurationError(f"arrival rate must be finite and > 0: {rate}")
-        if requests is None and duration is None:
-            raise ConfigurationError(
-                "Poisson workload needs a request count or a duration")
-        if requests is not None and requests < 1:
-            raise ConfigurationError(f"need >= 1 requests, got {requests}")
+        self._set_bound(requests, duration)
         self.rate = rate
-        self.requests = requests
-        self.duration = duration
 
     def arrivals(self, estimator: Estimator) -> List[Request]:
         rng = Lcg(self.seed)
@@ -178,13 +186,9 @@ class MmppWorkload(_GeneratedWorkload):
         if not all(0 < rate < float("inf") for rate in rates) or min(dwell_s) <= 0:
             raise ConfigurationError(
                 f"MMPP rates must be finite and > 0, dwells > 0: {rates} / {dwell_s}")
-        if requests is None and duration is None:
-            raise ConfigurationError(
-                "MMPP workload needs a request count or a duration")
+        self._set_bound(requests, duration)
         self.rates = tuple(rates)
         self.dwell_s = tuple(dwell_s)
-        self.requests = requests
-        self.duration = duration
 
     def arrivals(self, estimator: Estimator) -> List[Request]:
         rng = Lcg(self.seed)

@@ -102,6 +102,10 @@ ROWS = [
     *[(f"capacity sweep --rates 1:{bad}:1", 1, "bad --rates") for bad in ("nan", "inf")],
     *[(f"{command} --arrival-rate inf", 1, "arrival rate must be finite")
       for command in ("serve", "chaos --empty", "capacity plan")],
+    *[(f"{command} --requests 0 --duration inf", 1, "finite duration")
+      for command in ("serve", "chaos --empty")],
+    *[(f"bench --suites analysis {flags}", 1, "bench: cannot write")
+      for flags in ("--no-write --profile /missing/p.json", "--out-dir plan-one.json/sub")],
     ("serve --policy power-cap --power-budget 0.5 --requests 20", 1, "power budget 0.500 mW"),
     ("chaos --empty --resilience on --policy power-cap --power-budget 0.5 --requests 30", 1,
      "power budget 0.500 mW"),

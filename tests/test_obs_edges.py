@@ -3,7 +3,7 @@
 Covers the degenerate hubs the engine round-trip tests never produce:
 empty hubs, single-span lanes, overlapping spans, counter-only
 telemetry — plus the disabled no-allocation fast path of
-:meth:`Telemetry.timed` and :class:`PhaseProfiler`.
+:meth:`Telemetry.timed`.
 """
 
 import pytest
@@ -12,17 +12,14 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     CYCLES,
     NOOP_CONTEXT,
-    PhaseProfiler,
     Telemetry,
     TraceAnalyzer,
     WALL,
     chrome_trace_events,
-    collapsed_totals,
     metrics_snapshot,
     monotonic,
     render_metrics,
     render_span_timeline,
-    use_telemetry,
 )
 
 
@@ -181,23 +178,6 @@ class TestCounterOnlyTelemetry:
             == "(no spans recorded)"
 
 
-class TestCollapsedTotals:
-    def test_empty_totals(self):
-        assert collapsed_totals({}) == ""
-
-    def test_paths_scale_and_minimum_count(self):
-        text = collapsed_totals(
-            {"serve;run": 0.25, "dse cold;explore": 1e-9},
-            root="bench")
-        lines = text.splitlines()
-        assert "bench;serve;run 250000" in lines
-        assert "bench;dse_cold;explore 1" in lines   # floor at 1 sample
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ObservabilityError, match="negative"):
-            collapsed_totals({"a": -1.0})
-
-
 class TestDisabledFastPath:
     def test_timed_returns_shared_noop_context(self):
         hub = Telemetry(enabled=False)
@@ -226,41 +206,3 @@ class TestDisabledFastPath:
     def test_monotonic_clock_shared_and_increasing(self):
         first = monotonic()
         assert monotonic() >= first
-
-    def test_profiler_disabled_is_shared_noop(self):
-        profiler = PhaseProfiler(Telemetry(enabled=False))
-        assert not profiler.enabled
-        assert profiler.phase("anything") is NOOP_CONTEXT
-        with profiler.phase("anything"):
-            pass
-        assert profiler.totals_s == {} and profiler.calls == {}
-
-    def test_profiler_defaults_to_active_hub(self):
-        hub = Telemetry(enabled=True)
-        with use_telemetry(hub):
-            profiler = PhaseProfiler()
-        assert profiler.hub is hub
-
-    def test_profiler_accumulates_and_mirrors_spans(self):
-        hub = Telemetry(enabled=True)
-        clock = FakeClock(1.0)
-        profiler = PhaseProfiler(hub, lane="bench", clock=clock)
-        for _ in range(2):
-            with profiler.phase("serve;run"):
-                pass
-        assert profiler.calls["serve;run"] == 2
-        # Each block spans exactly one fake-clock step.
-        assert profiler.totals_s["serve;run"] == pytest.approx(2.0)
-        spans = hub.spans_in("bench")
-        assert [s.name for s in spans] == ["serve;run", "serve;run"]
-        # Starts are origin-relative, so traces begin near zero.
-        assert spans[0].start == pytest.approx(1.0)
-        assert spans[1].start == pytest.approx(3.0)
-
-    def test_profiler_phases_feed_flamegraph(self):
-        hub = Telemetry(enabled=True)
-        profiler = PhaseProfiler(hub, clock=FakeClock(0.5))
-        with profiler.phase("sim;lower"):
-            pass
-        text = collapsed_totals(profiler.totals_s, root="bench")
-        assert text == "bench;sim;lower 500000"

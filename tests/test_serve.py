@@ -125,6 +125,10 @@ class FixedBook(ServiceBook):
         return self.service_s * 10
 
 
+#: The seeded open-loop generators, each with its rate keywords.
+GENERATORS = [(PoissonWorkload, {"rate": 100.0}), (MmppWorkload, {})]
+
+
 class TestWorkloads:
     def test_poisson_stream_is_seeded(self):
         first = PoissonWorkload(rate=100.0, requests=50, seed=9)
@@ -142,6 +146,23 @@ class TestWorkloads:
             PoissonWorkload(rate=rate, requests=10)
         with pytest.raises(ConfigurationError, match="must be finite"):
             MmppWorkload(rates=(100.0, rate), requests=10)
+
+    @pytest.mark.parametrize("workload, rates", GENERATORS)
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -1.0,
+                                          None])
+    def test_stream_without_a_finite_bound_is_rejected(self, workload,
+                                                       rates, duration):
+        with pytest.raises(ConfigurationError, match="finite duration"):
+            workload(**rates, duration=duration)
+
+    @pytest.mark.parametrize("workload, rates", GENERATORS)
+    def test_request_bound_must_be_positive(self, workload, rates):
+        with pytest.raises(ConfigurationError, match=">= 1 requests"):
+            workload(**rates, requests=0, duration=1.0)
+        # A request bound needs no finite duration.
+        stream = workload(**rates, requests=5, duration=math.inf) \
+            .arrivals(_flat_estimate)
+        assert len(stream) == 5
 
     def test_poisson_mean_rate(self):
         stream = PoissonWorkload(rate=200.0, requests=4000, seed=3) \
