@@ -12,7 +12,8 @@ For every selected suite the runner:
 3. runs one extra *instrumented* pass under an enabled hub, collecting
    the engine's telemetry counters and — when asked — a per-suite
    Chrome trace of the engine's own lanes through
-   :mod:`repro.obs.export`.
+   :mod:`repro.obs.export` (none for a suite whose pass recorded no
+   spans and no counters: :attr:`BenchRunner.notes` says so).
 
 The instrumented pass is excluded from the timing statistics but must
 reproduce the timed passes' fingerprint, which doubles as the proof
@@ -62,6 +63,8 @@ class BenchRunner:
         self.suites = default_suites(None if names is None else list(names))
         #: Paths of profile artifacts written by the last run.
         self.artifacts: List[str] = []
+        #: Why the last run wrote no profile for a suite, one line each.
+        self.notes: List[str] = []
 
     def profile_path(self, suite: str) -> Optional[str]:
         """Where *suite*'s Chrome trace goes (``bench.json`` ->
@@ -75,6 +78,7 @@ class BenchRunner:
     def run(self, index: int = _report.FIRST_INDEX) -> Dict[str, Any]:
         """Execute the selected suites; returns the validated document."""
         self.artifacts = []
+        self.notes = []
         suite_docs = {suite.name: self._run_suite(suite)
                       for suite in self.suites}
         return _report.build_report(suite_docs, repeats=self.options.repeats,
@@ -108,7 +112,12 @@ class BenchRunner:
         self._checked(suite, reference, result)
         path = self.profile_path(suite.name)
         if path is not None:
-            self._export_profile(hub, path)
+            if hub.spans or hub.counters:
+                self._export_profile(hub, path)
+            else:
+                self.notes.append(f"no profile for {suite.name}: its "
+                                  "instrumented pass recorded no spans or "
+                                  "counters")
         return {
             "units": suite.units,
             "spec": dict(suite.spec),

@@ -81,6 +81,7 @@ class SimSuite(BenchSuite):
             "dma_bytes": 1024, "pattern": "strided"}
 
     def prepare(self) -> Any:
+        from repro.core import pricing
         from repro.core.system import HeterogeneousSystem
         from repro.kernels import kernel_by_name
         from repro.pulp.timing import kernel_op_streams
@@ -88,7 +89,7 @@ class SimSuite(BenchSuite):
         system = HeterogeneousSystem()
         kernel = kernel_by_name(self.spec["kernel"])
         streams = kernel_op_streams(
-            kernel.build_program(), system.target, self.spec["cores"],
+            pricing.program(kernel), system.target, self.spec["cores"],
             cycle_cap=self.spec["cycle_cap"])
         dma_bytes = self.spec["dma_bytes"]
         return streams, [(0, 0, dma_bytes, True),

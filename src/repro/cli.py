@@ -214,10 +214,11 @@ def _des_cluster_lanes(hub, kernel, target) -> None:
     """Replay the kernel's first parallel loop on the DES cluster, which
     emits its per-core / per-bank / per-DMA-channel lanes into *hub*
     (the active hub)."""
+    from repro.core import pricing
     from repro.pulp.cluster import Cluster
     from repro.pulp.timing import kernel_op_streams
 
-    streams = kernel_op_streams(kernel.build_program(), target,
+    streams = kernel_op_streams(pricing.program(kernel), target,
                                 Cluster.CORES, cycle_cap=_DES_CYCLE_CAP)
     before = len(hub.spans)
     run = Cluster().run(streams,
@@ -506,16 +507,14 @@ def _serve_book_and_policy(args):
     if args.scheduler is None and args.model is None:
         return AnalyticServiceBook(host_mhz=args.host_mhz), \
             Policy(args.policy)
-    # Extension territory: the learned book and/or a registered policy.
+    # The learned book, with or without its ``predicted`` policy.
     import repro.learn.service as learn_service
-    from repro.serve.scheduler import registered_policies
 
-    policy = args.scheduler if args.scheduler is not None \
-        else Policy(args.policy)
-    if isinstance(policy, str) and policy not in registered_policies():
-        known = ", ".join(registered_policies())
-        raise SystemExit(f"{args.command}: unknown --scheduler {policy!r}; "
-                         f"registered: {known}")
+    known = Policy.PREDICTED.value
+    if args.scheduler not in (None, known):
+        raise SystemExit(f"{args.command}: unknown --scheduler "
+                         f"{args.scheduler!r}; registered: {known}")
+    policy = Policy(args.scheduler or args.policy)
     if args.model is None:
         raise SystemExit(
             f"{args.command}: --scheduler {args.scheduler} needs --model "
@@ -791,6 +790,7 @@ def _cmd_bench(args) -> str:
         path = write_report(doc, args.out_dir)
         lines.append(f"wrote {path}")
     lines.extend(f"wrote {artifact}" for artifact in runner.artifacts)
+    lines.extend(runner.notes)
     comparison = None
     if args.check:
         if baseline_path is None:

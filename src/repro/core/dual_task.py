@@ -23,7 +23,6 @@ from repro.errors import BudgetError, ConfigurationError
 from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
 from repro.kernels.base import Kernel
-from repro.power.activity import ActivityProfile
 from repro.units import mhz
 
 
@@ -68,19 +67,16 @@ class DualTaskModel:
                  ) -> List[DualTaskPoint]:
         """Sweep host clocks; a point is feasible when the host task's
         utilization fits (< 100 %) and the accelerator still gets power."""
-        program = kernel.build_program()
-        execution = self.system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=self.system.omp.threads,
-            memory_intensity=execution.memory_intensity)
-        host_cycles = self.system.host.device.lower(program).cycles
-        baseline_time = host_cycles / self.system.host.BASELINE_FREQUENCY
+        characterization = pricing.characterize(self.system, kernel)
+        execution = characterization.execution
+        baseline_time = pricing.host_run(self.system, kernel).time
 
         points: List[DualTaskPoint] = []
         for host_frequency in host_frequencies:
             utilization = task.utilization(host_frequency)
             point = pricing.operating_point(self.system.envelope,
-                                            host_frequency, activity)
+                                            host_frequency,
+                                            characterization.activity)
             feasible = utilization < 1.0 and point.accelerator_usable
             speedup = 0.0
             if point.accelerator_usable:

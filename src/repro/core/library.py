@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core import pricing
 from repro.errors import ConfigurationError
 from repro.kernels.base import Kernel
 from repro.link.spi import SpiLink
@@ -82,7 +83,7 @@ class LibraryPlanner:
             if rate < 0:
                 raise ConfigurationError(
                     f"negative invocation rate for {kernel.name}")
-            program = kernel.build_program()
+            program = pricing.program(kernel)
             binary = KernelBinary.from_program(program)
             entries.append(LibraryEntry(
                 kernel_name=kernel.name,

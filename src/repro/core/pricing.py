@@ -9,13 +9,14 @@ once and looks the rest up:
 * :func:`verify` (kernel) — the functional round trip of
   :meth:`~repro.core.system.HeterogeneousSystem.round_trip`: inputs,
   ``compute``, serialization, frame encode/decode and the byte check;
-* :func:`characterize` (kernel, threads) — binary size, the system's
-  ``DeviceOpenMp.execute`` and the activity profile of the kernel's
-  program; :func:`host_run` (kernel, host device) memoizes the
-  host-only baseline lowering of ``HeterogeneousSystem.run_on_host``
-  alongside, and :func:`risc_ops` (kernel) Table I's RISC-op count, the
-  program's instructions on the baseline RISC target.  These three and
-  :func:`verify` read one program per kernel, built once by
+* :func:`characterize` (kernel, threads, OR10N cost table) — binary
+  size, the system's ``DeviceOpenMp.execute`` and the activity profile
+  of the kernel's program; :func:`host_run` (kernel, host device)
+  memoizes the host-only baseline lowering of
+  ``HeterogeneousSystem.run_on_host`` alongside, and :func:`risc_ops`
+  (kernel) Table I's RISC-op count, the program's instructions on the
+  baseline RISC target.  These three and :func:`verify` read one
+  program per kernel, :func:`program`, built once by
   ``Kernel.build_program`` and memoized on the kernel (programs are
   frozen, so sharing one is safe);
 * :func:`operating_point` (budget, link reserve, host device, power
@@ -23,9 +24,11 @@ once and looks the rest up:
 * :func:`price` (link, tying, iterations, buffering) —
   ``OffloadCostModel.offload_timing``; cheap, so not memoized.
 
-Kernels key on :meth:`~repro.kernels.base.Kernel.memo_key`; host
-devices, power models and activities on flat tuples of their numbers,
-built once per object (:attr:`~repro.mcu.device.McuDevice.memo_key`,
+Kernels key on :meth:`~repro.kernels.base.Kernel.memo_key`; cost
+tables, host devices, power models and activities on flat tuples of
+their values, built once per object
+(:attr:`~repro.isa.costs.TargetCosts.memo_key`,
+:attr:`~repro.mcu.device.McuDevice.memo_key`,
 :attr:`~repro.power.pulp_model.PulpPowerModel.memo_key` and
 :attr:`~repro.power.activity.ActivityProfile.fractions_key`, which
 leaves out the activity's name), so a warm envelope lookup hashes and
@@ -33,14 +36,24 @@ compares its key without calling Python code.  Two callers share an
 entry exactly when every input the stage reads is equal: kernels whose
 activities differ only in name share their envelope solves.  Every
 :class:`~repro.core.system.HeterogeneousSystem` runs the static OpenMP
-runtime on the OR10N target, so its thread count is all
-characterization reads of it; verification runs on a fresh default
-system, whose round trip reads nothing but the kernel.
+runtime on an OR10N target, so its thread count and the target's cost
+table are all characterization reads of it.  Systems built without a
+target share one, so the paper, the DSE and serving get one entry per
+kernel and thread count; a system on a perturbed table gets its own.
+Verification runs on a fresh default system, whose round trip reads
+nothing but the kernel.
 
-The paper's experiments (Table I, Figures 3, 4, 5a and 5b) and the DSE
-and serving layers all price through these stages; the dual-task,
-sensor and fault-tolerant offload models take their envelope points
-from :func:`operating_point`.
+Every caller that prices a kernel goes through these stages:
+
+* the paper's experiments (Table I, Figures 3, 4, 5a and 5b), and,
+  through Figure 3's sweep, the all-kernel MCU grid and the calibration
+  sensitivity;
+* the DSE and serving layers;
+* the dual-task and sensor models and the fault-tolerant offload of
+  :class:`~repro.faults.resilient.ResilientDriver`, which take their
+  execution, activity, timing and host baseline from here;
+* the cycle breakdown, the binary library planner, ``repro trace``'s
+  DES lanes and the ``sim`` bench suite, which read :func:`program`.
 
 The memos live for the process: they start empty, are filled on
 demand and are never written to disk.  Stage results are shared between
@@ -126,7 +139,7 @@ def verify(kernel: Kernel) -> Verification:
     found = _VERIFIED.get(key)
     if found is None:
         trip = HeterogeneousSystem().round_trip(kernel,
-                                                program=_program(kernel))
+                                                program=program(kernel))
         for array in trip.outputs.values():
             array.setflags(write=False)
         found = _VERIFIED[key] = Verification(outputs=trip.outputs,
@@ -134,7 +147,7 @@ def verify(kernel: Kernel) -> Verification:
     return found
 
 
-def _program(kernel: Kernel) -> Program:
+def program(kernel: Kernel) -> Program:
     """*kernel*'s loop-nest program, built once per kernel."""
     key = kernel.memo_key()
     found = _PROGRAMS.get(key)
@@ -146,22 +159,23 @@ def _program(kernel: Kernel) -> Program:
 def characterize(system: HeterogeneousSystem,
                  kernel: Kernel) -> Characterization:
     """Binary size, cluster execution and activity of *kernel* on
-    *system*'s OpenMP runtime."""
-    key = (kernel.memo_key(), system.omp.threads)
+    *system*'s OpenMP runtime and OR10N target."""
+    key = (kernel.memo_key(), system.omp.threads,
+           system.target.costs.memo_key)
     found = _CHARACTERIZED.get(key)
     if found is None:
-        program = _program(kernel)
-        binary = KernelBinary.from_program(program)
-        execution = system.omp.execute(program)
+        loop_nest = program(kernel)
+        binary = KernelBinary.from_program(loop_nest)
+        execution = system.omp.execute(loop_nest)
         activity = ActivityProfile.compute(
             cores_active=system.omp.threads,
             memory_intensity=execution.memory_intensity,
             name=kernel.name)
         found = _CHARACTERIZED[key] = Characterization(
-            program=program,
+            program=loop_nest,
             binary_bytes=binary.image_bytes,
-            input_bytes=program.input_bytes,
-            output_bytes=program.output_bytes,
+            input_bytes=loop_nest.input_bytes,
+            output_bytes=loop_nest.output_bytes,
             execution=execution,
             activity=activity)
     return found
@@ -176,7 +190,7 @@ def host_run(system: HeterogeneousSystem, kernel: Kernel,
     cycles = _HOST_CYCLES.get(key)
     if cycles is None:
         cycles = _HOST_CYCLES[key] = system.host.device.lower(
-            _program(kernel)).cycles
+            program(kernel)).cycles
     return HostRun(frequency=frequency, cycles=cycles,
                    time=cycles / frequency,
                    power=system.host.active_power(frequency))
@@ -188,7 +202,7 @@ def risc_ops(kernel: Kernel) -> float:
     key = kernel.memo_key()
     found = _RISC_OPS.get(key)
     if found is None:
-        found = _RISC_OPS[key] = _BASELINE.risc_ops(_program(kernel))
+        found = _RISC_OPS[key] = _BASELINE.risc_ops(program(kernel))
     return found
 
 

@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError, OffloadError
 from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
 from repro.kernels.base import Kernel
-from repro.power.activity import ActivityProfile
 from repro.units import mhz, uw_per_mhz
 
 
@@ -99,16 +98,13 @@ class SensorPipeline:
         previous frame's compute.  Binary offload is amortized away
         (steady state).
         """
-        program = kernel.build_program()
-        execution = self.system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=self.system.omp.threads,
-            memory_intensity=execution.memory_intensity)
+        characterization = pricing.characterize(self.system, kernel)
+        program, activity = characterization.program, characterization.activity
         point = pricing.operating_point(self.system.envelope,
                                         host_frequency, activity)
         if not point.accelerator_usable:
             raise OffloadError("no accelerator budget at this host clock")
-        compute_time = execution.wall_cycles / point.pulp_frequency
+        compute_time = characterization.execution.wall_cycles / point.pulp_frequency
         pulp_active = self.system.soc.power_model.total_power(
             point.pulp_frequency, point.pulp_voltage, activity)
 

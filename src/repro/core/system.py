@@ -233,6 +233,12 @@ def require_accelerator(point: EnvelopePoint) -> EnvelopePoint:
     return point
 
 
+#: The OR10N target of every system built without one.  Targets are
+#: read-only, so the systems share it, and with it the memo key of its
+#: cost table.
+_OR10N = Or10nTarget()
+
+
 class HeterogeneousSystem:
     """STM32-L476 + PULP over (Q)SPI: the paper's system."""
 
@@ -240,11 +246,12 @@ class HeterogeneousSystem:
                  soc: Optional[PulpSoc] = None,
                  link: Optional[SpiLink] = None,
                  threads: int = 4,
-                 budget: Optional[float] = None):
+                 budget: Optional[float] = None,
+                 target: Optional[Or10nTarget] = None):
         self.host = host if host is not None else Stm32L476()
         self.soc = soc if soc is not None else PulpSoc()
         self.link = link if link is not None else SpiLink(SpiMode.QUAD)
-        self.target = Or10nTarget()
+        self.target = target if target is not None else _OR10N
         self.omp = DeviceOpenMp(self.target, threads=threads)
         self.cost_model = OffloadCostModel(self.host, self.link,
                                            self.soc.power_model)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core import pricing
 from repro.isa.cortexm import CortexM3Target, CortexM4Target
 from repro.isa.or10n import Or10nTarget
 from repro.isa.target import Target
@@ -65,7 +66,7 @@ def run(targets: Optional[Dict[str, Target]] = None) -> List[BreakdownRow]:
         }
     rows: List[BreakdownRow] = []
     for kernel in all_kernels():
-        program = kernel.build_program()
+        program = pricing.program(kernel)
         for name, target in targets.items():
             report = target.lower(program)
             rows.append(BreakdownRow(

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
+from repro.kernels.base import Kernel
 from repro.kernels.matmul import MatmulKernel
 from repro.mcu.catalog import MCU_CATALOG
 from repro.units import format_watts
@@ -70,20 +71,25 @@ class Figure3Result:
         return self.pulp_peak.gops_per_watt / self.best_mcu.gops_per_watt
 
 
-def run(threads: int = 4) -> Figure3Result:
-    """Compute Figure 3's scatter."""
-    system = HeterogeneousSystem(threads=threads)
-    kernel = MatmulKernel("char")
-    matmul = pricing.characterize(system, kernel)
-    program = matmul.program
+def run(threads: int = 4, kernel: Optional[Kernel] = None,
+        system: Optional[HeterogeneousSystem] = None) -> Figure3Result:
+    """Compute Figure 3's scatter for *kernel* (the paper's char matmul
+    by default) on *system* (by default, a system of *threads* cores)."""
+    if kernel is None:
+        kernel = MatmulKernel("char")
+    if system is None:
+        system = HeterogeneousSystem(threads=threads)
+    characterization = pricing.characterize(system, kernel)
+    program = characterization.program
     risc_ops = pricing.risc_ops(kernel)
     points: List[EfficiencyPoint] = []
 
     # PULP across its anchored operating points.
     power_model = system.soc.power_model
     for op in power_model.anchored_points():
-        time = matmul.execution.wall_cycles / op.fmax
-        power = power_model.total_power(op.fmax, op.voltage, matmul.activity)
+        time = characterization.execution.wall_cycles / op.fmax
+        power = power_model.total_power(op.fmax, op.voltage,
+                                        characterization.activity)
         points.append(EfficiencyPoint(
             device="PULP", kind="pulp", frequency=op.fmax,
             voltage=op.voltage, power=power,

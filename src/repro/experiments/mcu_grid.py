@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core import pricing
 from repro.core.system import HeterogeneousSystem
-from repro.isa.baseline import BaselineRiscTarget
+from repro.experiments import figure3
 from repro.kernels.registry import all_kernels
-from repro.mcu.catalog import MCU_CATALOG
 
 
 @dataclass(frozen=True)
@@ -38,35 +36,17 @@ class GridRow:
 
 
 def run(threads: int = 4) -> List[GridRow]:
-    """Compute the all-kernel efficiency grid."""
+    """Compute the all-kernel efficiency grid: Figure 3's sweep, run on
+    every kernel."""
     system = HeterogeneousSystem(threads=threads)
-    baseline = BaselineRiscTarget()
-    power_model = system.soc.power_model
     rows: List[GridRow] = []
     for kernel in all_kernels():
-        characterization = pricing.characterize(system, kernel)
-        program = characterization.program
-        risc_ops = baseline.risc_ops(program)
-        pulp_best = 0.0
-        for op in power_model.anchored_points():
-            time = characterization.execution.wall_cycles / op.fmax
-            power = power_model.total_power(op.fmax, op.voltage,
-                                            characterization.activity)
-            pulp_best = max(pulp_best, risc_ops / time / 1e9 / power)
-        mcu_best_name = ""
-        mcu_best = 0.0
-        for device in MCU_CATALOG:
-            time = device.run(program).time
-            power = device.active_power(device.fmax)
-            efficiency = risc_ops / time / 1e9 / power
-            if efficiency > mcu_best:
-                mcu_best = efficiency
-                mcu_best_name = device.name
+        result = figure3.run(kernel=kernel, system=system)
         rows.append(GridRow(
             kernel=kernel.name,
-            pulp_gops_per_watt=pulp_best,
-            best_mcu=mcu_best_name,
-            best_mcu_gops_per_watt=mcu_best))
+            pulp_gops_per_watt=result.pulp_peak.gops_per_watt,
+            best_mcu=result.best_mcu.device,
+            best_mcu_gops_per_watt=result.best_mcu.gops_per_watt))
     return rows
 
 

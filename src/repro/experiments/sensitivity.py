@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List
 
-from repro.isa.baseline import BaselineRiscTarget
-from repro.isa.cortexm import CortexM4Target
+from repro.core import pricing
+from repro.core.system import HeterogeneousSystem
+from repro.experiments import figure3
 from repro.isa.costs import or10n_costs
 from repro.isa.or10n import Or10nTarget
 from repro.kernels.matmul import MatmulKernel
-from repro.power.activity import ActivityProfile
 from repro.power.operating_point import OperatingPoint, OperatingPointTable
 from repro.power.pulp_model import (
     PULP3_DENSITIES,
@@ -24,7 +24,7 @@ from repro.power.pulp_model import (
     ComponentDensity,
     PulpPowerModel,
 )
-from repro.runtime.omp import DeviceOpenMp
+from repro.pulp.soc import PulpSoc
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,16 @@ class SensitivityRow:
 
 def _measure(power_model: PulpPowerModel,
              or10n: Or10nTarget) -> Dict[str, float]:
-    program = MatmulKernel("char").build_program()
-    risc_ops = BaselineRiscTarget().risc_ops(program)
-    omp = DeviceOpenMp(or10n, threads=4)
-    execution = omp.execute(program)
-    activity = ActivityProfile.compute(4, execution.memory_intensity)
-    best = 0.0
-    for op in power_model.anchored_points():
-        time = execution.wall_cycles / op.fmax
-        power = power_model.total_power(op.fmax, op.voltage, activity)
-        best = max(best, risc_ops / time / 1e9 / power)
-    m4_cycles = CortexM4Target().lower(program).cycles
-    return {
-        "peak_efficiency": best,
-        "arch_speedup": m4_cycles / or10n.lower(program).cycles,
-    }
+    """Figure 3's matmul peak and Figure 4's matmul speedup over the M4,
+    on a system built from the perturbed power model and target."""
+    kernel = MatmulKernel("char")
+    system = HeterogeneousSystem(soc=PulpSoc(power_model), target=or10n)
+    single = HeterogeneousSystem(threads=1, target=or10n)
+    m4_cycles = pricing.host_run(system, kernel).cycles
+    or10n_cycles = pricing.characterize(single, kernel).execution.wall_cycles
+    peak = figure3.run(kernel=kernel, system=system).pulp_peak
+    return {"peak_efficiency": peak.gops_per_watt,
+            "arch_speedup": m4_cycles / or10n_cycles}
 
 
 def _scaled_densities(factor: float):

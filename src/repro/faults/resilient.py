@@ -222,19 +222,16 @@ class ResilientDriver(OffloadDriver):
         """
         system = self.system
         self._host_frequency = host_frequency
-        program = kernel.build_program()
+        characterization = pricing.characterize(system, kernel)
         inputs = kernel.generate_inputs(seed)
         input_payload = kernel.serialize_inputs(inputs)
         outputs = kernel.compute(inputs)
         output_payload = kernel.serialize_outputs(outputs)
-        binary = KernelBinary.from_program(program)
+        binary = KernelBinary.from_program(characterization.program)
 
         # Analytic operating point (needed to price waits and waste).
-        execution = system.omp.execute(program)
-        activity = ActivityProfile.compute(
-            cores_active=system.omp.threads,
-            memory_intensity=execution.memory_intensity,
-            name=kernel.name)
+        execution = characterization.execution
+        activity = characterization.activity
         point = require_accelerator(pricing.operating_point(
             system.envelope, host_frequency, activity))
         power_model = self.soc.power_model
@@ -301,17 +298,9 @@ class ResilientDriver(OffloadDriver):
             if retry_time > 0:
                 wasted_time += retry_time
                 wasted_energy += retry_time * self._wire_power()
-            timing = system.cost_model.offload_timing(
-                binary_bytes=binary.image_bytes,
-                input_bytes=len(input_payload),
-                output_bytes=len(output_payload),
-                compute_cycles=execution.wall_cycles,
-                pulp_frequency=point.pulp_frequency,
-                pulp_voltage=point.pulp_voltage,
-                activity=activity,
-                host_frequency=host_frequency,
-                iterations=iterations,
-                double_buffered=double_buffered)
+            timing = pricing.price(system.cost_model, characterization,
+                                   point, host_frequency, iterations,
+                                   double_buffered)
             if wasted_time > 0:
                 timing.total_time += wasted_time
                 timing.energy.add("recovery", wasted_time,
@@ -329,7 +318,7 @@ class ResilientDriver(OffloadDriver):
                 execution=execution,
                 envelope=point,
                 timing=timing,
-                host_baseline=system.run_on_host(kernel),
+                host_baseline=pricing.host_run(system, kernel),
                 recovery_actions=tuple(self.recovery_actions),
                 fault_attempts=failures,
                 wasted_time_s=wasted_time,
@@ -410,7 +399,7 @@ class ResilientDriver(OffloadDriver):
         Cortex-M cost model at the current host clock; the wasted
         offload attempts stay on the bill.
         """
-        host_run = self.system.run_on_host(kernel, frequency=host_frequency)
+        host_run = pricing.host_run(self.system, kernel, host_frequency)
         energy = EnergyAccount()
         energy.add("host-compute", iterations * host_run.time, host_run.power)
         if wasted_time > 0:

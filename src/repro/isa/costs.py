@@ -14,8 +14,9 @@ resulting *ratios* reproduce the paper's Figure 4 / Table I anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Mapping
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.isa.vop import DType, OpKind
@@ -90,6 +91,15 @@ class TargetCosts:
     #: cache hides only part of them), while PULP fetches from its shared
     #: I$ backed by on-chip SRAM; this factor captures that difference.
     cycle_scale: float = 1.0
+
+    @cached_property
+    def memo_key(self) -> Tuple:
+        """Value identity of the table, built once per table: its fields,
+        each mapping as the frozenset of its items, so two tables share a
+        memo entry exactly when they are equal."""
+        values = (getattr(self, item.name) for item in fields(self))
+        return tuple(frozenset(value.items()) if isinstance(value, Mapping)
+                     else value for value in values)
 
     def cycles_for(self, kind: OpKind) -> float:
         """Cycles for one instance of *kind*."""

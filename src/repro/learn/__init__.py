@@ -19,9 +19,10 @@ into a supervised-learning loop:
 - :mod:`~repro.learn.eval` — leave-one-kernel-out cross-validation
   against the DSE oracle: top-k accuracy, energy/latency/EDP regret,
   per-feature importances;
-- :mod:`~repro.learn.service` — a ``predicted`` scheduler policy and
+- :mod:`~repro.learn.service` —
   :class:`~repro.learn.service.PredictedServiceBook` for
-  :mod:`repro.serve`, routing each request through the trained model
+  :mod:`repro.serve` (served under the built-in ``predicted`` policy),
+  routing each request through the trained model
   (with an analytic fallback under low confidence) and counting every
   decision on :mod:`repro.obs`;
 - ``python -m repro learn`` (declared in :mod:`repro.cli`) —

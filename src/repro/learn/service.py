@@ -20,10 +20,10 @@ Every decision is counted on the live :mod:`repro.obs` hub:
 tier and the host fallback stay analytic — the power-cap ladder must
 keep its calibrated meaning regardless of the model.
 
-Importing this module registers the ``predicted`` dispatch policy: a
-shortest-predicted-service ordering (SJF through whatever book the
-scheduler holds, i.e. through the learned operating points when paired
-with this book).
+The book pairs with the built-in ``predicted`` dispatch policy
+(:attr:`repro.serve.scheduler.Policy.PREDICTED`): SJF's
+shortest-expected-service order, read through this book's learned
+operating points.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.errors import ConfigurationError
 from repro.learn.dataset import CORPUS, label_knobs
 from repro.learn.models import FittedModel, load_model
 from repro.serve.fleet import AnalyticServiceBook, ServiceProfile
-from repro.serve.scheduler import register_policy
 from repro.units import mw
 
 #: Minimum model confidence (ranked-first probability mass) before the
@@ -151,12 +150,3 @@ class PredictedServiceBook(AnalyticServiceBook):
         get_telemetry().count("learn.infeasible", unit="decisions")
         with use_telemetry(Telemetry(enabled=False)):
             return self._price(kernel_name, tier)
-
-
-def _predicted_select(scheduler, now: float) -> int:
-    """Shortest predicted service first (stable on queue order)."""
-    return min(range(len(scheduler.queue)),
-               key=lambda i: (scheduler.book.estimate(scheduler.queue[i]), i))
-
-
-register_policy("predicted", _predicted_select)

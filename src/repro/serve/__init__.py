@@ -8,9 +8,10 @@ simulation on :mod:`repro.sim`:
 * :mod:`repro.serve.workload` — seeded open-loop (Poisson, bursty MMPP)
   and closed-loop request generators plus JSON trace replay (and the
   surge wrapper chaos campaigns use to compress arrivals);
-* :mod:`repro.serve.scheduler` — pluggable dispatch policies (FIFO,
-  shortest-expected-service, EDF, power-cap throttling) with admission
-  control and per-kernel batch coalescing;
+* :mod:`repro.serve.scheduler` — dispatch policies (FIFO,
+  shortest-expected-service, EDF, power-cap throttling and the learned
+  book's ``predicted``) with admission control and per-kernel batch
+  coalescing;
 * :mod:`repro.serve.archetype` — first-class node archetypes (host MCU,
   cluster size, operating point) and :class:`FleetSpec` compositions
   mixing them, with per-kernel routing;
@@ -70,14 +71,7 @@ from repro.serve.resilience import (
     SloPolicy,
     SloTracker,
 )
-from repro.serve.scheduler import (
-    Policy,
-    Scheduler,
-    SchedulerConfig,
-    policy_name,
-    register_policy,
-    registered_policies,
-)
+from repro.serve.scheduler import Policy, Scheduler, SchedulerConfig
 from repro.serve.workload import (
     ClosedLoopWorkload,
     MmppWorkload,
@@ -129,9 +123,6 @@ __all__ = [
     "default_power_budget",
     "pinned_campaign_config",
     "pinned_campaign_plans",
-    "policy_name",
-    "register_policy",
-    "registered_policies",
     "run_campaign",
     "run_scenario",
 ]

@@ -63,12 +63,7 @@ from repro.serve.fleet import (
 )
 from repro.serve.metrics import RequestRecord, ServeReport
 from repro.serve.resilience import ResilienceConfig, ResilienceRuntime
-from repro.serve.scheduler import (
-    Policy,
-    Scheduler,
-    SchedulerConfig,
-    policy_name,
-)
+from repro.serve.scheduler import Policy, Scheduler, SchedulerConfig
 from repro.serve.workload import Request, Workload
 from repro.sim.engine import Simulator
 from repro.units import ordered_sum
@@ -676,7 +671,7 @@ class ServeEngine:
         nodes = list(self.fleet.nodes) + [self.fleet.host]
         tracker = self.fleet.tracker
         report = ServeReport(
-            policy=policy_name(self.config.scheduler.policy),
+            policy=self.config.scheduler.policy.value,
             workload=self.config.workload.describe(),
             nodes=self.config.nodes,
             duration_s=duration,

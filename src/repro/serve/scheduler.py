@@ -10,6 +10,9 @@ policy                    picks
                           offload cost model — the analytic service book)
 ``edf``                   earliest absolute deadline (deadline-less
                           requests sort last)
+``predicted``             SJF's order, named for the learned service
+                          book (:mod:`repro.learn.service`) it prices
+                          through
 ``power-cap``             FIFO order, but dispatch is gated so the fleet
                           power draw stays under a budget; when the fast
                           operating point does not fit, the dispatch is
@@ -29,7 +32,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.fleet import ServiceBook
@@ -50,48 +53,17 @@ class Policy(enum.Enum):
     SJF = "sjf"
     EDF = "edf"
     POWER_CAP = "power-cap"
-
-
-#: A registered policy picks the queue index to dispatch next.
-PolicySelect = Callable[["Scheduler", float], int]
-
-_POLICY_REGISTRY: Dict[str, PolicySelect] = {}
-
-
-def register_policy(name: str, select: PolicySelect) -> None:
-    """Register a named dispatch policy (``SchedulerConfig.policy=name``).
-
-    *select* receives the live :class:`Scheduler` (queue + service book)
-    and the simulation time, and returns the index of the next request
-    to dispatch.  Built-in :class:`Policy` names cannot be shadowed.
-    """
-    if name in Policy._value2member_map_:
-        raise ConfigurationError(
-            f"cannot shadow the built-in policy {name!r}")
-    _POLICY_REGISTRY[name] = select
-
-
-def registered_policies() -> Tuple[str, ...]:
-    """Every currently registered extension policy name, sorted."""
-    return tuple(sorted(_POLICY_REGISTRY))
-
-
-def policy_name(policy: Union[Policy, str]) -> str:
-    """The report-facing name of a built-in or registered policy."""
-    return policy.value if isinstance(policy, Policy) else policy
+    PREDICTED = "predicted"
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Knobs of the scheduler.
 
-    ``policy`` takes a built-in :class:`Policy` member or the name of an
-    extension policy registered through :func:`register_policy` (the
-    name is resolved when the :class:`Scheduler` is constructed, so
-    registration may happen after the config is built).
+    ``policy`` takes a :class:`Policy` member or its name.
     """
 
-    policy: Union[Policy, str] = Policy.FIFO
+    policy: Policy = Policy.FIFO
     #: Pending-queue bound; 0 = unbounded (no admission control).
     queue_capacity: int = 0
     #: Same-kernel requests coalesced per dispatch.
@@ -102,9 +74,13 @@ class SchedulerConfig:
     drop_late: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.policy, str) \
-                and self.policy in Policy._value2member_map_:
-            # Accept built-in policies by name, normalized to the enum.
+        if not isinstance(self.policy, Policy):
+            # Accept policies by name, normalized to the enum.
+            if self.policy not in Policy._value2member_map_:
+                known = ", ".join(Policy._value2member_map_)
+                raise ConfigurationError(
+                    f"unknown scheduler policy {self.policy!r}; "
+                    f"known: {known}")
             object.__setattr__(self, "policy", Policy(self.policy))
         if self.queue_capacity < 0:
             raise ConfigurationError(
@@ -124,11 +100,6 @@ class Scheduler:
 
     def __init__(self, config: SchedulerConfig, book: ServiceBook):
         policy = config.policy
-        if isinstance(policy, str) and policy not in _POLICY_REGISTRY:
-            known = ", ".join(
-                tuple(Policy._value2member_map_) + registered_policies())
-            raise ConfigurationError(
-                f"unknown scheduler policy {policy!r}; known: {known}")
         self.config = config
         self.book = book
         self.queue: List[Request] = []
@@ -195,28 +166,17 @@ class Scheduler:
                 indices: Optional[List[int]] = None) -> int:
         """Index of the next request to dispatch (queue must be non-empty).
 
-        Decides for SJF, EDF and registered policies; ``take_batch``
-        picks the first eligible request itself under FIFO and
-        POWER_CAP and never calls this for them.  *indices* restricts
-        the choice to a subset of queue positions (strict routing hands
-        each node only the kernels it serves); None considers the whole
-        queue.  Extension policies order the full queue — when their
-        pick falls outside the subset, the earliest eligible request
-        goes instead.
+        Decides for SJF, PREDICTED (SJF's order) and EDF;
+        ``take_batch`` picks the first eligible request itself under
+        FIFO and POWER_CAP and never calls this for them.  *indices*
+        restricts the choice to a subset of queue positions (strict
+        routing hands each node only the kernels it serves); None
+        considers the whole queue.
         """
         policy = self.config.policy
-        if isinstance(policy, str):
-            index = _POLICY_REGISTRY[policy](self, now)
-            if not 0 <= index < len(self.queue):
-                raise ConfigurationError(
-                    f"policy {policy!r} selected index {index} outside "
-                    f"the queue of {len(self.queue)}")
-            if indices is not None and index not in indices:
-                return indices[0]
-            return index
         candidates = indices if indices is not None \
             else range(len(self.queue))
-        if policy is Policy.SJF:
+        if policy is Policy.SJF or policy is Policy.PREDICTED:
             return min(candidates,
                        key=lambda i: (self.book.estimate(self.queue[i]), i))
         # EDF: deadline-less requests sort after every deadline.

@@ -319,6 +319,18 @@ class TestBenchCli:
         events = json.loads(open(path).read())["traceEvents"]
         assert [(e["ph"], e["name"]) for e in events] == [("C", "spans")]
 
+    def test_silent_suite_writes_no_profile(self, tmp_path, capsys):
+        # The analysis suite emits no telemetry: an empty trace would
+        # hold nothing, so none is written or listed, and a line says why.
+        assert main(["bench", "--repeats", "1", "--suites", "analysis",
+                     "--no-write", "--profile",
+                     str(tmp_path / "p.json")]) == 0
+        out = capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+        assert "wrote" not in out
+        assert "no profile for analysis: its instrumented pass recorded " \
+            "no spans or counters" in out
+
     def test_missing_baseline_is_not_an_error(self, tmp_path, capsys):
         assert self._run(tmp_path, "--no-write", "--check") == 0
         assert "nothing to gate against" in capsys.readouterr().out

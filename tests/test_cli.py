@@ -356,6 +356,24 @@ class TestFaultsCommand:
         trace = json.loads(out.read_text())
         assert trace["traceEvents"]
 
+    def test_trace_holds_one_characterization(self, capsys, tmp_path):
+        # Every scenario's resilient offload reads the one memoized
+        # characterization, so its OpenMP spans appear once, not once
+        # per scenario.
+        from repro.core import pricing
+
+        pricing.clear()
+        out = tmp_path / "faults-trace.json"
+        assert main(["faults", "--scenarios", "11", "--seed", "1",
+                     "--trace", str(out)]) == FAULTS_EXIT_DEGRADED
+        events = json.loads(out.read_text())["traceEvents"]
+        lanes = {(event["pid"], event["tid"]): event["args"]["name"]
+                 for event in events if event["name"] == "thread_name"}
+        omp = [(event["name"], event["ph"]) for event in events
+               if event["ph"] in "BE"
+               and lanes[event["pid"], event["tid"]] == "omp"]
+        assert omp and len(omp) == len(set(omp))
+
     @pytest.mark.parametrize("flags", [[], ["--scenarios", "11",
                                             "--seed", "1"]])
     def test_trace_export_of_degraded_campaigns(self, capsys, tmp_path,

@@ -3,7 +3,8 @@ headline anchors, the anchor report and the calibration sensitivity."""
 
 import pytest
 
-from repro.experiments import figure3, figure4, figure5, sensitivity, table1
+from repro.experiments import (figure3, figure4, figure5, mcu_grid,
+                               sensitivity, table1)
 from repro.units import mhz
 
 
@@ -221,6 +222,27 @@ class TestSensitivity:
     def test_render(self, rows):
         text = sensitivity.render(rows)
         assert "GOPS/W" in text and "simd overhead" in text
+
+    def test_unperturbed_rows_are_figures_3_and_4(self, rows):
+        # Sensitivity runs Figure 3's sweep and Figure 4's M4 speedup on
+        # a perturbed system, so a factor of 1 reproduces both exactly.
+        peak = figure3.run().pulp_peak.gops_per_watt
+        matmul = next(row for row in figure4.run().rows
+                      if row.name == "matmul")
+        nominal = [row for row in rows if row.factor == 1.0]
+        assert len(nominal) == 3
+        for row in nominal:
+            assert row.peak_efficiency == peak
+            assert row.arch_speedup == matmul.arch_speedup_vs_m4
+
+
+class TestMcuGrid:
+    def test_matmul_row_is_figure3(self):
+        result = figure3.run()
+        row = next(row for row in mcu_grid.run() if row.kernel == "matmul")
+        assert row.pulp_gops_per_watt == result.pulp_peak.gops_per_watt
+        assert row.best_mcu == result.best_mcu.device
+        assert row.best_mcu_gops_per_watt == result.best_mcu.gops_per_watt
 
 
 class TestReport:

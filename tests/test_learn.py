@@ -37,12 +37,9 @@ from repro.obs import Telemetry, use_telemetry
 from repro.serve import (
     PoissonWorkload,
     Policy,
-    Scheduler,
     SchedulerConfig,
     ServeConfig,
     ServeEngine,
-    register_policy,
-    registered_policies,
 )
 from tests.invariants import assert_served
 
@@ -307,28 +304,8 @@ class TestServePlugPoints:
         assert config.policy is Policy.SJF
 
     def test_unknown_policy_rejected_at_scheduler(self):
-        from repro.serve import AnalyticServiceBook
-
-        config = SchedulerConfig(policy="nonesuch")
         with pytest.raises(ConfigurationError, match="unknown scheduler"):
-            Scheduler(config, AnalyticServiceBook())
-
-    def test_builtin_policy_name_cannot_be_shadowed(self):
-        with pytest.raises(ConfigurationError, match="shadow"):
-            register_policy("fifo", lambda scheduler, now: 0)
-
-    def test_custom_policy_registered_by_name(self, tiny_dataset):
-        register_policy("lifo-test", lambda scheduler, now:
-                        len(scheduler.queue) - 1)
-        assert "lifo-test" in registered_policies()
-        config = ServeConfig(
-            workload=PoissonWorkload(rate=250.0, requests=40, seed=5),
-            nodes=2,
-            scheduler=SchedulerConfig(policy="lifo-test"),
-            seed=5)
-        report = ServeEngine(config).run()
-        assert report.policy == "lifo-test"
-        assert len(report.records) == 40
+            SchedulerConfig(policy="nonesuch")
 
 
 # -- the CLI ---------------------------------------------------------------------

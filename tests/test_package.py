@@ -1,5 +1,6 @@
 """Package-level tests: exception hierarchy, public exports, metadata,
-the modules the CLI reaches, and the serving engine's code size."""
+the modules the CLI reaches, the one pricing chain, and the serving
+engine's code size."""
 
 import ast
 import inspect
@@ -37,12 +38,24 @@ UNREACHED_BY_CLI = {
         "tests/test_kernels_data.py",
 }
 
+#: The ``src/repro`` modules that may characterize a kernel by hand, each
+#: with why: build its program, lower it on the host, run the OpenMP
+#: model or derive its activity.  Every other module reads the memoized
+#: stages of ``repro.core.pricing``.
+CHARACTERIZERS = {
+    "repro.core.pricing": "the memoized stages",
+    "repro.core.system": "the HeterogeneousSystem.offload oracle the "
+                         "stages are differential-tested against",
+    "repro.pulp.executor": "the DES twin's analytic side",
+    "repro.runtime.omp": "speedup_vs_single's 1-thread runtime",
+    "repro.power.activity": "the canned matmul() activity vector",
+}
 
 #: Code lines (see :func:`code_lines`) ``src/repro/serve/`` may hold:
 #: the count it was left at.  Lower it as ``serve/`` shrinks toward
 #: ROADMAP item 5's 2 068; raising it is an explicit edit, noted in
 #: CHANGES.md.
-SERVE_CODE_LINES = 2490
+SERVE_CODE_LINES = 2455
 
 #: Tokens that hold no code: comments, line structure, indentation.
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
@@ -68,6 +81,28 @@ def code_lines(source):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
     return len(lines - docstrings)
+
+
+def characterizing_calls(source):
+    """Line numbers of the calls in *source* that characterize a kernel
+    by hand: ``.build_program()``, ``.run_on_host()``,
+    ``ActivityProfile.compute()`` and ``DeviceOpenMp()``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            hit = func.id == "DeviceOpenMp"
+        elif isinstance(func, ast.Attribute):
+            hit = func.attr in ("build_program", "run_on_host") or (
+                func.attr == "compute" and isinstance(func.value, ast.Name)
+                and func.value.id == "ActivityProfile")
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def module_files(src, package):
@@ -211,6 +246,34 @@ class TestCliReachability:
         files = module_files(tmp_path, "pkg")
         assert set(files) - import_closure(files, ["pkg.cli"]) \
             == {"pkg.orphan"}
+
+
+class TestOnePricingChain:
+    def test_only_the_allowlist_characterizes_a_kernel(self):
+        files = module_files(pathlib.Path(repro.__file__).parents[1],
+                             "repro")
+        found = {}
+        for name, path in files.items():
+            lines = characterizing_calls(path.read_text(encoding="utf-8"))
+            if lines:
+                found[name] = lines
+        unlisted = {name: lines for name, lines in found.items()
+                    if name not in CHARACTERIZERS}
+        stale = sorted(set(CHARACTERIZERS) - set(found))
+        assert not unlisted and not stale, (
+            f"characterize by hand, not allowlisted (read "
+            f"repro.core.pricing instead): {unlisted}; allowlisted, but "
+            f"no such call: {stale}")
+
+    def test_scan_finds_every_form(self):
+        source = ("kernel.build_program()\n"
+                  "system.run_on_host(kernel)\n"
+                  "ActivityProfile.compute(4, 0.5)\n"
+                  "DeviceOpenMp(target, 4)\n"
+                  "ActivityProfile.idle()\n"
+                  "pricing.program(kernel)\n"
+                  "def build_program(self): pass\n")
+        assert characterizing_calls(source) == [1, 2, 3, 4]
 
 
 class TestCodeSize:

@@ -15,6 +15,8 @@ from repro.dse import ExplorationEngine, ParameterSpace
 from repro.experiments import report
 from repro.faults import FaultPlan, ResilientDriver
 from repro.isa import BaselineRiscTarget, Target
+from repro.isa.costs import or10n_costs
+from repro.isa.or10n import Or10nTarget
 from repro.kernels import BENCHMARK_NAMES, Kernel, MatmulKernel, kernel_by_name
 from repro.mcu.catalog import mcu_by_name
 from repro.mcu.stm32l476 import UntiedSpiHost
@@ -170,6 +172,39 @@ class TestOperatingPointKey:
         assert len(pricing._OPERATING_POINTS) == 1
 
 
+class TestTargetKey:
+    """Characterization keys on the OR10N cost table, so a perturbed
+    target prices through the stages beside the default one."""
+
+    def test_default_systems_share_one_entry(self):
+        kernel = kernel_by_name("matmul")
+        first = pricing.characterize(HeterogeneousSystem(), kernel)
+        assert pricing.characterize(HeterogeneousSystem(), kernel) is first
+        # An equal table built apart shares the entry too.
+        twin = HeterogeneousSystem(target=Or10nTarget())
+        assert pricing.characterize(twin, kernel) is first
+        assert len(pricing._CHARACTERIZED) == 1
+
+    def test_a_perturbed_target_gets_its_own_entry(self):
+        costs = or10n_costs()
+        simd = {dtype: dataclasses.replace(
+            spec, overhead_factor=spec.overhead_factor * 1.25)
+            for dtype, spec in costs.simd.items()}
+        target = Or10nTarget(costs.with_overrides(simd=simd))
+        kernel = kernel_by_name("matmul")
+        program = pricing.program(kernel)
+        default = pricing.characterize(HeterogeneousSystem(), kernel)
+        perturbed = pricing.characterize(HeterogeneousSystem(target=target),
+                                         kernel)
+        assert len(pricing._CHARACTERIZED) == 2
+        assert perturbed.execution == DeviceOpenMp(target, 4).execute(program)
+        assert perturbed.execution.wall_cycles \
+            > default.execution.wall_cycles
+        single = pricing.characterize(
+            HeterogeneousSystem(threads=1, target=target), kernel)
+        assert single.execution.wall_cycles == target.lower(program).cycles
+
+
 class TestEnvelopeCallers:
     """The dual-task, sensor and resilient models solve the envelope
     through the shared operating-point stage."""
@@ -296,8 +331,8 @@ class TestProgramMemo:
         monkeypatch.setattr(HeterogeneousSystem, "round_trip", spy)
         kernel = kernel_by_name("svm (RBF)")
         pricing.verify(kernel)
-        assert seen == [pricing._program(kernel)]
-        assert seen[0] is pricing._program(kernel_by_name("svm (RBF)"))
+        assert seen == [pricing.program(kernel)]
+        assert seen[0] is pricing.program(kernel_by_name("svm (RBF)"))
 
     def test_verify_matches_a_fresh_system_and_every_trip_is_cold(
             self, monkeypatch):
@@ -307,7 +342,7 @@ class TestProgramMemo:
         kernels = [kernel_by_name(name) for name in BENCHMARK_NAMES]
         kernels.insert(1, MatmulKernel(n=32))
         fresh = [HeterogeneousSystem().round_trip(
-            kernel, program=pricing._program(kernel)) for kernel in kernels]
+            kernel, program=pricing.program(kernel)) for kernel in kernels]
         trips = []
         round_trip = HeterogeneousSystem.round_trip
 
