@@ -1,10 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper harness.
 
-Every benchmark regenerates one of the paper's tables/figures, asserts
-its headline anchors, times the computation with pytest-benchmark, and
-checks the rendered text against its committed record in ``results/``
-next to this directory, so a change that moves any reproduced number
-fails here.
+Every harness test regenerates one of the paper's tables/figures (or a
+supplementary one) once, checks the rendered text against its committed
+record in ``results/`` next to this directory, so a change that moves
+any reproduced number fails here, and asserts its claims: a figure of
+the reproduction report asserts the report's own checks
+(:func:`assert_anchors`).  Tier-1 collects this directory.
 """
 
 from __future__ import annotations
@@ -17,16 +18,21 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def assert_anchors(checks) -> None:
+    """Fail on every report check whose values leave its open band,
+    naming the values, the band and the margin."""
+    failed = [check for check in checks if not check.passed]
+    if failed:
+        pytest.fail("\n".join(
+            f"{check.claim}: values {check.values} not all inside the open "
+            f"band {check.band} (margin {check.margin:+.1%})"
+            for check in failed))
 
 
-def save_result(results_dir: pathlib.Path, name: str, text: str) -> None:
+def save_result(name: str, text: str) -> None:
     """Echo one rendered table/figure and check it against its record
     ``results/<name>.txt`` (see :func:`check_record`)."""
-    path = results_dir / f"{name}.txt"
+    path = RESULTS_DIR / f"{name}.txt"
     print(f"\n=== {name} (recorded in {path}) ===")
     print(text)
     check_record(path, text + "\n")

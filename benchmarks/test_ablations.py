@@ -34,7 +34,7 @@ from repro.units import mhz
 from .conftest import save_result
 
 
-def test_ablation_spi_width(benchmark, results_dir):
+def test_ablation_spi_width():
     """Quad SPI buys ~4x link bandwidth; how much offload efficiency?"""
     program = MatmulKernel("char").build_program()
     binary = KernelBinary.from_program(program)
@@ -53,16 +53,15 @@ def test_ablation_spi_width(benchmark, results_dir):
             activity=activity, host_frequency=mhz(16), iterations=32)
         return timing.efficiency
 
-    single, quad = benchmark(
-        lambda: (efficiency(SpiMode.SINGLE), efficiency(SpiMode.QUAD)))
-    save_result(results_dir, "ablation_spi_width",
+    single, quad = efficiency(SpiMode.SINGLE), efficiency(SpiMode.QUAD)
+    save_result("ablation_spi_width",
                 f"matmul offload efficiency at host 16 MHz, 32 iterations:\n"
                 f"  single SPI: {single:.1%}\n  quad SPI:   {quad:.1%}")
     assert quad > single
     assert quad > 1.5 * single
 
 
-def test_ablation_tcdm_banks(benchmark, results_dir):
+def test_ablation_tcdm_banks():
     """Word-interleaved banking: contention vs bank count (DES)."""
 
     def run_with_banks(banks):
@@ -74,16 +73,16 @@ def test_ablation_tcdm_banks(benchmark, results_dir):
                                                  pattern="random"))
         return cluster.run(streams).wall_cycles / 3000.0
 
-    factors = benchmark(lambda: {b: run_with_banks(b) for b in (2, 4, 8, 16)})
+    factors = {b: run_with_banks(b) for b in (2, 4, 8, 16)}
     lines = ["TCDM bank-count ablation (4 cores, 60% memory intensity):"]
     for banks, factor in factors.items():
         lines.append(f"  {banks:2d} banks: {factor:.3f}x slowdown")
-    save_result(results_dir, "ablation_tcdm_banks", "\n".join(lines))
+    save_result("ablation_tcdm_banks", "\n".join(lines))
     assert factors[2] > factors[8]
     assert factors[16] < 1.2
 
 
-def test_ablation_or10n_features(benchmark, results_dir):
+def test_ablation_or10n_features():
     """Per-feature breakdown of the OR10N architectural speedup."""
     program = MatmulKernel("char").build_program()
     m4_cycles = CortexM4Target().lower(program).cycles
@@ -97,22 +96,19 @@ def test_ablation_or10n_features(benchmark, results_dir):
             op_cycles={**dict(or10n_costs().op_cycles), OpKind.MAC: 2.0}),
     }
 
-    def compute():
-        return {name: m4_cycles / Target(costs).lower(program).cycles
+    speedups = {name: m4_cycles / Target(costs).lower(program).cycles
                 for name, costs in variants.items()}
-
-    speedups = benchmark(compute)
     lines = ["architectural speedup of matmul (char) vs Cortex-M4:"]
     for name, value in speedups.items():
         lines.append(f"  {name:20s} {value:.2f}x")
-    save_result(results_dir, "ablation_or10n_features", "\n".join(lines))
+    save_result("ablation_or10n_features", "\n".join(lines))
     full = speedups["full OR10N"]
     for name, value in speedups.items():
         if name != "full OR10N":
             assert value < full, name
 
 
-def test_ablation_barrier_cost(benchmark, results_dir):
+def test_ablation_barrier_cost():
     """HW synchronizer (~100-cycle barriers) vs a software barrier
     (~1k cycles) on the mean OpenMP runtime overhead."""
 
@@ -123,22 +119,22 @@ def test_ablation_barrier_cost(benchmark, results_dir):
                      for k in all_kernels()]
         return sum(fractions) / len(fractions)
 
-    hw, sw = benchmark(lambda: (mean_overhead(100.0), mean_overhead(1200.0)))
-    save_result(results_dir, "ablation_barrier_cost",
+    hw, sw = mean_overhead(100.0), mean_overhead(1200.0)
+    save_result("ablation_barrier_cost",
                 f"mean OpenMP runtime overhead across the 10 benchmarks:\n"
                 f"  HW synchronizer barrier (100 cy): {hw:.2%}\n"
                 f"  software barrier (1200 cy):       {sw:.2%}")
     assert sw > hw
 
 
-def test_cycle_breakdown(benchmark, results_dir):
+def test_cycle_breakdown():
     """Where each target spends its cycles (mechanism drill-down)."""
     from repro.experiments import cycle_breakdown
 
-    rows = benchmark(cycle_breakdown.run)
+    rows = cycle_breakdown.run()
     text = "\n\n".join(cycle_breakdown.render(rows, target=t)
                        for t in ("or10n", "cortex-m4"))
-    save_result(results_dir, "cycle_breakdown", text)
+    save_result("cycle_breakdown", text)
     by_key = {(r.kernel, r.target): r for r in rows}
     # hog's software 64-bit arithmetic dominates OR10N only.
     assert by_key[("hog", "or10n")].share("wide64") > 0.35
@@ -146,30 +142,26 @@ def test_cycle_breakdown(benchmark, results_dir):
         by_key[("hog", "or10n")].share("wide64")
 
 
-def test_ablation_analytic_vs_des(benchmark, results_dir):
+def test_ablation_analytic_vs_des():
     """Cross-validation: the analytic contention model against the
     cycle-level cluster across the intensity range."""
 
-    def compare():
-        rows = []
-        for intensity in (0.2, 0.4, 0.6, 0.8):
-            cycles = 3000.0
-            streams = []
-            for core in range(4):
-                report = LoweredReport("x", cycles=cycles,
-                                       memory_accesses=cycles * intensity)
-                streams.append(op_stream_from_report(
-                    report, core_index=core, pattern="random"))
-            des = Cluster().run(streams).wall_cycles / cycles
-            analytic = ContentionModel().stall_factor(4, intensity)
-            rows.append((intensity, des, analytic))
-        return rows
-
-    rows = benchmark(compare)
+    rows = []
+    for intensity in (0.2, 0.4, 0.6, 0.8):
+        cycles = 3000.0
+        streams = []
+        for core in range(4):
+            report = LoweredReport("x", cycles=cycles,
+                                   memory_accesses=cycles * intensity)
+            streams.append(op_stream_from_report(
+                report, core_index=core, pattern="random"))
+        des = Cluster().run(streams).wall_cycles / cycles
+        analytic = ContentionModel().stall_factor(4, intensity)
+        rows.append((intensity, des, analytic))
     lines = ["analytic vs discrete-event contention factor (4 cores):",
              "  intensity   DES     analytic"]
     for intensity, des, analytic in rows:
         lines.append(f"  {intensity:9.1f}   {des:.3f}   {analytic:.3f}")
-    save_result(results_dir, "ablation_analytic_vs_des", "\n".join(lines))
+    save_result("ablation_analytic_vs_des", "\n".join(lines))
     for intensity, des, analytic in rows:
         assert des == pytest.approx(analytic, abs=0.07)

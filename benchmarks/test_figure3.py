@@ -1,30 +1,11 @@
-"""Benchmark: regenerate Figure 3 (GOPS vs power, PULP vs MCUs)."""
+"""Harness: regenerate Figure 3 (GOPS vs power, PULP vs MCUs)."""
 
-import pytest
+from repro.experiments import figure3, report
 
-from repro.experiments import figure3
-
-from .conftest import save_result
+from .conftest import assert_anchors, save_result
 
 
-def test_figure3(benchmark, results_dir):
-    result = benchmark(figure3.run)
-    save_result(results_dir, "figure3", figure3.render(result))
-
-    # Paper anchors: PULP peaks at 304 GOPS/W consuming 1.48 mW ...
-    peak = result.pulp_peak
-    assert peak.gops_per_watt == pytest.approx(304, rel=0.08)
-    assert peak.power == pytest.approx(1.48e-3, rel=0.08)
-    assert peak.voltage == 0.5
-
-    # ... while the MCUs stay below 5 GOPS/W, except the Apollo at
-    # ~10 GOPS/W on a low-performance ~24 MOPS operating point.
-    for point in result.mcu_points:
-        if point.device == "Ambiq Apollo":
-            assert point.gops_per_watt == pytest.approx(10, rel=0.15)
-            assert point.gops * 1e3 == pytest.approx(24, rel=0.2)
-        else:
-            assert point.gops_per_watt < 5
-
-    # "a gain of 1.5 orders of magnitude in energy efficiency".
-    assert 20 < result.efficiency_gap() < 60
+def test_figure3():
+    result = figure3.run()
+    save_result("figure3", figure3.render(result))
+    assert_anchors(report._check_figure3(result))

@@ -1,31 +1,11 @@
-"""Benchmark: regenerate Figure 4 (architectural + parallel speedups)."""
+"""Harness: regenerate Figure 4 (architectural + parallel speedups)."""
+
+from repro.experiments import figure4, report
+
+from .conftest import assert_anchors, save_result
 
 
-from repro.experiments import figure4
-
-from .conftest import save_result
-
-
-def test_figure4(benchmark, results_dir):
-    result = benchmark(figure4.run)
-    save_result(results_dir, "figure4", figure4.render(result))
-
-    by_name = {row.name: row for row in result.rows}
-
-    # Left panel: "the integer tests ... show a speedup of 2-2.5x".
-    for name in ("matmul", "matmul (short)", "strassen"):
-        assert 2.0 <= by_name[name].arch_speedup_vs_m4 <= 2.6, name
-    # "tests based on fixed-point computations cannot exploit the OR10N
-    # microarchitectural enhancements to the same level".
-    for name in ("matmul (fixed)", "svm (linear)", "svm (poly)",
-                 "svm (RBF)", "cnn", "cnn (approx)"):
-        assert by_name[name].arch_speedup_vs_m4 < 2.0, name
-    # "the slight architectural slowdown" of hog.
-    assert by_name["hog"].arch_speedup_vs_m4 < 1.0
-
-    # Right panel: near-ideal parallel speedups with a small runtime
-    # overhead (paper: 6% on average; see EXPERIMENTS.md for why our
-    # coarse-region kernels land lower).
-    for row in result.rows:
-        assert 3.5 < row.parallel_speedup < 4.0, row.name
-    assert 0.002 < result.mean_runtime_overhead < 0.06
+def test_figure4():
+    result = figure4.run()
+    save_result("figure4", figure4.render(result))
+    assert_anchors(report._check_figure4(result))

@@ -1,35 +1,11 @@
-"""Benchmark: regenerate Figure 5a (speedup within the 10 mW envelope)."""
+"""Harness: regenerate Figure 5a (speedup within the 10 mW envelope)."""
 
-import pytest
+from repro.experiments import figure5, report
 
-from repro.experiments import figure5
-from repro.units import mhz
-
-from .conftest import save_result
+from .conftest import assert_anchors, save_result
 
 
-def test_figure5a(benchmark, results_dir):
-    result = benchmark(figure5.run_figure5a)
-    save_result(results_dir, "figure5a", figure5.render_figure5a(result))
-
-    best = {name: result.best_speedup(name) for name in result.kernels()}
-
-    # "as much as 60x in the case of the fastest benchmark (strassen)".
-    assert best["strassen"] == max(best.values())
-    assert best["strassen"] == pytest.approx(60, rel=0.08)
-    # "more than 25x for all the fixed point benchmarks".
-    for name in ("matmul (fixed)", "svm (linear)", "svm (poly)",
-                 "svm (RBF)", "cnn", "cnn (approx)"):
-        assert best[name] > 25, name
-    # "and 20x for the worst-case benchmark (hog)".
-    assert best["hog"] == min(best.values())
-    assert best["hog"] == pytest.approx(20, rel=0.15)
-
-    # "When the MCU is used at [32 MHz], there is no additional room for
-    # acceleration."
-    for cell in result.cells:
-        if cell.host_frequency >= mhz(32):
-            assert not cell.within_budget
-        else:
-            assert cell.within_budget
-            assert cell.total_power <= 10e-3 * (1 + 1e-6)
+def test_figure5a():
+    result = figure5.run_figure5a()
+    save_result("figure5a", figure5.render_figure5a(result))
+    assert_anchors(report._check_figure5a(result))

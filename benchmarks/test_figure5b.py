@@ -1,45 +1,23 @@
-"""Benchmark: regenerate Figure 5b (efficiency vs iterations/offload)."""
+"""Harness: regenerate Figure 5b (efficiency vs iterations/offload)."""
 
-
-from repro.experiments import figure5
+from repro.experiments import figure5, report
 from repro.kernels.matmul import MatmulKernel
 from repro.units import mhz
 
-from .conftest import save_result
+from .conftest import assert_anchors, save_result
 
 
-def test_figure5b(benchmark, results_dir):
-    result = benchmark(figure5.run_figure5b)
-    save_result(results_dir, "figure5b", figure5.render_figure5b(result))
-
-    # "if the SPI link between the MCU and the accelerator is fast
-    # enough, the computation time dominates and full efficiency can be
-    # reached after as few as 32 iterations; this is the case of the two
-    # configurations in which the STM32 is fastest (16MHz and 26MHz)".
-    for frequency in (mhz(16), mhz(26)):
-        curve = dict(result.curve(frequency, double_buffered=False))
-        assert curve[32] > 0.9, frequency
-
-    # "Conversely, if the bandwidth of the SPI link is too low, the
-    # efficiency reaches a plateau."
-    slow = dict(result.curve(mhz(2), double_buffered=False))
-    assert slow[256] < 0.8
-    assert abs(slow[256] - slow[128]) < 0.03
-
-    # The rightmost plot: "traditional double buffering schemes can be
-    # implemented to overlap data transfers with useful computation".
-    for frequency in (mhz(2), mhz(4), mhz(8)):
-        serial = result.plateau(frequency, double_buffered=False)
-        overlapped = result.plateau(frequency, double_buffered=True)
-        assert overlapped > serial, frequency
+def test_figure5b():
+    result = figure5.run_figure5b()
+    save_result("figure5b", figure5.render_figure5b(result))
+    assert_anchors(report._check_figure5b(result))
 
 
-def test_figure5b_transfer_bound_counterpoint(benchmark, results_dir):
+def test_figure5b_transfer_bound_counterpoint():
     """The same experiment on matmul: 12 kB of data per iteration makes
     the link the bottleneck at every slow operating point."""
-    result = benchmark(figure5.run_figure5b, MatmulKernel("char"))
-    save_result(results_dir, "figure5b_matmul",
-                figure5.render_figure5b(result))
+    result = figure5.run_figure5b(MatmulKernel("char"))
+    save_result("figure5b_matmul", figure5.render_figure5b(result))
     # Transfer-bound: even 256 iterations cannot recover full efficiency
     # at the slow host clocks without double buffering.
     assert result.plateau(mhz(8), double_buffered=False) < 0.5

@@ -16,7 +16,7 @@ from .conftest import save_result
 _FREQUENCIES = (mhz(2), mhz(8), mhz(26))
 
 
-def _matrix():
+def test_figure5b_matrix():
     rows = {}
     for kernel in all_kernels():
         result = figure5.run_figure5b(
@@ -25,18 +25,13 @@ def _matrix():
         rows[kernel.name] = {
             frequency: result.plateau(frequency, double_buffered=False)
             for frequency in _FREQUENCIES}
-    return rows
-
-
-def test_figure5b_matrix(benchmark, results_dir):
-    rows = benchmark(_matrix)
     lines = ["serial-efficiency plateau (256 iterations/offload):",
              f"  {'kernel':16s}" + "".join(
                  f" {f / 1e6:5.0f}MHz" for f in _FREQUENCIES)]
     for name, row in rows.items():
         lines.append(f"  {name:16s}" + "".join(
             f" {row[f]:7.1%}" for f in _FREQUENCIES))
-    save_result(results_dir, "figure5b_matrix", "\n".join(lines))
+    save_result("figure5b_matrix", "\n".join(lines))
 
     # Compute-dense kernels approach full efficiency at the fast host;
     # the transfer-heavy matmuls stay link-bound there.

@@ -1,19 +1,13 @@
-"""Bench: calibration sensitivity of the headline anchors."""
-
-import pytest
+"""Harness: calibration sensitivity of the headline anchors."""
 
 from repro.experiments import sensitivity
 
 from .conftest import save_result
 
 
-def test_sensitivity(benchmark, results_dir):
-    rows = benchmark(sensitivity.run)
-    save_result(results_dir, "sensitivity", sensitivity.render(rows))
-
-    nominal = [r for r in rows if r.factor == 1.0]
-    for row in nominal:
-        assert row.peak_efficiency == pytest.approx(304, rel=0.08)
+def test_sensitivity():
+    rows = sensitivity.run()
+    save_result("sensitivity", sensitivity.render(rows))
 
     # The structural conclusions survive +/-25% perturbation of any
     # single knob: PULP stays >1 order of magnitude above the <5 GOPS/W

@@ -471,8 +471,6 @@ def _serve_workload(args):
     if args.replay:
         return TraceWorkload.from_json(args.replay)
     requests = args.requests if args.requests > 0 else None
-    if requests is None and args.duration is None:
-        raise SystemExit(f"{args.command}: give --requests > 0 or a --duration")
     common = dict(
         deadline_factor=(args.deadline_factor
                          if args.deadline_factor > 0 else None),

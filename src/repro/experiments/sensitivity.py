@@ -36,10 +36,6 @@ class SensitivityRow:
     peak_efficiency: float      #: GOPS/W (paper: 304)
     arch_speedup: float         #: matmul vs M4 (paper: ~2.4)
 
-    def efficiency_shift(self) -> float:
-        """Relative change of peak efficiency vs the paper value."""
-        return self.peak_efficiency / 304.0 - 1.0
-
 
 def _measure(power_model: PulpPowerModel,
              or10n: Or10nTarget) -> Dict[str, float]:

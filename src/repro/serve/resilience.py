@@ -220,36 +220,41 @@ class RetryBudget:
 
 
 class HealthMonitor:
-    """Consecutive-probe ejection/readmission of flapping nodes."""
+    """Consecutive-probe ejection/readmission of flapping nodes.
+
+    Each node keeps one streak: the consecutive probes that contradict
+    its state (down while admitted, up while ejected).  A probe that
+    agrees with the state resets it, and so does the state change it
+    triggers; an admitted node that probes up costs no write.
+    """
 
     def __init__(self, config: ResilienceConfig):
         self._config = config
         self.ejected: Dict[str, bool] = {}
-        self._down_streak: Dict[str, int] = {}
-        self._up_streak: Dict[str, int] = {}
+        self._streak: Dict[str, int] = {}
         self.ejections = 0
         self.readmissions = 0
 
     def observe(self, name: str, down: bool) -> Optional[str]:
         """One probe observation; returns ``"ejected"`` / ``"readmitted"``
         on a state change."""
-        if down:
-            self._down_streak[name] = self._down_streak.get(name, 0) + 1
-            self._up_streak[name] = 0
-            if not self.ejected.get(name) \
-                    and self._down_streak[name] >= self._config.eject_after:
-                self.ejected[name] = True
-                self.ejections += 1
-                return "ejected"
-        else:
-            self._up_streak[name] = self._up_streak.get(name, 0) + 1
-            self._down_streak[name] = 0
-            if self.ejected.get(name) \
-                    and self._up_streak[name] >= self._config.readmit_after:
-                self.ejected[name] = False
-                self.readmissions += 1
-                return "readmitted"
-        return None
+        ejected = self.ejected.get(name, False)
+        if down == ejected:
+            if self._streak.get(name):
+                self._streak[name] = 0
+            return None
+        streak = self._streak.get(name, 0) + 1
+        if streak < (self._config.readmit_after if ejected
+                     else self._config.eject_after):
+            self._streak[name] = streak
+            return None
+        self._streak[name] = 0
+        self.ejected[name] = not ejected
+        if ejected:
+            self.readmissions += 1
+            return "readmitted"
+        self.ejections += 1
+        return "ejected"
 
     def usable(self, name: str) -> bool:
         """Whether the node is currently admitted."""

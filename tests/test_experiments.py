@@ -1,10 +1,19 @@
-"""Tests for the experiment harness — the paper's tables/figures, their
-headline anchors, the anchor report and the calibration sensitivity."""
+"""Tests for the experiment harness — the paper's tables/figures, the
+anchor report and the calibration sensitivity.
+
+The report's ``_check_*`` functions state each printed paper claim once,
+and ``benchmarks/`` asserts them next to each figure's record; the
+tests here hold every other claim about the experiments, each once.
+"""
+
+import dataclasses
+import math
 
 import pytest
 
-from repro.experiments import (figure3, figure4, figure5, mcu_grid,
+from repro.experiments import (figure3, figure4, figure5, mcu_grid, report,
                                sensitivity, table1)
+from repro.experiments.report import AnchorCheck
 from repro.units import mhz
 
 
@@ -17,11 +26,20 @@ class TestTable1:
         assert len(rows) == 10
 
     def test_risc_ops_ratios(self, rows):
+        # The kernels the report does not check; hog is the documented
+        # deviation.
+        by_name = {row.name: row for row in rows}
+        for name, tolerance in (("matmul (short)", 0.05),
+                                ("matmul (fixed)", 0.05), ("svm (poly)", 0.08),
+                                ("svm (RBF)", 0.08), ("cnn (approx)", 0.08)):
+            assert abs(by_name[name].risc_ops_ratio - 1) < tolerance, name
+        assert 0.6 < by_name["hog"].risc_ops_ratio < 1.1
+
+    def test_io_sizes_match_paper(self, rows):
+        # Within the rounding of the paper's kB units.
         for row in rows:
-            if row.name == "hog":
-                assert 0.6 < row.risc_ops_ratio < 1.1
-            else:
-                assert 0.9 < row.risc_ops_ratio < 1.1
+            assert abs(row.input_bytes / row.paper_input_bytes - 1) < 0.05
+            assert abs(row.output_bytes / row.paper_output_bytes - 1) < 0.05
 
     def test_render_contains_all_benchmarks(self, rows):
         text = table1.render(rows)
@@ -35,21 +53,22 @@ class TestFigure3:
         return figure3.run()
 
     def test_pulp_peak_matches_paper(self, result):
-        peak = result.pulp_peak
-        assert peak.gops_per_watt == pytest.approx(304, rel=0.08)
-        assert peak.power == pytest.approx(1.48e-3, rel=0.08)
+        # The report's two peak checks read the peak operating point.
+        efficiency, power, _ = report._check_figure3(result)
+        assert efficiency.values + power.values == (
+            result.pulp_peak.gops_per_watt, result.pulp_peak.power)
+        assert efficiency.passed and power.passed
 
     def test_mcus_below_5_gops_per_watt_except_apollo(self, result):
-        for point in result.mcu_points:
-            if point.device == "Ambiq Apollo":
-                assert point.gops_per_watt == pytest.approx(10, rel=0.15)
-            else:
-                assert point.gops_per_watt < 5
+        # Apollo is the one catalog MCU above the report's MCU band.
+        high = report._check_figure3(result)[2].band[1]
+        assert [p.device for p in result.mcu_points
+                if p.gops_per_watt >= high] == ["Ambiq Apollo"]
 
     def test_apollo_low_performance_point(self, result):
-        apollo = [p for p in result.mcu_points
-                  if p.device == "Ambiq Apollo"][0]
-        # "a low performance 24 MOPS operating point"
+        # "~10 GOPS/W ... a low performance 24 MOPS operating point"
+        apollo = next(p for p in result.mcu_points if p.device == "Ambiq Apollo")
+        assert apollo.gops_per_watt == pytest.approx(10, rel=0.15)
         assert apollo.gops * 1000 == pytest.approx(24, rel=0.2)
 
     def test_efficiency_gap_about_1p5_orders(self, result):
@@ -59,6 +78,7 @@ class TestFigure3:
         points = sorted(result.pulp_points, key=lambda p: p.voltage)
         assert points[0].gops_per_watt == max(
             p.gops_per_watt for p in points)
+        assert result.pulp_peak.voltage == 0.5
 
     def test_six_pulp_operating_points(self, result):
         assert len(result.pulp_points) == 6
@@ -74,11 +94,6 @@ class TestFigure4:
     def result(self):
         return figure4.run()
 
-    def test_integer_tests_2_to_2p5x(self, result):
-        by_name = {r.name: r for r in result.rows}
-        for name in ("matmul", "matmul (short)", "strassen"):
-            assert 2.0 <= by_name[name].arch_speedup_vs_m4 <= 2.6, name
-
     def test_fixed_point_lower(self, result):
         by_name = {r.name: r for r in result.rows}
         for name in ("matmul (fixed)", "svm (linear)", "svm (poly)",
@@ -86,8 +101,8 @@ class TestFigure4:
             assert 1.2 <= by_name[name].arch_speedup_vs_m4 < 2.0, name
 
     def test_hog_slowdown_vs_m4(self, result):
+        # The report checks the slowdown; against the M3 hog breaks even.
         hog = [r for r in result.rows if r.name == "hog"][0]
-        assert hog.arch_speedup_vs_m4 < 1.0
         assert hog.arch_speedup_vs_m3 == pytest.approx(1.0, abs=0.1)
 
     def test_m3_speedups_at_least_m4(self, result):
@@ -99,6 +114,8 @@ class TestFigure4:
             assert 3.5 < row.parallel_speedup < 4.0, row.name
 
     def test_runtime_overhead_single_digit(self, result):
+        # Paper: 6% on average; see EXPERIMENTS.md for why our
+        # coarse-region kernels land lower.
         assert 0.002 < result.mean_runtime_overhead < 0.06
 
     def test_render(self, result):
@@ -112,23 +129,23 @@ class TestFigure5a:
         return figure5.run_figure5a()
 
     def test_strassen_fastest_near_60x(self, result):
-        best = {name: result.best_speedup(name) for name in result.kernels()}
-        assert best["strassen"] == max(best.values())
-        assert best["strassen"] == pytest.approx(60, rel=0.08)
-
-    def test_fixed_point_above_25x(self, result):
-        for name in ("matmul (fixed)", "svm (linear)", "svm (poly)",
-                     "svm (RBF)", "cnn", "cnn (approx)"):
-            assert result.best_speedup(name) > 25, name
+        # The report checks the ~60x; here strassen leads the kernels.
+        assert max(result.kernels(), key=result.best_speedup) == "strassen"
 
     def test_hog_worst_near_20x(self, result):
-        best = {name: result.best_speedup(name) for name in result.kernels()}
-        assert best["hog"] == min(best.values())
-        assert best["hog"] == pytest.approx(20, rel=0.15)
+        # The report checks the ~20x; here hog trails the kernels.
+        assert min(result.kernels(), key=result.best_speedup) == "hog"
 
     def test_32mhz_baseline_excluded(self, result):
-        cells = [c for c in result.cells if c.host_frequency == mhz(32)]
-        assert cells and all(not c.within_budget for c in cells)
+        # "When the MCU is used at [32 MHz], there is no additional room
+        # for acceleration."
+        assert any(c.host_frequency == mhz(32) for c in result.cells)
+        for cell in result.cells:
+            if cell.host_frequency >= mhz(32):
+                assert not cell.within_budget
+            else:
+                assert cell.within_budget
+                assert cell.total_power <= 10e-3 * (1 + 1e-6)
 
     def test_speedup_decreases_with_host_frequency(self, result):
         for name in result.kernels():
@@ -152,15 +169,9 @@ class TestFigure5b:
     def result(self):
         return figure5.run_figure5b()
 
-    def test_fast_hosts_reach_full_efficiency_by_32(self, result):
-        for frequency in (mhz(16), mhz(26)):
-            curve = dict(result.curve(frequency, double_buffered=False))
-            assert curve[32] > 0.9
-
     def test_slow_host_plateaus(self, result):
-        plateau = result.plateau(mhz(2), double_buffered=False)
-        assert plateau < 0.8
-        # It is a plateau: 128 -> 256 moves efficiency by < 3%.
+        # The report checks the 2 MHz plateau stays below 80%; it is a
+        # plateau: 128 -> 256 iterations moves it by < 3%.
         curve = dict(result.curve(mhz(2), double_buffered=False))
         assert abs(curve[256] - curve[128]) < 0.03
 
@@ -172,9 +183,11 @@ class TestFigure5b:
                 assert values == sorted(values)
 
     def test_double_buffering_recovers_efficiency(self, result):
-        serial = result.plateau(mhz(8), double_buffered=False)
-        overlapped = result.plateau(mhz(8), double_buffered=True)
-        assert overlapped > serial
+        # The report checks 2 MHz.
+        for frequency in (mhz(4), mhz(8)):
+            serial = result.plateau(frequency, double_buffered=False)
+            overlapped = result.plateau(frequency, double_buffered=True)
+            assert overlapped > serial, frequency
 
     def test_single_iteration_pays_full_offload(self, result):
         curve = dict(result.curve(mhz(26), double_buffered=False))
@@ -194,10 +207,13 @@ class TestSensitivity:
         assert len(rows) == 9  # 3 knobs x 3 factors
 
     def test_nominal_matches_paper_anchor(self, rows):
-        nominal = [r for r in rows if r.factor == 1.0]
-        for row in nominal:
-            assert row.peak_efficiency == pytest.approx(304, rel=0.08)
-            assert row.arch_speedup == pytest.approx(2.38, abs=0.05)
+        # The unperturbed rows lie inside the report's Fig 3 peak band
+        # and Fig 4 integer band.
+        peak = report._check_figure3(figure3.run())[0].band
+        integer = report._check_figure4(figure4.run())[0].band
+        for row in (row for row in rows if row.factor == 1.0):
+            assert _check([row.peak_efficiency], peak).passed
+            assert _check([row.arch_speedup], integer).passed
 
     def test_density_scaling_inverts_efficiency(self, rows):
         density = {r.factor: r for r in rows if r.knob == "dynamic densities"}
@@ -210,14 +226,12 @@ class TestSensitivity:
         assert simd[0.8].arch_speedup > simd[1.25].arch_speedup
 
     def test_leakage_second_order(self, rows):
-        leakage = {r.factor: r for r in rows if r.knob == "leakage"}
-        density = {r.factor: r for r in rows
-                   if r.knob == "dynamic densities"}
-        leak_spread = abs(leakage[0.8].efficiency_shift()
-                          - leakage[1.25].efficiency_shift())
-        density_spread = abs(density[0.8].efficiency_shift()
-                             - density[1.25].efficiency_shift())
-        assert leak_spread < density_spread
+        def spread(knob):
+            by_factor = {r.factor: r.peak_efficiency
+                         for r in rows if r.knob == knob}
+            return abs(by_factor[0.8] - by_factor[1.25])
+
+        assert spread("leakage") < spread("dynamic densities")
 
     def test_render(self, rows):
         text = sensitivity.render(rows)
@@ -245,17 +259,66 @@ class TestMcuGrid:
         assert row.best_mcu_gops_per_watt == result.best_mcu.gops_per_watt
 
 
+def _check(values, band):
+    return AnchorCheck("claim", "measured", tuple(values), band)
+
+
 class TestReport:
-    def test_all_anchors_pass(self):
-        from repro.experiments.report import anchor_summary
-        passed, total = anchor_summary()
-        assert total >= 15
-        assert passed == total
+    @pytest.fixture(scope="class")
+    def checks(self):
+        return (report._check_table1(table1.run())
+                + report._check_figure3(figure3.run())
+                + report._check_figure4(figure4.run())
+                + report._check_figure5a(figure5.run_figure5a())
+                + report._check_figure5b(figure5.run_figure5b()))
+
+    def test_value_on_a_band_edge_fails(self):
+        assert _check([2.3], (2.0, 2.6)).passed
+        for edge in (2.0, 2.6):
+            assert not _check([edge], (2.0, 2.6)).passed
+
+    def test_one_sided_bands(self):
+        assert _check([4.0], (None, 5.0)).margin == pytest.approx(0.2)
+        assert _check([30.0], (25.0, None)).margin == pytest.approx(0.2)
+        assert not _check([6.0], (None, 5.0)).passed
+        assert not _check([20.0], (25.0, None)).passed
+
+    def test_worst_value_sets_the_margin(self):
+        assert _check([2.3, 2.55, 2.1], (2.0, 2.6)).margin == \
+            pytest.approx(0.05 / 2.6)
+        assert not _check([2.3, 2.7, 2.1], (2.0, 2.6)).passed
+
+    def test_margin_positive_exactly_when_passed(self):
+        for low, high in ((2.0, 2.6), (None, 5.0), (1.0, None), (-1.0, 3.0)):
+            for value in (-2.0, -1.0, 0.0, 1.0, 2.0, 2.6, 3.0, 5.0, math.nan):
+                check = _check([2.3, value], (low, high))
+                inside = all((low is None or low < v)
+                             and (high is None or v < high)
+                             for v in check.values)
+                assert check.passed == inside == (check.margin > 0)
+
+    def test_all_anchors_pass(self, checks):
+        # Every check renders as a [PASS] line, in order, and the header
+        # counts them all.
+        lines = report.build_report().splitlines()
+        assert lines[2] == f"**{len(checks)}/{len(checks)} anchors reproduced.**"
+        assert [line for line in lines if line.startswith("- [")] == [
+            f"- [PASS] {check.claim} -> {check.measured}" for check in checks]
+
+    def test_out_of_band_check_renders_fail(self, monkeypatch):
+        passing = report._check_figure4
+
+        def failing(result):
+            first, *rest = passing(result)
+            return [dataclasses.replace(first, values=(first.band[1],)), *rest]
+
+        monkeypatch.setattr(report, "_check_figure4", failing)
+        text = report.build_report()
+        assert "**16/17 anchors reproduced.**" in text
+        assert "- [FAIL] Fig 4: integer tests 2-2.5x vs M4 -> " in text
 
     def test_report_structure(self):
-        from repro.experiments.report import build_report
-        report = build_report()
+        report_text = report.build_report()
         for section in ("Table I", "Figure 3", "Figure 4",
                         "Figure 5a", "Figure 5b"):
-            assert f"## {section}" in report
-        assert "[FAIL]" not in report
+            assert f"## {section}" in report_text

@@ -1,19 +1,13 @@
-"""Tests for the experiment result store and diff tooling."""
+"""Tests for the experiment result store."""
 
 import dataclasses
 import enum
-import math
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import figure3, table1
-from repro.experiments.store import (
-    diff_results,
-    load_results,
-    render_diff,
-    save_results,
-)
+from repro.experiments.store import load_results, save_results
 
 
 class TestSaveLoad:
@@ -79,59 +73,3 @@ class TestSaveLoad:
         with pytest.raises(ConfigurationError):
             load_results(path)
 
-
-class TestDiff:
-    def _documents(self, before, after):
-        return {"results": before}, {"results": after}
-
-    def test_identical_runs_clean(self, tmp_path):
-        rows = table1.run()
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_results(rows, a)
-        save_results(table1.run(), b)
-        deltas = diff_results(load_results(a), load_results(b))
-        assert deltas == []
-
-    def test_numeric_change_detected(self):
-        before, after = self._documents({"x": 100.0}, {"x": 110.0})
-        deltas = diff_results(before, after)
-        assert len(deltas) == 1
-        assert deltas[0].relative_change == pytest.approx(0.10)
-
-    def test_tolerance_suppresses_noise(self):
-        before, after = self._documents({"x": 100.0}, {"x": 100.0 + 1e-8})
-        assert diff_results(before, after, tolerance=1e-6) == []
-
-    def test_missing_key_is_structural(self):
-        before, after = self._documents({"x": 1.0, "y": 2.0}, {"x": 1.0})
-        deltas = diff_results(before, after)
-        assert len(deltas) == 1
-        assert math.isnan(deltas[0].before)
-
-    def test_list_length_change(self):
-        before, after = self._documents([1, 2], [1, 2, 3])
-        deltas = diff_results(before, after)
-        assert any("[len]" in d.path for d in deltas)
-
-    def test_nested_paths(self):
-        before, after = self._documents(
-            {"a": {"b": [{"c": 1.0}]}},
-            {"a": {"b": [{"c": 2.0}]}})
-        deltas = diff_results(before, after)
-        assert deltas[0].path == "a.b[0].c"
-
-    def test_bool_change(self):
-        before, after = self._documents({"ok": True}, {"ok": False})
-        assert len(diff_results(before, after)) == 1
-
-    def test_render(self):
-        before, after = self._documents({"x": 1.0}, {"x": 2.0})
-        text = render_diff(diff_results(before, after))
-        assert "x: 1 -> 2" in text
-        assert render_diff([]) == "no metric changes"
-
-    def test_render_truncates(self):
-        before = {"results": {f"k{i}": float(i) for i in range(50)}}
-        after = {"results": {f"k{i}": float(i + 1) for i in range(50)}}
-        text = render_diff(diff_results(before, after), limit=5)
-        assert "more" in text

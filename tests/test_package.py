@@ -55,7 +55,7 @@ CHARACTERIZERS = {
 #: the count it was left at.  Lower it as ``serve/`` shrinks toward
 #: ROADMAP item 5's 2 068; raising it is an explicit edit, noted in
 #: CHANGES.md.
-SERVE_CODE_LINES = 2455
+SERVE_CODE_LINES = 2454
 
 #: Tokens that hold no code: comments, line structure, indentation.
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

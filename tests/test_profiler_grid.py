@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.experiments import figure3, report
 from repro.experiments.mcu_grid import render, run
 from repro.machine.profiler import ProfilingMachine
 from repro.machine.programs import DOT_PRODUCT_I8, MATMUL_I8
@@ -86,20 +87,24 @@ class TestMcuGrid:
             assert row.efficiency_gap > 5, row.kernel
 
     def test_integer_gaps_largest_hog_smallest(self, rows):
-        by_name = {row.kernel: row for row in rows}
-        gaps = {name: row.efficiency_gap for name, row in by_name.items()}
+        # The slack narrows exactly where Figure 4 says OR10N loses its
+        # edge (hog), and peaks on the SIMD-friendly integer kernels.
+        gaps = {row.kernel: row.efficiency_gap for row in rows}
         assert gaps["hog"] == min(gaps.values())
         ranked = sorted(gaps, key=gaps.get, reverse=True)
-        # The SIMD-friendly integer kernels lead the pack.
         assert set(ranked[:2]) <= {"matmul", "strassen", "matmul (short)"}
+        assert gaps[ranked[0]] > 25
 
     def test_apollo_best_mcu_everywhere(self, rows):
         # Nothing in the catalog touches the subthreshold Apollo.
         assert all(row.best_mcu == "Ambiq Apollo" for row in rows)
 
     def test_matmul_matches_figure3(self, rows):
-        matmul = [row for row in rows if row.kernel == "matmul"][0]
-        assert matmul.pulp_gops_per_watt == pytest.approx(304, rel=0.08)
+        # The grid's matmul row lies inside the report's Fig 3 peak band.
+        matmul = next(row for row in rows if row.kernel == "matmul")
+        peak = report._check_figure3(figure3.run())[0]
+        assert dataclasses.replace(
+            peak, values=(matmul.pulp_gops_per_watt,)).passed
 
     def test_render(self, rows):
         text = render(rows)

@@ -609,7 +609,8 @@ class TestServeCli:
         name = command[0]
         cases = [
             (["--requests", "0"],
-             f"{name}: give --requests > 0 or a --duration"),
+             f"{name}: PoissonWorkload needs >= 1 requests or a finite "
+             f"duration > 0, got duration=None"),
             (["--scheduler", "bogus"],
              f"{name}: unknown --scheduler 'bogus'; registered: "),
             (["--scheduler", "predicted"],
